@@ -10,7 +10,7 @@ inside exhaustive searches over millions of machines.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import compress, product
 
 
 class AlphabetMismatch(ValueError):
@@ -149,17 +149,82 @@ def _mask_bits(mask: int) -> list[int]:
     return out
 
 
-def determinize(nfa: Nfa) -> tuple[Dfa, SubsetMap]:
-    """Subset construction with epsilon closure.
+def state_mask(states) -> int:
+    """Bitmask with the bits of the given states set."""
+    m = 0
+    for q in states:
+        m |= 1 << q
+    return m
 
-    Dfa states are the reachable closed subsets, numbered in the order a
-    breadth-first walk from the closed initial set discovers them, taking
-    symbols in alphabet order.  The empty subset becomes an ordinary dead
-    state when reached.
+
+def mask_image(mask: int, table) -> int:
+    """Union of the bitmasks table[q] over the states q in mask."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= table[low.bit_length() - 1]
+        mask -= low
+    return out
+
+
+def preimage_masks(rows, n: int) -> list[list[int]]:
+    """pre[s][q] is the bitmask of the states that rows[s] sends to q."""
+    pre = []
+    for row in rows:
+        ps = [0] * n
+        for q, t in enumerate(row):
+            ps[t] |= 1 << q
+        pre.append(ps)
+    return pre
+
+
+def explore(nsym: int, start, step, is_final):
+    """Number the keys reachable from start, breadth-first.
+
+    step(key) lists the key's successors in alphabet order, so keys are
+    numbered in the order a breadth-first walk taking symbols in
+    alphabet order discovers them, start first.  Returns the transition
+    rows over those numbers (rows[s][k] is the successor of key k on
+    symbol s), the frozenset of numbers whose key is_final holds for,
+    and the keys in discovery order.
     """
-    nsym = len(nfa.alphabet)
-    n = nfa.state_count
+    index = {start: 0}
+    order = [start]
+    flat: list[int] = []  # successor numbers, key by key, symbols in order
+    # the loop also visits the keys appended while it runs
+    for key in order:
+        for nxt in step(key):
+            k = index.get(nxt)
+            if k is None:
+                k = index[nxt] = len(order)
+                order.append(nxt)
+            flat.append(k)
+    rows = tuple(tuple(flat[s::nsym]) for s in range(nsym))
+    finals = frozenset(compress(range(len(order)), map(is_final, order)))
+    return rows, finals, order
 
+
+def explore_dfa(alphabet: tuple[str, ...], start, step, is_final) -> Dfa:
+    """The Dfa over alphabet whose states are the keys explore numbers,
+    start (state 0) initial."""
+    rows, finals, order = explore(len(alphabet), start, step, is_final)
+    return Dfa(
+        state_count=len(order),
+        alphabet=alphabet,
+        transitions=rows,
+        initial=0,
+        finals=finals,
+    )
+
+
+def _moves(nfa: Nfa) -> tuple[list[list[int]], int]:
+    """The Nfa's move table and closed initial set, as bitmasks.
+
+    move[s][q] is the epsilon closure of q's targets on symbol s.  With
+    the closure folded in, the closed successor of a closed set is the
+    union of its states' entries, and no separate closure pass is needed.
+    """
+    n = nfa.state_count
     if nfa.epsilon_edges:
         adj: list[list[int]] = [[] for _ in range(n)]
         for u, v in nfa.epsilon_edges:
@@ -178,76 +243,52 @@ def determinize(nfa: Nfa) -> tuple[Dfa, SubsetMap]:
     else:
         closure = [1 << q for q in range(n)]
 
-    # Closure is folded into the move table so the scan below never
-    # needs a separate closure pass.
-    move: list[list[int]] = []
-    for s in range(nsym):
-        row = nfa.transitions[s]
+    move = []
+    for row in nfa.transitions:
         srow = []
-        for q in range(n):
+        for targets in row:
             m = 0
-            for t in row[q]:
+            for t in targets:
                 m |= closure[t]
             srow.append(m)
         move.append(srow)
-
     start = 0
     for q in nfa.initials:
         start |= closure[q]
-    final_mask = 0
-    for q in nfa.finals:
-        final_mask |= 1 << q
+    return move, start
 
-    index = {start: 0}
-    order = [start]
-    rows: list[list[int]] = [[] for _ in range(nsym)]
-    i = 0
-    while i < len(order):
-        cur = order[i]
-        for s in range(nsym):
-            mv = move[s]
+
+def determinize(nfa: Nfa) -> tuple[Dfa, SubsetMap]:
+    """Subset construction with epsilon closure.
+
+    Dfa states are the reachable closed subsets, numbered in the order a
+    breadth-first walk from the closed initial set discovers them, taking
+    symbols in alphabet order.  The empty subset becomes an ordinary dead
+    state when reached.
+    """
+    move, start = _moves(nfa)
+
+    def step(cur: int) -> list[int]:
+        qs = _mask_bits(cur)
+        out = []
+        for mv in move:
             t = 0
-            mm = cur
-            while mm:
-                low = mm & -mm
-                t |= mv[low.bit_length() - 1]
-                mm -= low
-            j = index.get(t)
-            if j is None:
-                j = len(order)
-                index[t] = j
-                order.append(t)
-            rows[s].append(j)
-        i += 1
+            for q in qs:
+                t |= mv[q]
+            out.append(t)
+        return out
 
-    finals = frozenset(i for i, msk in enumerate(order) if msk & final_mask)
+    final_mask = state_mask(nfa.finals)
+    rows, finals, order = explore(len(move), start, step, final_mask.__and__)
     dfa = Dfa(
         state_count=len(order),
         alphabet=nfa.alphabet,
-        transitions=tuple(tuple(r) for r in rows),
+        transitions=rows,
         initial=0,
         finals=finals,
     )
     subset_map = SubsetMap(tuple(tuple(_mask_bits(msk)) for msk in order))
     return dfa, subset_map
-
-
-def _reachable(d: Dfa) -> list[int]:
-    """States reachable from the initial one, in breadth-first alphabet order."""
-    nsym = len(d.alphabet)
-    trans = d.transitions
-    order = [d.initial]
-    seen = {d.initial}
-    i = 0
-    while i < len(order):
-        q = order[i]
-        for s in range(nsym):
-            t = trans[s][q]
-            if t not in seen:
-                seen.add(t)
-                order.append(t)
-        i += 1
-    return order
 
 
 def minimize_hopcroft(d: Dfa) -> Dfa:
@@ -260,26 +301,18 @@ def minimize_hopcroft(d: Dfa) -> Dfa:
     the preimage of the splitter.
     """
     nsym = len(d.alphabet)
-    reach = _reachable(d)
+    # successors of each state, in alphabet order
+    succ = list(zip(*d.transitions))
+    rows, reach_finals, reach = explore(
+        nsym, d.initial, succ.__getitem__, d.finals.__contains__
+    )
     n = len(reach)
-    newid = {q: k for k, q in enumerate(reach)}
-    rows = [[newid[d.transitions[s][q]] for q in reach] for s in range(nsym)]
-    fin_mask = 0
-    for q in d.finals:
-        k = newid.get(q)
-        if k is not None:
-            fin_mask |= 1 << k
+    fin_mask = state_mask(reach_finals)
 
     full = (1 << n) - 1
-    pre = [[0] * n for _ in range(nsym)]
-    for s in range(nsym):
-        row = rows[s]
-        ps = pre[s]
-        for q in range(n):
-            ps[row[q]] |= 1 << q
+    pre = preimage_masks(rows, n)
 
     nonfin = full & ~fin_mask
-    blocks: list[int] = []
     block_of = [0] * n
     if fin_mask and nonfin:
         blocks = [fin_mask, nonfin]
@@ -287,24 +320,15 @@ def minimize_hopcroft(d: Dfa) -> Dfa:
             block_of[q] = 1
         smaller = 0 if fin_mask.bit_count() <= nonfin.bit_count() else 1
         worklist = [smaller]
-        inwork = {smaller}
     else:
         blocks = [full]
         worklist = []
-        inwork = set()
 
     while worklist:
         bi = worklist.pop()
-        inwork.discard(bi)
         splitter = blocks[bi]
         for s in range(nsym):
-            ps = pre[s]
-            x = 0
-            mm = splitter
-            while mm:
-                low = mm & -mm
-                x |= ps[low.bit_length() - 1]
-                mm -= low
+            x = mask_image(splitter, pre[s])
             if not x:
                 continue
             affected: dict[int, int] = {}
@@ -319,46 +343,27 @@ def minimize_hopcroft(d: Dfa) -> Dfa:
                 if inter == y:
                     continue
                 rest = y & ~inter
-                # relabel the smaller part; the other keeps index yi
-                ni = len(blocks)
                 if inter.bit_count() <= rest.bit_count():
-                    blocks[yi] = rest
-                    blocks.append(inter)
-                    for q in _mask_bits(inter):
-                        block_of[q] = ni
+                    small, large = inter, rest
                 else:
-                    blocks[yi] = inter
-                    blocks.append(rest)
-                    for q in _mask_bits(rest):
-                        block_of[q] = ni
-                # the appended block is the smaller part either way
+                    small, large = rest, inter
+                # the larger part keeps index yi; the smaller one is
+                # appended, relabelled and queued
+                ni = len(blocks)
+                blocks[yi] = large
+                blocks.append(small)
+                for q in _mask_bits(small):
+                    block_of[q] = ni
                 worklist.append(ni)
-                inwork.add(ni)
 
-    qorder = [block_of[0]]
-    qnew = {block_of[0]: 0}
-    qrows: list[list[int]] = [[] for _ in range(nsym)]
-    i = 0
-    while i < len(qorder):
-        b = qorder[i]
-        rep = (blocks[b] & -blocks[b]).bit_length() - 1
-        for s in range(nsym):
-            tb = block_of[rows[s][rep]]
-            j = qnew.get(tb)
-            if j is None:
-                j = len(qorder)
-                qnew[tb] = j
-                qorder.append(tb)
-            qrows[s].append(j)
-        i += 1
-
-    qfinals = frozenset(i for i, b in enumerate(qorder) if blocks[b] & fin_mask)
-    return Dfa(
-        state_count=len(qorder),
-        alphabet=d.alphabet,
-        transitions=tuple(tuple(r) for r in qrows),
-        initial=0,
-        finals=qfinals,
+    # every block is reachable; its lowest state stands for it
+    succ = list(zip(*rows))
+    block_succ = [
+        [block_of[t] for t in succ[(blk & -blk).bit_length() - 1]] for blk in blocks
+    ]
+    block_final = [bool(blk & fin_mask) for blk in blocks]
+    return explore_dfa(
+        d.alphabet, block_of[0], block_succ.__getitem__, block_final.__getitem__
     )
 
 
@@ -407,123 +412,66 @@ def accepts(d: Dfa, word: str) -> bool:
 
 def nfa_accepts(nfa: Nfa, word: str) -> bool:
     idx = {sym: s for s, sym in enumerate(nfa.alphabet)}
-    n = nfa.state_count
-    if nfa.epsilon_edges:
-        adj: list[list[int]] = [[] for _ in range(n)]
-        for u, v in nfa.epsilon_edges:
-            adj[u].append(v)
-
-        def close(mask: int) -> int:
-            stack = _mask_bits(mask)
-            while stack:
-                x = stack.pop()
-                for y in adj[x]:
-                    if not (mask >> y) & 1:
-                        mask |= 1 << y
-                        stack.append(y)
-            return mask
-    else:
-        def close(mask: int) -> int:
-            return mask
-
-    cur = 0
-    for q in nfa.initials:
-        cur |= 1 << q
-    cur = close(cur)
+    move, cur = _moves(nfa)
     for ch in word:
         s = idx.get(ch)
         if s is None:
             raise ValueError(f"symbol {ch!r} is not in the alphabet")
-        row = nfa.transitions[s]
-        nxt = 0
-        for q in _mask_bits(cur):
-            for t in row[q]:
-                nxt |= 1 << t
-        cur = close(nxt)
-    return any((cur >> q) & 1 for q in nfa.finals)
+        cur = mask_image(cur, move[s])
+    return bool(cur & state_mask(nfa.finals))
+
+
+def _pair_walk(a: Dfa, p: int, b: Dfa, q: int) -> str | None:
+    """Shortest word on which a from state p and b from state q disagree
+    about acceptance; None if they agree on every word.
+
+    Breadth-first over state pairs taking symbols in alphabet order, so
+    among shortest witnesses the alphabet-lexicographically first wins.
+    """
+    afin, bfin = a.finals, b.finals
+    start = (p, q)
+    words = {start: ""}  # the word that first reached each pair
+    # the loop also visits the pairs appended while it runs
+    queue = [start]
+    for pair in queue:
+        u, v = pair
+        if (u in afin) != (v in bfin):
+            return words[pair]
+        for sym, arow, brow in zip(a.alphabet, a.transitions, b.transitions):
+            child = (arow[u], brow[v])
+            if child not in words:
+                words[child] = words[pair] + sym
+                queue.append(child)
+    return None
 
 
 def equivalent(a: Dfa, b: Dfa) -> bool:
-    """Language equality via a product walk over reachable state pairs."""
+    """Language equality: no word tells the two initial states apart."""
     if a.alphabet != b.alphabet:
         raise AlphabetMismatch(
             f"cannot compare over alphabets {a.alphabet!r} and {b.alphabet!r}"
         )
-    nsym = len(a.alphabet)
-    afin, bfin = a.finals, b.finals
-    at, bt = a.transitions, b.transitions
-    if (a.initial in afin) != (b.initial in bfin):
-        return False
-    start = (a.initial, b.initial)
-    seen = {start}
-    stack = [start]
-    while stack:
-        p, q = stack.pop()
-        for s in range(nsym):
-            np, nq = at[s][p], bt[s][q]
-            if (np in afin) != (nq in bfin):
-                return False
-            pair = (np, nq)
-            if pair not in seen:
-                seen.add(pair)
-                stack.append(pair)
-    return True
+    return _pair_walk(a, a.initial, b, b.initial) is None
 
 
 def distinguishing_word(d: Dfa, p: int, q: int) -> str | None:
     """Shortest word accepted from exactly one of states p, q; None if none exists.
 
-    Breadth-first over state pairs taking symbols in alphabet order, so
-    among shortest witnesses the alphabet-lexicographically first wins.
-    None means the two states accept the same language, i.e. minimization
-    merges them.
+    Among shortest witnesses the alphabet-lexicographically first wins.
+    None means the two states accept the same language, i.e.
+    minimization merges them.
     """
     for s in (p, q):
         if not 0 <= s < d.state_count:
             raise ValueError(f"state {s} out of range for {d.state_count} states")
-    nsym = len(d.alphabet)
-    finals = d.finals
-    trans = d.transitions
-    if (p in finals) != (q in finals):
-        return ""
-    start = (p, q)
-    parent: dict[tuple[int, int], tuple[tuple[int, int], int] | None] = {start: None}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for pair in frontier:
-            u, v = pair
-            for s in range(nsym):
-                child = (trans[s][u], trans[s][v])
-                if child in parent:
-                    continue
-                parent[child] = (pair, s)
-                if (child[0] in finals) != (child[1] in finals):
-                    word = []
-                    node: tuple[int, int] | None = child
-                    while node is not None:
-                        step = parent[node]
-                        if step is None:
-                            break
-                        node, sym = step
-                        word.append(d.alphabet[sym])
-                    return "".join(reversed(word))
-                nxt.append(child)
-        frontier = nxt
-    return None
+    return _pair_walk(d, p, d, q)
 
 
 def enumerate_accepted(d: Dfa, max_len: int) -> list[str]:
     """All accepted words of length at most max_len, shortest first, ties in alphabet order."""
-    out = []
-    idx = d.symbol_index()
-    trans = d.transitions
-    finals = d.finals
-    for length in range(max_len + 1):
-        for chars in product(d.alphabet, repeat=length):
-            state = d.initial
-            for ch in chars:
-                state = trans[idx[ch]][state]
-            if state in finals:
-                out.append("".join(chars))
-    return out
+    words = (
+        "".join(chars)
+        for length in range(max_len + 1)
+        for chars in product(d.alphabet, repeat=length)
+    )
+    return [w for w in words if accepts(d, w)]

@@ -12,13 +12,15 @@ input or usage errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
 from .automata import Dfa, minimize_hopcroft
-from .bounds import sc_revcat, sc_starcat, sc_starcat_special, ub_starcat_general
 from .constructions import combined
 from .harness import (
+    COMPOSE_OPS,
+    OPS,
     BoundReport,
     exhaustive_search,
     oracle_pipeline,
@@ -46,16 +48,13 @@ def _load_dfa(path: str, name: str) -> Dfa:
 
 def cmd_witness(args) -> int:
     kind, generator = FAMILIES[args.family]
-    if kind == "m":
-        if args.m is None:
-            raise ValueError(f"family {args.family} needs --m")
-        machine = generator(args.m)
-    elif kind == "n":
-        if args.n is None:
-            raise ValueError(f"family {args.family} needs --n")
-        machine = generator(args.n)
-    else:
+    if kind == "alphabet":
         machine = generator(tuple(args.alphabet))
+    else:
+        size = getattr(args, kind)
+        if size is None:
+            raise ValueError(f"family {args.family} needs --{kind}")
+        machine = generator(size)
     _emit(machine, args.format)
     return 0
 
@@ -76,28 +75,26 @@ def cmd_compose(args) -> int:
 
 
 def cmd_sc(args) -> int:
-    if args.k1 is not None:
-        if args.op != "starcat":
-            raise ValueError("--k1 only applies to --op starcat")
-        value = ub_starcat_general(args.m, args.n, args.k1)
-    elif args.op == "revcat":
-        value = sc_revcat(args.m, args.n)
-    elif args.op == "starcat":
-        value = sc_starcat(args.m, args.n)
+    spec = OPS[args.op]
+    if args.k1 is None:
+        value = spec.sc(args.m, args.n)
+    elif spec.bound_k1 is None:
+        raise ValueError("--k1 only applies to --op starcat")
     else:
-        value = sc_starcat_special(args.m, args.n)
+        value = spec.bound_k1(args.m, args.n, args.k1)
     print(value)
     return 0
 
 
-def _parse_range(text: str) -> range:
+def _parse_range(text: str, name: str) -> range:
     lo, sep, hi = text.partition("..")
     try:
-        if sep:
-            return range(int(lo), int(hi) + 1)
-        return range(int(lo), int(lo) + 1)
+        values = range(int(lo), int(hi if sep else lo) + 1)
     except ValueError:
         raise ValueError(f"bad range {text!r}, expected A..B or a single integer")
+    if not values:
+        raise ValueError(f"{name}: range {text!r} is empty")
+    return values
 
 
 def _report_row(r: BoundReport) -> str:
@@ -110,9 +107,11 @@ def _report_row(r: BoundReport) -> str:
 
 
 def cmd_verify(args) -> int:
+    ms = _parse_range(args.m, "--m")
+    ns = _parse_range(args.n, "--n")
     all_passed = True
-    for m in _parse_range(args.m):
-        for n in _parse_range(args.n):
+    for m in ms:
+        for n in ns:
             report = verify_witness(args.op, m, n)
             print(_report_row(report))
             all_passed = all_passed and report.passed
@@ -120,30 +119,26 @@ def cmd_verify(args) -> int:
 
 
 def cmd_search(args) -> int:
-    if args.sample is not None:
-        result = exhaustive_search(
-            args.op, args.m, args.n, args.sigma,
-            mode="sampled", sample_count=args.sample, seed=args.seed,
-        )
-        mode = "sampled"
-    else:
-        result = exhaustive_search(args.op, args.m, args.n, args.sigma)
-        mode = "full"
+    mode = "full" if args.sample is None else "sampled"
+    result = exhaustive_search(
+        args.op, args.m, args.n, args.sigma,
+        mode=mode, sample_count=args.sample, seed=args.seed,
+    )
     print(
         f"op={result.op} m={result.m} n={result.n} sigma={result.alphabet_size} "
         f"mode={mode} pairs={result.pairs_examined} max_minimal={result.max_minimal}"
     )
     prefix = args.out_prefix or f"argmax_{args.op}_m{args.m}_n{args.n}"
-    lhs_path = Path(f"{prefix}_lhs.json")
-    rhs_path = Path(f"{prefix}_rhs.json")
-    lhs_path.write_text(emit_document(result.argmax[0]))
-    rhs_path.write_text(emit_document(result.argmax[1]))
-    print(f"argmax lhs -> {lhs_path}")
-    print(f"argmax rhs -> {rhs_path}")
+    for side, machine in zip(("lhs", "rhs"), result.argmax):
+        path = Path(f"{prefix}_{side}.json")
+        path.write_text(emit_document(machine))
+        print(f"argmax {side} -> {path}")
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command's parser, built on first use and shared by later calls."""
     parser = argparse.ArgumentParser(
         prog="statecomp",
         description="State complexity of reversal-catenation and star-catenation.",
@@ -160,7 +155,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_witness)
 
     p = sub.add_parser("compose", help="run an operation on two DFA files")
-    p.add_argument("--op", required=True, choices=("revcat", "starcat"))
+    p.add_argument("--op", required=True, choices=COMPOSE_OPS)
     p.add_argument("--lhs", required=True)
     p.add_argument("--rhs", required=True)
     p.add_argument("--method", required=True, choices=("direct", "oracle"))
@@ -169,22 +164,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_compose)
 
     p = sub.add_parser("sc", help="evaluate a closed-form state count")
-    p.add_argument("--op", required=True,
-                   choices=("revcat", "starcat", "starcat-special"))
+    p.add_argument("--op", required=True, choices=tuple(OPS))
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k1", type=int)
     p.set_defaults(func=cmd_sc)
 
     p = sub.add_parser("verify", help="check witness grids against the formulas")
-    p.add_argument("--op", required=True,
-                   choices=("revcat", "starcat", "starcat-special"))
+    p.add_argument("--op", required=True, choices=tuple(OPS))
     p.add_argument("--m", required=True, help="range A..B (inclusive) or a single value")
     p.add_argument("--n", required=True, help="range C..D (inclusive) or a single value")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("search", help="maximize the minimal result size over all pairs")
-    p.add_argument("--op", required=True, choices=("revcat", "starcat"))
+    p.add_argument("--op", required=True, choices=COMPOSE_OPS)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--sigma", type=int, required=True)

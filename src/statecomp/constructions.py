@@ -1,15 +1,24 @@
 """Operation constructions: reversal, star, catenation, and the direct
 product-style DFAs for the two combined operations.
 
-The direct constructions materialize only reachable states, found by a
-breadth-first walk taking symbols in alphabet order, so state numbering
-is deterministic and counts never exceed the closed-form size bounds.
-State subsets are integer bitmasks.
+The direct constructions materialize only reachable states, found by
+automata.explore, so state numbering is deterministic and counts never
+exceed the closed-form size bounds.  State subsets are integer bitmasks.
 """
 
 from __future__ import annotations
 
-from .automata import AlphabetMismatch, Dfa, Nfa, minimize_hopcroft, reverse_nfa
+from .automata import (
+    AlphabetMismatch,
+    Dfa,
+    Nfa,
+    explore_dfa,
+    mask_image,
+    minimize_hopcroft,
+    preimage_masks,
+    reverse_nfa,
+    state_mask,
+)
 from .witnesses import empty_dfa, sigma_star_dfa
 
 __all__ = [
@@ -21,6 +30,8 @@ __all__ = [
     "revcat_n1_direct",
     "starcat_special_direct",
     "starcat_general_direct",
+    "revcat_route",
+    "starcat_route",
     "combined",
 ]
 
@@ -36,23 +47,9 @@ def _require_same_alphabet(a, b) -> None:
         )
 
 
-def _mask(states) -> int:
-    m = 0
-    for q in states:
-        m |= 1 << q
-    return m
-
-
-def _preimage_masks(d: Dfa) -> list[list[int]]:
-    """pre[s][q] is the bitmask of states that move to q on symbol s."""
-    nsym = len(d.alphabet)
-    pre = [[0] * d.state_count for _ in range(nsym)]
-    for s in range(nsym):
-        row = d.transitions[s]
-        ps = pre[s]
-        for q in range(d.state_count):
-            ps[row[q]] |= 1 << q
-    return pre
+def _image_masks(d: Dfa) -> list[list[int]]:
+    """img[s][q] is the one-bit mask of the state q moves to on symbol s."""
+    return [[1 << t for t in row] for row in d.transitions]
 
 
 def catenation_nfa(a: Nfa, b: Dfa) -> Nfa:
@@ -118,58 +115,31 @@ def revcat_direct(m: Dfa, n: Dfa) -> Dfa:
     initial state joins j exactly when i contains m's initial state,
     which is when the prefix read so far lies in L(m)^R.  Final when j
     meets n's finals.  At most 3/4 * 2^(m+n) states are reachable.
+
+    The pair (i, j) is the subset i | j << m of the oracle's NFA, and
+    both walks number states the same way, so the result is
+    byte-identical to determinize(catenation_nfa(reverse_nfa(m), n)).
+    This construction is therefore no independent check of the oracle.
     """
     _require_same_alphabet(m, n)
-    nsym = len(m.alphabet)
-    pre = _preimage_masks(m)
+    pre = preimage_masks(m.transitions, m.state_count)
+    img = _image_masks(n)
     init_bit = 1 << m.initial
     sn_bit = 1 << n.initial
-    fn_mask = _mask(n.finals)
-    nrows = n.transitions
+    fn_mask = state_mask(n.finals)
 
-    i0 = _mask(m.finals)
-    j0 = sn_bit if i0 & init_bit else 0
-    start = (i0, j0)
-    index = {start: 0}
-    order = [start]
-    rows: list[list[int]] = [[] for _ in range(nsym)]
-    k = 0
-    while k < len(order):
-        i, j = order[k]
-        for s in range(nsym):
-            ps = pre[s]
-            i2 = 0
-            t = i
-            while t:
-                low = t & -t
-                i2 |= ps[low.bit_length() - 1]
-                t -= low
-            nrow = nrows[s]
-            j2 = 0
-            t = j
-            while t:
-                low = t & -t
-                j2 |= 1 << nrow[low.bit_length() - 1]
-                t -= low
-            if i2 & init_bit:
-                j2 |= sn_bit
-            key = (i2, j2)
-            idx = index.get(key)
-            if idx is None:
-                idx = len(order)
-                index[key] = idx
-                order.append(key)
-            rows[s].append(idx)
-        k += 1
+    def step(key):
+        i, j = key
+        out = []
+        for ps, ns in zip(pre, img):
+            i2 = mask_image(i, ps)
+            j2 = mask_image(j, ns)
+            out.append((i2, j2 | sn_bit) if i2 & init_bit else (i2, j2))
+        return out
 
-    finals = frozenset(idx for idx, (_, j) in enumerate(order) if j & fn_mask)
-    return Dfa(
-        state_count=len(order),
-        alphabet=m.alphabet,
-        transitions=tuple(tuple(r) for r in rows),
-        initial=0,
-        finals=finals,
-    )
+    i0 = state_mask(m.finals)
+    start = (i0, sn_bit if i0 & init_bit else 0)
+    return explore_dfa(m.alphabet, start, step, lambda key: key[1] & fn_mask)
 
 
 def revcat_n1_direct(m: Dfa, n_accepting: bool) -> Dfa:
@@ -182,47 +152,22 @@ def revcat_n1_direct(m: Dfa, n_accepting: bool) -> Dfa:
     """
     if not n_accepting:
         return empty_dfa(m.alphabet)
-    nsym = len(m.alphabet)
-    pre = _preimage_masks(m)
+    pre = preimage_masks(m.transitions, m.state_count)
     init_bit = 1 << m.initial
-
     SINK = -1  # the merged absorbing final state
-    i0 = _mask(m.finals)
-    start = SINK if i0 & init_bit else i0
-    index = {start: 0}
-    order = [start]
-    rows: list[list[int]] = [[] for _ in range(nsym)]
-    k = 0
-    while k < len(order):
-        cur = order[k]
-        for s in range(nsym):
-            if cur == SINK:
-                key = SINK
-            else:
-                ps = pre[s]
-                i2 = 0
-                t = cur
-                while t:
-                    low = t & -t
-                    i2 |= ps[low.bit_length() - 1]
-                    t -= low
-                key = SINK if i2 & init_bit else i2
-            idx = index.get(key)
-            if idx is None:
-                idx = len(order)
-                index[key] = idx
-                order.append(key)
-            rows[s].append(idx)
-        k += 1
 
-    finals = frozenset((index[SINK],)) if SINK in index else frozenset()
-    return Dfa(
-        state_count=len(order),
-        alphabet=m.alphabet,
-        transitions=tuple(tuple(r) for r in rows),
-        initial=0,
-        finals=finals,
-    )
+    def step(cur):
+        if cur == SINK:
+            return [SINK] * len(pre)
+        out = []
+        for ps in pre:
+            i2 = mask_image(cur, ps)
+            out.append(SINK if i2 & init_bit else i2)
+        return out
+
+    i0 = state_mask(m.finals)
+    start = SINK if i0 & init_bit else i0
+    return explore_dfa(m.alphabet, start, step, lambda key: key == SINK)
 
 
 def starcat_special_direct(a: Dfa, b: Dfa) -> Dfa:
@@ -242,48 +187,21 @@ def starcat_special_direct(a: Dfa, b: Dfa) -> Dfa:
         )
     if b.state_count < 2:
         raise ShapeError("starcat_special_direct needs a second operand with >= 2 states")
-    nsym = len(a.alphabet)
     s1 = a.initial
     s2_bit = 1 << b.initial
-    f2_mask = _mask(b.finals)
-    arows = a.transitions
-    brows = b.transitions
+    f2_mask = state_mask(b.finals)
+    img = _image_masks(b)
 
-    start = (s1, s2_bit)
-    index = {start: 0}
-    order = [start]
-    rows: list[list[int]] = [[] for _ in range(nsym)]
-    k = 0
-    while k < len(order):
-        q, tmask = order[k]
-        for s in range(nsym):
-            q2 = arows[s][q]
-            brow = brows[s]
-            t2 = 0
-            t = tmask
-            while t:
-                low = t & -t
-                t2 |= 1 << brow[low.bit_length() - 1]
-                t -= low
-            if q2 == s1:
-                t2 |= s2_bit
-            key = (q2, t2)
-            idx = index.get(key)
-            if idx is None:
-                idx = len(order)
-                index[key] = idx
-                order.append(key)
-            rows[s].append(idx)
-        k += 1
+    def step(key):
+        q, tmask = key
+        out = []
+        for arow, bs in zip(a.transitions, img):
+            q2 = arow[q]
+            t2 = mask_image(tmask, bs)
+            out.append((q2, t2 | s2_bit) if q2 == s1 else (q2, t2))
+        return out
 
-    finals = frozenset(idx for idx, (_, t) in enumerate(order) if t & f2_mask)
-    return Dfa(
-        state_count=len(order),
-        alphabet=a.alphabet,
-        transitions=tuple(tuple(r) for r in rows),
-        initial=0,
-        finals=finals,
-    )
+    return explore_dfa(a.alphabet, (s1, s2_bit), step, lambda key: key[1] & f2_mask)
 
 
 def starcat_general_direct(a: Dfa, b: Dfa) -> Dfa:
@@ -307,82 +225,56 @@ def starcat_general_direct(a: Dfa, b: Dfa) -> Dfa:
         )
     if b.state_count < 2:
         raise ShapeError("starcat_general_direct needs a second operand with >= 2 states")
-    nsym = len(a.alphabet)
-    f1_mask = _mask(a.finals)
+    f1_mask = state_mask(a.finals)
     s1_bit = 1 << a.initial
     s2_bit = 1 << b.initial
-    f2_mask = _mask(b.finals)
-    arows = a.transitions
-    brows = b.transitions
+    f2_mask = state_mask(b.finals)
+    aimg = _image_masks(a)
+    bimg = _image_masks(b)
 
-    start = (s1_bit, s2_bit)
-    index = {start: 0}
-    order = [start]
-    rows: list[list[int]] = [[] for _ in range(nsym)]
-    k = 0
-    while k < len(order):
-        p, tmask = order[k]
-        for s in range(nsym):
-            arow = arows[s]
-            p2 = 0
-            t = p
-            while t:
-                low = t & -t
-                p2 |= 1 << arow[low.bit_length() - 1]
-                t -= low
-            brow = brows[s]
-            t2 = 0
-            t = tmask
-            while t:
-                low = t & -t
-                t2 |= 1 << brow[low.bit_length() - 1]
-                t -= low
-            if p2 & f1_mask:
-                p2 |= s1_bit
-                t2 |= s2_bit
-            key = (p2, t2)
-            idx = index.get(key)
-            if idx is None:
-                idx = len(order)
-                index[key] = idx
-                order.append(key)
-            rows[s].append(idx)
-        k += 1
+    def step(key):
+        p, t = key
+        out = []
+        for as_, bs in zip(aimg, bimg):
+            p2 = mask_image(p, as_)
+            t2 = mask_image(t, bs)
+            out.append((p2 | s1_bit, t2 | s2_bit) if p2 & f1_mask else (p2, t2))
+        return out
 
-    finals = frozenset(idx for idx, (_, t) in enumerate(order) if t & f2_mask)
-    return Dfa(
-        state_count=len(order),
-        alphabet=a.alphabet,
-        transitions=tuple(tuple(r) for r in rows),
-        initial=0,
-        finals=finals,
-    )
+    return explore_dfa(a.alphabet, (s1_bit, s2_bit), step, lambda key: key[1] & f2_mask)
+
+
+def revcat_route(a: Dfa, b: Dfa) -> Dfa:
+    """The direct construction for L(a)^R L(b) that fits the operands' shape."""
+    if b.state_count == 1 and a.state_count >= 2:
+        return revcat_n1_direct(a, bool(b.finals))
+    return revcat_direct(a, b)
+
+
+def starcat_route(a: Dfa, b: Dfa) -> Dfa:
+    """The direct construction for L(a)* L(b) that fits the operands' shape."""
+    if b.state_count == 1:
+        # L(b) is all words or none, and the star factor always
+        # contributes the empty word
+        return sigma_star_dfa(a.alphabet) if b.finals else empty_dfa(a.alphabet)
+    if not a.finals:
+        # L(a)* is just the empty word, so the product is L(b)
+        return b
+    if a.finals == frozenset((a.initial,)):
+        return starcat_special_direct(a, b)
+    return starcat_general_direct(a, b)
 
 
 def combined(op: str, a: Dfa, b: Dfa, minimized: bool = False) -> Dfa:
-    """Dispatch to the right direct construction for the operation.
+    """Run the operation's direct construction, as routed in the op table.
 
     op is "revcat" for L(a)^R L(b) or "starcat" for L(a)* L(b).  With
     minimized=True the result is minimized before returning.
     """
+    # the op table lives in harness, which imports this module, so it is
+    # imported here rather than at the top
+    from .harness import operation
+
     _require_same_alphabet(a, b)
-    if op == "revcat":
-        if b.state_count == 1 and a.state_count >= 2:
-            out = revcat_n1_direct(a, bool(b.finals))
-        else:
-            out = revcat_direct(a, b)
-    elif op == "starcat":
-        if b.state_count == 1:
-            # L(b) is all words or none, and the star factor always
-            # contributes the empty word
-            out = sigma_star_dfa(a.alphabet) if b.finals else empty_dfa(a.alphabet)
-        elif not a.finals:
-            # L(a)* is just the empty word, so the product is L(b)
-            out = b
-        elif a.finals == frozenset((a.initial,)):
-            out = starcat_special_direct(a, b)
-        else:
-            out = starcat_general_direct(a, b)
-    else:
-        raise ValueError(f"unknown operation {op!r}")
+    out = operation(op).direct(a, b)
     return minimize_hopcroft(out) if minimized else out

@@ -1,18 +1,20 @@
-"""Verification oracles and searches.
+"""Verification oracles, searches, and the op table.
 
 The oracle never touches the direct product constructions: it builds the
 operation from reverse/star and catenation NFAs, determinizes, and
 minimizes.  Agreement between the two routes, plus the closed-form
-bounds, is what the verify and search entry points check.
+bounds, is what the verify and search entry points check.  Everything
+that differs from one operation to the next is a row of OPS.
 """
 
 from __future__ import annotations
 
 import random
 import string
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import Callable, Container
 
-from .automata import Dfa, determinize, equivalent, minimize_hopcroft
+from .automata import Dfa, Nfa, determinize, equivalent, minimize_hopcroft
 from .bounds import (
     sc_revcat,
     sc_starcat,
@@ -20,7 +22,14 @@ from .bounds import (
     ub_revcat,
     ub_starcat_general,
 )
-from .constructions import catenation_nfa, combined, reverse_nfa, star_nfa
+from .constructions import (
+    catenation_nfa,
+    combined,
+    revcat_route,
+    reverse_nfa,
+    star_nfa,
+    starcat_route,
+)
 from .witnesses import (
     revcat_n1_witness,
     revcat_witness_M,
@@ -64,16 +73,98 @@ class SearchResult:
     pairs_examined: int
 
 
+def _revcat_bound(a: Dfa, b: Dfa) -> tuple[int, int | None]:
+    m, n = a.state_count, b.state_count
+    return (sc_revcat(m, 1) if n == 1 and m >= 2 else ub_revcat(m, n)), None
+
+
+def _starcat_bound(a: Dfa, b: Dfa) -> tuple[int, int | None]:
+    m, n = a.state_count, b.state_count
+    if n == 1:
+        return 1, None
+    if not a.finals:
+        # the result is a copy of b, so its own size is the bound
+        return n, None
+    if a.finals == frozenset((a.initial,)):
+        return sc_starcat_special(m, n), None
+    k1 = len(a.finals - {a.initial})
+    return ub_starcat_general(m, n, k1), k1
+
+
+def _revcat_pair(m: int, n: int) -> tuple[Dfa, Dfa, int | None]:
+    if m < 2:
+        raise ValueError(
+            "no stored reversal-catenation family covers m = 1; "
+            "use exhaustive_search"
+        )
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    if n == 1:
+        a = revcat_n1_witness(m)
+        return a, sigma_star_dfa(a.alphabet), None
+    return revcat_witness_M(m), revcat_witness_N(n), None
+
+
+def _starcat_pair(m: int, n: int) -> tuple[Dfa, Dfa, int | None]:
+    if m < 2 or n < 1:
+        raise ValueError("starcat witnesses need m >= 2 and n >= 1")
+    a = starcat_witness_A(m)
+    if n == 1:
+        return a, sigma_star_dfa(a.alphabet), None
+    return a, starcat_witness_B(n), len(a.finals - {a.initial})
+
+
+def _starcat_special_pair(m: int, n: int) -> tuple[Dfa, Dfa, int | None]:
+    if m < 2 or n < 1:
+        raise ValueError("starcat-special witnesses need m >= 2 and n >= 1")
+    a = starcat_special_witness_A(m)
+    b = sigma_star_dfa(a.alphabet) if n == 1 else starcat_special_witness_B(n)
+    return a, b, None
+
+
+@dataclass(frozen=True)
+class Operation:
+    """One row of the op table."""
+
+    base: str  # the op whose constructions run; starcat-special runs starcat's
+    left: Callable[[Dfa], Nfa]  # the oracle's NFA for the left operand
+    direct: Callable[[Dfa, Dfa], Dfa]  # direct construction routed by operand shape
+    bound: Callable[[Dfa, Dfa], tuple[int, int | None]]  # that route's size bound, k1
+    sc: Callable[[int, int], int]  # exact worst-case minimal size
+    bound_k1: Callable[[int, int, int], int] | None  # construction bound at a given k1
+    witness: Callable[[int, int], tuple[Dfa, Dfa, int | None]]  # worst-case pair, k1
+
+
+OPS = {
+    "revcat": Operation(
+        "revcat", reverse_nfa, revcat_route, _revcat_bound, sc_revcat, None, _revcat_pair
+    ),
+    "starcat": Operation(
+        "starcat", star_nfa, starcat_route, _starcat_bound, sc_starcat,
+        ub_starcat_general, _starcat_pair,
+    ),
+}
+# star-catenation restricted to a first operand whose only final state
+# is its initial one: its own witnesses and formula, starcat's constructions
+OPS["starcat-special"] = replace(
+    OPS["starcat"], sc=sc_starcat_special, bound_k1=None, witness=_starcat_special_pair
+)
+
+# the ops with constructions of their own, in the order random_check draws them
+COMPOSE_OPS = ("revcat", "starcat")
+
+
+def operation(op: str, among: Container[str] = COMPOSE_OPS) -> Operation:
+    """The op table row for op; ValueError unless op is one of among."""
+    if op not in among:
+        raise ValueError(f"unknown operation {op!r}")
+    return OPS[op]
+
+
 def oracle_pipeline(op: str, a: Dfa, b: Dfa) -> Dfa:
     """Determinized (not yet minimized) DFA for the operation, built only
     from the generic NFA constructions."""
-    if op == "revcat":
-        left = reverse_nfa(a)
-    elif op == "starcat":
-        left = star_nfa(a)
-    else:
-        raise ValueError(f"unknown operation {op!r}")
-    dfa, _ = determinize(catenation_nfa(left, b))
+    dfa, _ = determinize(catenation_nfa(operation(op).left(a), b))
     return dfa
 
 
@@ -82,83 +173,35 @@ def oracle_sc(op: str, a: Dfa, b: Dfa) -> int:
     return minimize_hopcroft(oracle_pipeline(op, a, b)).state_count
 
 
+def _report(
+    op: str, base: str, a: Dfa, b: Dfa, k1: int | None, formula: int, exact: bool
+) -> BoundReport:
+    """Run the direct construction and the oracle on (a, b).  Passed when
+    both give the same language and the oracle's minimal size equals
+    formula (exact) or the direct construction's size fits under it."""
+    direct = combined(base, a, b)
+    oracle = oracle_pipeline(base, a, b)
+    minimal = minimize_hopcroft(oracle).state_count
+    fits = minimal == formula if exact else direct.state_count <= formula
+    passed = fits and equivalent(direct, oracle)
+    return BoundReport(
+        op, a.state_count, b.state_count, k1, formula, direct.state_count, minimal, passed
+    )
+
+
 def verify_witness(op: str, m: int, n: int) -> BoundReport:
     """Build the stored witness pair for (op, m, n), run the direct
     construction and the oracle, and compare against the formula."""
-    k1: int | None = None
-    if op == "revcat":
-        if m < 2:
-            raise ValueError(
-                "no stored reversal-catenation family covers m = 1; "
-                "use exhaustive_search"
-            )
-        if n < 1:
-            raise ValueError("n must be at least 1")
-        if n == 1:
-            a = revcat_n1_witness(m)
-            b = sigma_star_dfa(a.alphabet)
-        else:
-            a = revcat_witness_M(m)
-            b = revcat_witness_N(n)
-        formula = sc_revcat(m, n)
-        cop = "revcat"
-    elif op == "starcat-special":
-        if m < 2 or n < 1:
-            raise ValueError("starcat-special witnesses need m >= 2 and n >= 1")
-        a = starcat_special_witness_A(m)
-        b = sigma_star_dfa(a.alphabet) if n == 1 else starcat_special_witness_B(n)
-        formula = sc_starcat_special(m, n)
-        cop = "starcat"
-    elif op == "starcat":
-        if m < 2 or n < 1:
-            raise ValueError("starcat witnesses need m >= 2 and n >= 1")
-        a = starcat_witness_A(m)
-        if n == 1:
-            b = sigma_star_dfa(a.alphabet)
-        else:
-            b = starcat_witness_B(n)
-            k1 = len(a.finals - {a.initial})
-        formula = sc_starcat(m, n)
-        cop = "starcat"
-    else:
-        raise ValueError(f"unknown operation {op!r}")
-
-    direct = combined(cop, a, b)
-    oracle = oracle_pipeline(cop, a, b)
-    minimal = minimize_hopcroft(oracle).state_count
-    passed = minimal == formula and equivalent(direct, oracle)
-    return BoundReport(op, m, n, k1, formula, direct.state_count, minimal, passed)
+    spec = operation(op, OPS)
+    a, b, k1 = spec.witness(m, n)
+    return _report(op, spec.base, a, b, k1, spec.sc(m, n), exact=True)
 
 
 def verify_construction(op: str, a: Dfa, b: Dfa) -> BoundReport:
     """Check one concrete pair: the direct construction must match the
     oracle's language and fit under the route's size bound."""
-    m, n = a.state_count, b.state_count
-    k1: int | None = None
-    if op == "revcat":
-        if n == 1 and m >= 2:
-            formula = sc_revcat(m, 1)
-        else:
-            formula = ub_revcat(m, n)
-    elif op == "starcat":
-        if n == 1:
-            formula = 1
-        elif not a.finals:
-            # the result is a copy of b, so its own size is the bound
-            formula = n
-        elif a.finals == frozenset((a.initial,)):
-            formula = sc_starcat_special(m, n)
-        else:
-            k1 = len(a.finals - {a.initial})
-            formula = ub_starcat_general(m, n, k1)
-    else:
-        raise ValueError(f"unknown operation {op!r}")
-
-    direct = combined(op, a, b)
-    oracle = oracle_pipeline(op, a, b)
-    minimal = minimize_hopcroft(oracle).state_count
-    passed = direct.state_count <= formula and equivalent(direct, oracle)
-    return BoundReport(op, m, n, k1, formula, direct.state_count, minimal, passed)
+    formula, k1 = operation(op).bound(a, b)
+    return _report(op, op, a, b, k1, formula, exact=False)
 
 
 def dfa_count(size: int, alphabet_size: int) -> int:
@@ -214,8 +257,7 @@ def exhaustive_search(
     generator.  The reported argmax is the first pair reaching the
     maximum in enumeration order.
     """
-    if op not in ("revcat", "starcat"):
-        raise ValueError(f"unknown operation {op!r}")
+    operation(op)
     if m < 1 or n < 1:
         raise ValueError("automaton sizes must be at least 1")
     alphabet = _alphabet(alphabet_size)
@@ -284,7 +326,7 @@ def random_check(
     rng = random.Random(seed)
     reports = []
     for _ in range(trials):
-        op = rng.choice(("revcat", "starcat"))
+        op = rng.choice(COMPOSE_OPS)
         m = rng.randint(1, m_max)
         n = rng.randint(1, n_max)
         alphabet = _alphabet(rng.randint(1, sigma_max))

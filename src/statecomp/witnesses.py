@@ -23,6 +23,14 @@ def _cycle(m: int) -> tuple[int, ...]:
     return tuple((i + 1) % m for i in range(m))
 
 
+def _fold_top(m: int) -> tuple[int, ...]:
+    return _identity(m - 1) + (m - 2,)
+
+
+def _swap_top(m: int) -> tuple[int, ...]:
+    return _identity(m - 2) + (m - 1, m - 2)
+
+
 def revcat_witness_M(m: int) -> Dfa:
     """First operand of the reversal-catenation worst case, m >= 2.
 
@@ -31,15 +39,10 @@ def revcat_witness_M(m: int) -> Dfa:
     """
     if m < 2:
         raise ValueError("revcat_witness_M needs m >= 2")
-    b_row = list(range(m))
-    b_row[m - 1] = m - 2
-    c_row = list(range(m))
-    c_row[m - 2] = m - 1
-    c_row[m - 1] = m - 2
     return Dfa(
         state_count=m,
         alphabet=_FOUR,
-        transitions=(_cycle(m), tuple(b_row), tuple(c_row), _identity(m)),
+        transitions=(_cycle(m), _fold_top(m), _swap_top(m), _identity(m)),
         initial=0,
         finals=frozenset((m - 1,)),
     )
@@ -90,17 +93,12 @@ def revcat_n1_witness(m: int) -> Dfa:
             initial=0,
             finals=frozenset((2,)),
         )
-    b_row = list(range(m))
-    b_row[m - 1] = m - 2
-    c_row = list(range(m))
-    c_row[m - 2] = m - 1
-    c_row[m - 1] = m - 2
     # d fixes 0 and rotates 1..m-1 by one step
     d_row = [0] + [i + 1 for i in range(1, m - 1)] + [1]
     return Dfa(
         state_count=m,
         alphabet=_FOUR,
-        transitions=(_cycle(m), tuple(b_row), tuple(c_row), tuple(d_row)),
+        transitions=(_cycle(m), _fold_top(m), _swap_top(m), tuple(d_row)),
         initial=0,
         finals=frozenset((m - 1,)),
     )

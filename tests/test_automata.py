@@ -25,6 +25,7 @@ from statecomp import (
     revcat_witness_N,
     sigma_star_dfa,
 )
+from statecomp.automata import _pair_walk
 
 from helpers import all_words, moore_minimal_size, random_complete_dfa, run_word
 
@@ -245,15 +246,32 @@ class TestEquivalent:
 
     def test_agrees_with_word_comparison(self):
         rng = random.Random(13)
-        for _ in range(40):
-            a = random_complete_dfa(rng, rng.randint(1, 4), ("a", "b"))
-            b = random_complete_dfa(rng, rng.randint(1, 4), ("a", "b"))
-            same_words = all(
-                run_word(a, w) == run_word(b, w) for w in all_words(("a", "b"), 7)
+        pairs = [
+            (
+                random_complete_dfa(rng, rng.randint(1, 4), ("a", "b")),
+                random_complete_dfa(rng, rng.randint(1, 4), ("a", "b")),
             )
+            for _ in range(40)
+        ]
+        # plus one pair of random machines known to differ
+        a = random_complete_dfa(random.Random(5), 4, ("a", "b"))
+        b = random_complete_dfa(random.Random(6), 4, ("a", "b"))
+        pairs.append((a, b))
+        for a, b in pairs:
+            separating = [
+                w for w in all_words(("a", "b"), 7) if run_word(a, w) != run_word(b, w)
+            ]
             # inequivalent DFAs of sizes p and q differ on some word of
             # length at most p + q - 2, here at most 6
-            assert equivalent(a, b) == same_words
+            assert equivalent(a, b) == (not separating)
+            word = _pair_walk(a, a.initial, b, b.initial)
+            if separating:
+                assert run_word(a, word) != run_word(b, word)
+                # all_words runs shortest first, so nothing shorter separates
+                assert len(word) == len(separating[0])
+            else:
+                assert word is None
+        assert separating, "the last pair must be inequivalent"
 
 
 class TestDistinguishingWord:

@@ -6,7 +6,7 @@ import subprocess
 
 import pytest
 
-from statecomp.cli import main
+from statecomp.cli import build_parser, main
 from statecomp.serialize import emit_document, parse_document
 from statecomp.witnesses import (
     revcat_witness_M,
@@ -137,6 +137,18 @@ class TestCompose:
         assert lines[-1] == "states=12 minimal=12"
         assert parse_document("\n".join(lines[:-1]) + "\n").state_count == 12
 
+    def test_repeated_calls_share_no_state(self, capsys, pair):
+        # main keeps one parser for the process; a flag given to one call
+        # must not carry over to the next
+        lhs, rhs = pair
+        argv = ("compose", "--op", "starcat", "--lhs", lhs, "--rhs", rhs,
+                "--method", "oracle")
+        _, first, _ = run(capsys, *argv, "--minimize")
+        _, second, _ = run(capsys, *argv)
+        assert first.rstrip().splitlines()[-1] == "states=4 minimal=4"
+        assert second.rstrip().splitlines()[-1] == "states=6 minimal=4"
+        assert build_parser() is build_parser()
+
     def test_dot_format(self, capsys, pair):
         lhs, rhs = pair
         code, out, _ = run(
@@ -195,6 +207,12 @@ class TestVerify:
             capsys, "verify", "--op", "revcat", "--m", "x..y", "--n", "2"
         )
         assert code == 2 and "bad range" in err
+
+    @pytest.mark.parametrize("m, n, field", [("5..2", "2", "--m"), ("2", "3..1", "--n")])
+    def test_empty_range_is_an_input_error(self, capsys, m, n, field):
+        code, out, err = run(capsys, "verify", "--op", "revcat", "--m", m, "--n", n)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {field}: ")
 
     def test_unsupported_corner_is_an_input_error(self, capsys):
         code, _, err = run(
