@@ -9,13 +9,11 @@ from .automata import (
     AlphabetMismatch,
     Dfa,
     Nfa,
-    SubsetMap,
     accepts,
     determinize,
     distinguishing_word,
     enumerate_accepted,
     equivalent,
-    minimize,
     minimize_brzozowski,
     minimize_hopcroft,
     nfa_accepts,

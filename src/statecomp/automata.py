@@ -58,9 +58,6 @@ class Dfa:
             if not 0 <= q < n:
                 raise ValueError("final state out of range")
 
-    def symbol_index(self) -> dict[str, int]:
-        return {sym: s for s, sym in enumerate(self.alphabet)}
-
 
 @dataclass(frozen=True)
 class Nfa:
@@ -114,30 +111,6 @@ def nfa_from_dfa(d: Dfa) -> Nfa:
         epsilon_edges=frozenset(),
         finals=d.finals,
     )
-
-
-@dataclass(frozen=True)
-class SubsetMap:
-    """Which subset of Nfa states each Dfa state produced by determinize stands for.
-
-    subsets[i] is the sorted tuple of Nfa states behind Dfa state i;
-    position 0 is the epsilon closure of the initial set.
-    """
-
-    subsets: tuple[tuple[int, ...], ...]
-
-    def __len__(self) -> int:
-        return len(self.subsets)
-
-    def __getitem__(self, i: int) -> tuple[int, ...]:
-        return self.subsets[i]
-
-    def index_of(self, subset: frozenset[int]) -> int:
-        target = tuple(sorted(subset))
-        for i, s in enumerate(self.subsets):
-            if s == target:
-                return i
-        raise KeyError(f"subset {target} not reachable")
 
 
 def _mask_bits(mask: int) -> list[int]:
@@ -258,13 +231,14 @@ def _moves(nfa: Nfa) -> tuple[list[list[int]], int]:
     return move, start
 
 
-def determinize(nfa: Nfa) -> tuple[Dfa, SubsetMap]:
+def determinize(nfa: Nfa) -> tuple[Dfa, list[int]]:
     """Subset construction with epsilon closure.
 
     Dfa states are the reachable closed subsets, numbered in the order a
     breadth-first walk from the closed initial set discovers them, taking
     symbols in alphabet order.  The empty subset becomes an ordinary dead
-    state when reached.
+    state when reached.  Returns the Dfa and the subsets in that order:
+    bit q of order[i] is set when Nfa state q is behind Dfa state i.
     """
     move, start = _moves(nfa)
 
@@ -287,8 +261,7 @@ def determinize(nfa: Nfa) -> tuple[Dfa, SubsetMap]:
         initial=0,
         finals=finals,
     )
-    subset_map = SubsetMap(tuple(tuple(_mask_bits(msk)) for msk in order))
-    return dfa, subset_map
+    return dfa, order
 
 
 def minimize_hopcroft(d: Dfa) -> Dfa:
@@ -365,10 +338,6 @@ def minimize_hopcroft(d: Dfa) -> Dfa:
     return explore_dfa(
         d.alphabet, block_of[0], block_succ.__getitem__, block_final.__getitem__
     )
-
-
-def minimize(d: Dfa) -> Dfa:
-    return minimize_hopcroft(d)
 
 
 def reverse_nfa(d: Dfa) -> Nfa:

@@ -131,7 +131,10 @@ def cmd_search(args) -> int:
     prefix = args.out_prefix or f"argmax_{args.op}_m{args.m}_n{args.n}"
     for side, machine in zip(("lhs", "rhs"), result.argmax):
         path = Path(f"{prefix}_{side}.json")
-        path.write_text(emit_document(machine))
+        try:
+            path.write_text(emit_document(machine))
+        except OSError as e:
+            raise ValueError(f"--out-prefix: cannot write {path}: {e.strerror}")
         print(f"argmax {side} -> {path}")
     return 0
 

@@ -1,20 +1,28 @@
 """Operation constructions: reversal, star, catenation, and the direct
-product-style DFAs for the two combined operations.
+DFAs for the two combined operations.
 
-The direct constructions materialize only reachable states, found by
-automata.explore, so state numbering is deterministic and counts never
-exceed the closed-form size bounds.  State subsets are integer bitmasks.
+Each direct construction builds the paper's NFA for its operand shape
+and hands it to automata.determinize, so they share one subset
+construction, numbered breadth-first in alphabet order, and their
+counts never exceed the closed-form size bounds.  revcat_n1_direct is
+the one exception: it merges every subset holding the left operand's
+initial state into one absorbing state, a quotient of the subset
+construction rather than the construction itself.
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 from .automata import (
     AlphabetMismatch,
     Dfa,
     Nfa,
+    determinize,
     explore_dfa,
     mask_image,
     minimize_hopcroft,
+    nfa_from_dfa,
     preimage_masks,
     reverse_nfa,
     state_mask,
@@ -45,11 +53,6 @@ def _require_same_alphabet(a, b) -> None:
         raise AlphabetMismatch(
             f"operands use different alphabets {a.alphabet!r} and {b.alphabet!r}"
         )
-
-
-def _image_masks(d: Dfa) -> list[list[int]]:
-    """img[s][q] is the one-bit mask of the state q moves to on symbol s."""
-    return [[1 << t for t in row] for row in d.transitions]
 
 
 def catenation_nfa(a: Nfa, b: Dfa) -> Nfa:
@@ -108,38 +111,19 @@ def star_nfa(a: Dfa) -> Nfa:
 
 
 def revcat_direct(m: Dfa, n: Dfa) -> Dfa:
-    """Direct DFA for L(m)^R L(n).
+    """Direct DFA for L(m)^R L(n): the subset construction of
+    catenation_nfa(reverse_nfa(m), n).
 
-    States are reachable pairs (i, j): i a subset of m's states walked
-    under preimages (the reversal part), j a subset of n's states.  n's
-    initial state joins j exactly when i contains m's initial state,
-    which is when the prefix read so far lies in L(m)^R.  Final when j
-    meets n's finals.  At most 3/4 * 2^(m+n) states are reachable.
+    A subset splits into i, m's states walked under preimages (the
+    reversal part), and j, n's states.  n's initial state joins j exactly
+    when i contains m's initial state, which is when the prefix read so
+    far lies in L(m)^R.  Final when j meets n's finals.  At most
+    3/4 * 2^(m+n) states are reachable.
 
-    The pair (i, j) is the subset i | j << m of the oracle's NFA, and
-    both walks number states the same way, so the result is
-    byte-identical to determinize(catenation_nfa(reverse_nfa(m), n)).
-    This construction is therefore no independent check of the oracle.
+    This is the oracle's own pipeline, so it is no independent check of
+    the oracle.
     """
-    _require_same_alphabet(m, n)
-    pre = preimage_masks(m.transitions, m.state_count)
-    img = _image_masks(n)
-    init_bit = 1 << m.initial
-    sn_bit = 1 << n.initial
-    fn_mask = state_mask(n.finals)
-
-    def step(key):
-        i, j = key
-        out = []
-        for ps, ns in zip(pre, img):
-            i2 = mask_image(i, ps)
-            j2 = mask_image(j, ns)
-            out.append((i2, j2 | sn_bit) if i2 & init_bit else (i2, j2))
-        return out
-
-    i0 = state_mask(m.finals)
-    start = (i0, sn_bit if i0 & init_bit else 0)
-    return explore_dfa(m.alphabet, start, step, lambda key: key[1] & fn_mask)
+    return determinize(catenation_nfa(reverse_nfa(m), n))[0]
 
 
 def revcat_n1_direct(m: Dfa, n_accepting: bool) -> Dfa:
@@ -172,12 +156,13 @@ def revcat_n1_direct(m: Dfa, n_accepting: bool) -> Dfa:
 
 def starcat_special_direct(a: Dfa, b: Dfa) -> Dfa:
     """Direct DFA for L(a) L(b) (= L(a)* L(b)) when a's only final state
-    is its initial state.
+    is its initial state: the subset construction of
+    catenation_nfa(nfa_from_dfa(a), b).
 
-    States are reachable pairs (q, T): q a state of a, T a nonempty
-    subset of b's states; b's initial state joins T exactly when q lands
-    on a's initial (and only final) state.  At most
-    m(2^n - 1) - 2^(n-1) + 1 states are reachable.
+    A subset holds one state q of a and a nonempty subset T of b's
+    states; b's initial state joins T exactly when q lands on a's
+    initial (and only final) state.  At most m(2^n - 1) - 2^(n-1) + 1
+    states are reachable.
     """
     _require_same_alphabet(a, b)
     if a.finals != frozenset((a.initial,)):
@@ -187,31 +172,20 @@ def starcat_special_direct(a: Dfa, b: Dfa) -> Dfa:
         )
     if b.state_count < 2:
         raise ShapeError("starcat_special_direct needs a second operand with >= 2 states")
-    s1 = a.initial
-    s2_bit = 1 << b.initial
-    f2_mask = state_mask(b.finals)
-    img = _image_masks(b)
-
-    def step(key):
-        q, tmask = key
-        out = []
-        for arow, bs in zip(a.transitions, img):
-            q2 = arow[q]
-            t2 = mask_image(tmask, bs)
-            out.append((q2, t2 | s2_bit) if q2 == s1 else (q2, t2))
-        return out
-
-    return explore_dfa(a.alphabet, (s1, s2_bit), step, lambda key: key[1] & f2_mask)
+    return determinize(catenation_nfa(nfa_from_dfa(a), b))[0]
 
 
 def starcat_general_direct(a: Dfa, b: Dfa) -> Dfa:
     """Direct DFA for L(a)* L(b) when a has a final state other than its
     initial state.
 
-    States are reachable pairs (p, t) of subsets.  After each step, when
-    the image p meets a's finals, a's initial state joins p (star
-    re-entry) and b's initial state joins t.  Final when t meets b's
-    finals.  The reachable count never exceeds
+    The subset construction of star_nfa(a) without its fresh state
+    (initial a.initial, finals a's), catenated with b and started in
+    {a.initial, b.initial}, since the empty word is in L(a)*.  A subset
+    splits into p, a's states, and t, b's states: whenever p meets a's
+    finals, a's initial state joins p (star re-entry) and b's initial
+    state joins t.  Final when t meets b's finals.  The reachable count
+    never exceeds
     (3/4 * 2^m - 1)(2^n - 1) - (2^(m-1) - 2^(m-k1-1))(2^(n-1) - 1)
     with k1 the number of non-initial final states of a.
     """
@@ -225,23 +199,17 @@ def starcat_general_direct(a: Dfa, b: Dfa) -> Dfa:
         )
     if b.state_count < 2:
         raise ShapeError("starcat_general_direct needs a second operand with >= 2 states")
-    f1_mask = state_mask(a.finals)
-    s1_bit = 1 << a.initial
-    s2_bit = 1 << b.initial
-    f2_mask = state_mask(b.finals)
-    aimg = _image_masks(a)
-    bimg = _image_masks(b)
-
-    def step(key):
-        p, t = key
-        out = []
-        for as_, bs in zip(aimg, bimg):
-            p2 = mask_image(p, as_)
-            t2 = mask_image(t, bs)
-            out.append((p2 | s1_bit, t2 | s2_bit) if p2 & f1_mask else (p2, t2))
-        return out
-
-    return explore_dfa(a.alphabet, (s1_bit, s2_bit), step, lambda key: key[1] & f2_mask)
+    m = a.state_count
+    star = star_nfa(a)
+    loop = replace(
+        star,
+        state_count=m,
+        transitions=tuple(row[:m] for row in star.transitions),
+        initials=frozenset((a.initial,)),
+        finals=a.finals,
+    )
+    cat = catenation_nfa(loop, b)
+    return determinize(replace(cat, initials=frozenset((a.initial, m + b.initial))))[0]
 
 
 def revcat_route(a: Dfa, b: Dfa) -> Dfa:

@@ -248,6 +248,19 @@ class TestSearch:
         assert (tmp_path / "best_rhs.json").exists()
         assert f"argmax lhs -> {prefix}_lhs.json" in out
 
+    def test_unwritable_out_prefix_is_an_input_error(self, capsys, tmp_path):
+        prefix = tmp_path / "no" / "such" / "dir" / "x"
+        code, out, err = run(
+            capsys, "search", "--op", "revcat", "--m", "1", "--n", "1",
+            "--sigma", "1", "--out-prefix", str(prefix),
+        )
+        assert code == 2
+        assert out.startswith("op=revcat m=1 n=1 sigma=1 mode=full")
+        assert err == (
+            f"error: --out-prefix: cannot write {prefix}_lhs.json: "
+            "No such file or directory\n"
+        )
+
     def test_sampled_mode(self, capsys, tmp_path):
         prefix = tmp_path / "s"
         code, out, _ = run(

@@ -161,9 +161,12 @@ class TestStarNfa:
 class TestRevcatDirect:
     def test_matches_frozenset_reference(self):
         rng = random.Random(41)
+        pairs = [(revcat_witness_M(3), revcat_witness_N(3))]
         for _ in range(25):
             a = random_complete_dfa(rng, rng.randint(1, 4), ("a", "b"))
             b = random_complete_dfa(rng, rng.randint(1, 4), ("a", "b"))
+            pairs.append((a, b))
+        for a, b in pairs:
             assert revcat_direct(a, b) == ref_revcat(a, b)[0]
 
     def test_reference_pairs_satisfy_the_coupling(self):
@@ -252,6 +255,7 @@ class TestRevcatN1Direct:
 class TestStarcatSpecialDirect:
     def test_matches_frozenset_reference(self):
         rng = random.Random(51)
+        pairs = [(starcat_special_witness_A(3), starcat_special_witness_B(3))]
         for _ in range(25):
             a = random_complete_dfa(rng, rng.randint(2, 4), ("a", "b"))
             a = a.__class__(
@@ -259,6 +263,8 @@ class TestStarcatSpecialDirect:
                 frozenset((a.initial,)),
             )
             b = random_complete_dfa(rng, rng.randint(2, 4), ("a", "b"))
+            pairs.append((a, b))
+        for a, b in pairs:
             assert starcat_special_direct(a, b) == ref_starcat_special(a, b)[0]
 
     def test_reference_pairs_satisfy_the_coupling(self):
@@ -321,8 +327,9 @@ class TestStarcatSpecialDirect:
 class TestStarcatGeneralDirect:
     def test_matches_frozenset_reference(self):
         rng = random.Random(61)
-        for _ in range(25):
-            a, b = _random_general_pair(rng, 4, 4, ("a", "b"))
+        pairs = [(starcat_witness_A(3), starcat_witness_B(3))]
+        pairs += [_random_general_pair(rng, 4, 4, ("a", "b")) for _ in range(25)]
+        for a, b in pairs:
             assert starcat_general_direct(a, b) == ref_starcat_general(a, b)[0]
 
     def test_reference_pairs_satisfy_the_coupling(self):
