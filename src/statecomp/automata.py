@@ -2,9 +2,9 @@
 
 States are integers 0..state_count-1 and symbols are single characters.
 A Dfa is always complete: every (state, symbol) pair has exactly one
-target.  Subsets of states are handled as integer bitmasks throughout,
-which keeps the subset construction and minimization fast enough to run
-inside exhaustive searches over millions of machines.
+target.  Subsets of states are integer bitmasks, fast enough for
+exhaustive searches over millions of machines; minimization's partition
+blocks are sets of states, which scale to hundreds of thousands.
 """
 
 from __future__ import annotations
@@ -140,17 +140,6 @@ def mask_image(mask: int, table) -> int:
     return out
 
 
-def preimage_masks(rows, n: int) -> list[list[int]]:
-    """pre[s][q] is the bitmask of the states that rows[s] sends to q."""
-    pre = []
-    for row in rows:
-        ps = [0] * n
-        for q, t in enumerate(row):
-            ps[t] |= 1 << q
-        pre.append(ps)
-    return pre
-
-
 def explore(nsym: int, start, step, is_final):
     """Number the keys reachable from start, breadth-first.
 
@@ -270,71 +259,70 @@ def minimize_hopcroft(d: Dfa) -> Dfa:
     Restricts to reachable states, refines the final/nonfinal split with
     Hopcroft's smaller-half worklist, then renumbers blocks breadth-first
     from the initial block in alphabet order so equal inputs give equal
-    outputs.  Blocks are kept as bitmasks; splits touch only the states in
-    the preimage of the splitter.
+    outputs.  Blocks are sets of states, so a split costs the size of the
+    splitter's preimage and the refinement runs in O(k n log n).
     """
     nsym = len(d.alphabet)
     # successors of each state, in alphabet order
     succ = list(zip(*d.transitions))
-    rows, reach_finals, reach = explore(
+    rows, finals, reach = explore(
         nsym, d.initial, succ.__getitem__, d.finals.__contains__
     )
     n = len(reach)
-    fin_mask = state_mask(reach_finals)
-
-    full = (1 << n) - 1
-    pre = preimage_masks(rows, n)
-
-    nonfin = full & ~fin_mask
+    nonfinals = set(range(n)).difference(finals)
     block_of = [0] * n
-    if fin_mask and nonfin:
-        blocks = [fin_mask, nonfin]
-        for q in _mask_bits(nonfin):
+    if finals and nonfinals:
+        blocks = [set(finals), nonfinals]
+        for q in nonfinals:
             block_of[q] = 1
-        smaller = 0 if fin_mask.bit_count() <= nonfin.bit_count() else 1
-        worklist = [smaller]
+        worklist = [0 if len(finals) <= len(nonfinals) else 1]
+        # pre[s][q] lists the states that rows[s] sends to q
+        pre = []
+        for row in rows:
+            ps: list[list[int]] = [[] for _ in range(n)]
+            for q, t in enumerate(row):
+                ps[t].append(q)
+            pre.append(ps)
     else:
-        blocks = [full]
+        # one block: nothing to refine
+        blocks = [nonfinals or set(finals)]
         worklist = []
 
     while worklist:
-        bi = worklist.pop()
-        splitter = blocks[bi]
-        for s in range(nsym):
-            x = mask_image(splitter, pre[s])
-            if not x:
-                continue
-            affected: dict[int, int] = {}
-            mm = x
-            while mm:
-                low = mm & -mm
-                b = block_of[low.bit_length() - 1]
-                affected[b] = affected.get(b, 0) | low
-                mm -= low
-            for yi, inter in affected.items():
-                y = blocks[yi]
-                if inter == y:
+        # a copy: every symbol must refine by the whole block, even after
+        # the block itself splits below
+        splitter = list(blocks[worklist.pop()])
+        for ps in pre:
+            touched: dict[int, list[int]] = {}  # block -> its states in the preimage
+            for q in splitter:
+                for p in ps[q]:
+                    b = block_of[p]
+                    inter = touched.get(b)
+                    if inter is None:
+                        touched[b] = [p]
+                    else:
+                        inter.append(p)
+            for b, inter in touched.items():
+                y = blocks[b]
+                if len(inter) == len(y):
                     continue
-                rest = y & ~inter
-                if inter.bit_count() <= rest.bit_count():
-                    small, large = inter, rest
-                else:
-                    small, large = rest, inter
-                # the larger part keeps index yi; the smaller one is
+                # the larger part keeps index b; the smaller one is
                 # appended, relabelled and queued
+                y.difference_update(inter)
+                small = set(inter)
+                if len(y) < len(small):
+                    blocks[b], small = small, y
                 ni = len(blocks)
-                blocks[yi] = large
                 blocks.append(small)
-                for q in _mask_bits(small):
+                for q in small:
                     block_of[q] = ni
                 worklist.append(ni)
 
-    # every block is reachable; its lowest state stands for it
+    # every block is reachable, and any of its states stands for it
     succ = list(zip(*rows))
-    block_succ = [
-        [block_of[t] for t in succ[(blk & -blk).bit_length() - 1]] for blk in blocks
-    ]
-    block_final = [bool(blk & fin_mask) for blk in blocks]
+    reps = [next(iter(blk)) for blk in blocks]
+    block_succ = [[block_of[t] for t in succ[q]] for q in reps]
+    block_final = [q in finals for q in reps]
     return explore_dfa(
         d.alphabet, block_of[0], block_succ.__getitem__, block_final.__getitem__
     )

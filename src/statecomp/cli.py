@@ -12,7 +12,9 @@ input or usage errors.
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
+import os
 import sys
 from pathlib import Path
 
@@ -37,9 +39,11 @@ def _emit(machine, fmt: str) -> None:
 
 def _load_dfa(path: str, name: str) -> Dfa:
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8")
     except OSError as e:
         raise ValueError(f"{name}: cannot read {path}: {e.strerror}")
+    except UnicodeDecodeError:
+        raise ValueError(f"{name}: cannot read {path}: not UTF-8 text")
     machine = parse_document(text)
     if not isinstance(machine, Dfa):
         raise ValueError(f"{name}: {path} holds an nfa document, expected a dfa")
@@ -120,6 +124,13 @@ def cmd_verify(args) -> int:
 
 def cmd_search(args) -> int:
     mode = "full" if args.sample is None else "sampled"
+    prefix = args.out_prefix or f"argmax_{args.op}_m{args.m}_n{args.n}"
+    paths = [Path(f"{prefix}_{side}.json") for side in ("lhs", "rhs")]
+    # a search can take minutes, so a bad prefix fails before it starts
+    folder = paths[0].parent
+    if not folder.is_dir() or not os.access(folder, os.W_OK | os.X_OK):
+        code = errno.EACCES if folder.is_dir() else errno.ENOENT
+        raise ValueError(f"--out-prefix: cannot write {paths[0]}: {os.strerror(code)}")
     result = exhaustive_search(
         args.op, args.m, args.n, args.sigma,
         mode=mode, sample_count=args.sample, seed=args.seed,
@@ -128,9 +139,7 @@ def cmd_search(args) -> int:
         f"op={result.op} m={result.m} n={result.n} sigma={result.alphabet_size} "
         f"mode={mode} pairs={result.pairs_examined} max_minimal={result.max_minimal}"
     )
-    prefix = args.out_prefix or f"argmax_{args.op}_m{args.m}_n{args.n}"
-    for side, machine in zip(("lhs", "rhs"), result.argmax):
-        path = Path(f"{prefix}_{side}.json")
+    for side, path, machine in zip(("lhs", "rhs"), paths, result.argmax):
         try:
             path.write_text(emit_document(machine))
         except OSError as e:

@@ -18,14 +18,13 @@ from .automata import (
     AlphabetMismatch,
     Dfa,
     Nfa,
+    _moves,
     determinize,
     explore_dfa,
     mask_image,
     minimize_hopcroft,
     nfa_from_dfa,
-    preimage_masks,
     reverse_nfa,
-    state_mask,
 )
 from .witnesses import empty_dfa, sigma_star_dfa
 
@@ -130,13 +129,14 @@ def revcat_n1_direct(m: Dfa, n_accepting: bool) -> Dfa:
     """Direct DFA for L(m)^R L(n) when n is a one-state DFA.
 
     A rejecting n gives the empty language.  An accepting n gives
-    L(m)^R followed by anything, so every subset containing m's initial
-    state collapses into one absorbing final state.  At most
-    2^(m-1) + 1 states are reachable.
+    L(m)^R followed by anything: the subset walk of reverse_nfa(m), in
+    which every subset containing m's initial state collapses into one
+    absorbing final state.  At most 2^(m-1) + 1 states are reachable.
     """
     if not n_accepting:
         return empty_dfa(m.alphabet)
-    pre = preimage_masks(m.transitions, m.state_count)
+    # the reversal's moves are m's preimages; its initial set is m's finals
+    pre, i0 = _moves(reverse_nfa(m))
     init_bit = 1 << m.initial
     SINK = -1  # the merged absorbing final state
 
@@ -149,7 +149,6 @@ def revcat_n1_direct(m: Dfa, n_accepting: bool) -> Dfa:
             out.append(SINK if i2 & init_bit else i2)
         return out
 
-    i0 = state_mask(m.finals)
     start = SINK if i0 & init_bit else i0
     return explore_dfa(m.alphabet, start, step, lambda key: key == SINK)
 

@@ -43,6 +43,8 @@ def parse_document(text: str) -> Dfa | Nfa:
         obj = json.loads(text)
     except json.JSONDecodeError as e:
         raise DocumentError(f"document: not valid JSON ({e.msg} at line {e.lineno})")
+    except RecursionError:
+        raise DocumentError("document: nested too deeply")
     if not isinstance(obj, dict):
         raise DocumentError("document: expected a JSON object")
 

@@ -198,10 +198,41 @@ class TestMinimize:
 
     def test_three_minimizers_agree(self):
         rng = random.Random(99)
-        for _ in range(150):
-            d = random_complete_dfa(
+        machines = [
+            random_complete_dfa(
                 rng, rng.randint(1, 8), tuple("abcd"[: rng.randint(1, 4)])
             )
+            for _ in range(150)
+        ]
+        # 30-300 states: each state is a clone of a state of a random core
+        # machine of at most 8 states, and each edge lands on a random clone
+        # of the core's target.  Minimization then merges many states while
+        # Brzozowski's subsets stay at most 2^8.  The core's final set runs
+        # from none through one state, a random set, all but one, to all.
+        rng = random.Random(100)
+        for k in range(60):
+            core = random_complete_dfa(
+                rng, rng.randint(1, 8), tuple("abcd"[: rng.randint(1, 4)])
+            )
+            size = core.state_count
+            extra = rng.randint(30, 300) - size
+            of = list(range(size)) + [rng.randrange(size) for _ in range(extra)]
+            clones = [[q for q, c in enumerate(of) if c == x] for x in range(size)]
+            rows = tuple(
+                tuple(rng.choice(clones[row[c]]) for c in of) for row in core.transitions
+            )
+            core_finals = [
+                set(), {0}, set(core.finals), set(range(1, size)), set(range(size))
+            ][k % 5]
+            finals = frozenset(q for q, c in enumerate(of) if c in core_finals)
+            initial = rng.randrange(len(of))
+            machines.append(Dfa(len(of), core.alphabet, rows, initial, finals))
+        # a splitter whose own block splits, keeping the larger part in
+        # place: refining the later symbols by that part alone, not by the
+        # whole splitter, would merge two of these six states
+        rows = ((5, 0, 1, 0, 5, 3), (5, 1, 4, 2, 4, 0))
+        machines.append(Dfa(6, ("a", "b"), rows, 0, frozenset((0, 1, 3))))
+        for d in machines:
             h = minimize_hopcroft(d)
             assert h.state_count == minimize_brzozowski(d).state_count
             assert h.state_count == moore_minimal_size(d)

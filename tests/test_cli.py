@@ -181,6 +181,27 @@ class TestCompose:
         )
         assert code == 2 and "--lhs" in err
 
+    @pytest.mark.parametrize(
+        "content,reason",
+        [
+            (b"[" * 200_000 + b"]" * 200_000, "document: nested too deeply"),
+            (b'{"kind": "dfa\xff"}', "--lhs: cannot read {path}: not UTF-8 text"),
+        ],
+        ids=["deep-nesting", "not-utf8"],
+    )
+    def test_hostile_file_is_an_input_error(
+        self, capsys, tmp_path, pair, content, reason
+    ):
+        _, rhs = pair
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(content)
+        code, out, err = run(
+            capsys, "compose", "--op", "revcat", "--lhs", str(bad), "--rhs", rhs,
+            "--method", "direct",
+        )
+        assert (code, out) == (2, "")
+        assert err == f"error: {reason.format(path=bad)}\n"
+
 
 class TestVerify:
     def test_grid_passes(self, capsys):
@@ -255,7 +276,7 @@ class TestSearch:
             "--sigma", "1", "--out-prefix", str(prefix),
         )
         assert code == 2
-        assert out.startswith("op=revcat m=1 n=1 sigma=1 mode=full")
+        assert out == ""
         assert err == (
             f"error: --out-prefix: cannot write {prefix}_lhs.json: "
             "No such file or directory\n"

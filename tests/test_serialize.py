@@ -106,6 +106,10 @@ class TestParseErrors:
             (_doc(transitions={"a": [1, 0], "b": [0, 0], "c": [0, 0]}), "'c'"),
             (_doc(initials=[0]), "dfa documents take initial"),
             (_doc(epsilon=[[0, 1]]), "dfa documents take initial"),
+            pytest.param(
+                "[" * 200_000 + "]" * 200_000, "document: nested too deeply",
+                id="deep-nesting",
+            ),
         ],
     )
     def test_bad_dfa_documents_name_the_field(self, text, needle):
