@@ -220,16 +220,17 @@ def _moves(nfa: Nfa) -> tuple[list[list[int]], int]:
     return move, start
 
 
-def determinize(nfa: Nfa) -> tuple[Dfa, list[int]]:
-    """Subset construction with epsilon closure.
+def subset_construction(move, start: int, final_mask: int):
+    """Subset construction over a bitmask move table.
 
-    Dfa states are the reachable closed subsets, numbered in the order a
-    breadth-first walk from the closed initial set discovers them, taking
-    symbols in alphabet order.  The empty subset becomes an ordinary dead
-    state when reached.  Returns the Dfa and the subsets in that order:
-    bit q of order[i] is set when Nfa state q is behind Dfa state i.
+    move[s][q] is the bitmask of states q reaches on symbol s, epsilon
+    closure already folded in (as _moves builds it); start is the closed
+    initial set and final_mask the accepting states.  Subsets are
+    numbered in the order a breadth-first walk from start discovers
+    them, taking symbols in alphabet order; the empty subset becomes an
+    ordinary dead state when reached.  Returns explore's rows, finals
+    (the subsets meeting final_mask) and subsets in that order.
     """
-    move, start = _moves(nfa)
 
     def step(cur: int) -> list[int]:
         qs = _mask_bits(cur)
@@ -241,8 +242,19 @@ def determinize(nfa: Nfa) -> tuple[Dfa, list[int]]:
             out.append(t)
         return out
 
-    final_mask = state_mask(nfa.finals)
-    rows, finals, order = explore(len(move), start, step, final_mask.__and__)
+    return explore(len(move), start, step, final_mask.__and__)
+
+
+def determinize(nfa: Nfa) -> tuple[Dfa, list[int]]:
+    """Subset construction with epsilon closure.
+
+    Dfa states are the reachable closed subsets, numbered as
+    subset_construction numbers them.  Returns the Dfa and the subsets
+    in that order: bit q of order[i] is set when Nfa state q is behind
+    Dfa state i.
+    """
+    move, start = _moves(nfa)
+    rows, finals, order = subset_construction(move, start, state_mask(nfa.finals))
     dfa = Dfa(
         state_count=len(order),
         alphabet=nfa.alphabet,
@@ -253,40 +265,35 @@ def determinize(nfa: Nfa) -> tuple[Dfa, list[int]]:
     return dfa, order
 
 
-def minimize_hopcroft(d: Dfa) -> Dfa:
-    """Unique minimal Dfa for the same language.
+def hopcroft_refine(rows, finals) -> tuple[list[set[int]], list[int]]:
+    """Coarsest partition of a transition table's states that respects
+    finals, by Hopcroft's smaller-half worklist.
 
-    Restricts to reachable states, refines the final/nonfinal split with
-    Hopcroft's smaller-half worklist, then renumbers blocks breadth-first
-    from the initial block in alphabet order so equal inputs give equal
-    outputs.  Blocks are sets of states, so a split costs the size of the
-    splitter's preimage and the refinement runs in O(k n log n).
+    rows[s][q] is the successor of state q on symbol s.  Returns the
+    blocks, as sets of states, and block_of, the index of each state's
+    block.  When every state is reachable, as explore's tables are, the
+    number of blocks is the minimal Dfa's state count; an unreachable
+    state could add a block of its own.  Blocks are sets, so a split
+    costs the size of the splitter's preimage and the refinement runs in
+    O(k n log n).
     """
-    nsym = len(d.alphabet)
-    # successors of each state, in alphabet order
-    succ = list(zip(*d.transitions))
-    rows, finals, reach = explore(
-        nsym, d.initial, succ.__getitem__, d.finals.__contains__
-    )
-    n = len(reach)
+    n = len(rows[0])
     nonfinals = set(range(n)).difference(finals)
     block_of = [0] * n
-    if finals and nonfinals:
-        blocks = [set(finals), nonfinals]
-        for q in nonfinals:
-            block_of[q] = 1
-        worklist = [0 if len(finals) <= len(nonfinals) else 1]
-        # pre[s][q] lists the states that rows[s] sends to q
-        pre = []
-        for row in rows:
-            ps: list[list[int]] = [[] for _ in range(n)]
-            for q, t in enumerate(row):
-                ps[t].append(q)
-            pre.append(ps)
-    else:
+    if not (finals and nonfinals):
         # one block: nothing to refine
-        blocks = [nonfinals or set(finals)]
-        worklist = []
+        return [nonfinals or set(finals)], block_of
+    blocks = [set(finals), nonfinals]
+    for q in nonfinals:
+        block_of[q] = 1
+    worklist = [0 if len(finals) <= len(nonfinals) else 1]
+    # pre[s][q] lists the states that rows[s] sends to q
+    pre = []
+    for row in rows:
+        ps: list[list[int]] = [[] for _ in range(n)]
+        for q, t in enumerate(row):
+            ps[t].append(q)
+        pre.append(ps)
 
     while worklist:
         # a copy: every symbol must refine by the whole block, even after
@@ -317,6 +324,23 @@ def minimize_hopcroft(d: Dfa) -> Dfa:
                 for q in small:
                     block_of[q] = ni
                 worklist.append(ni)
+    return blocks, block_of
+
+
+def minimize_hopcroft(d: Dfa) -> Dfa:
+    """Unique minimal Dfa for the same language.
+
+    Restricts to reachable states, refines them with hopcroft_refine,
+    then renumbers blocks breadth-first from the initial block in
+    alphabet order so equal inputs give equal outputs.
+    """
+    nsym = len(d.alphabet)
+    # successors of each state, in alphabet order
+    succ = list(zip(*d.transitions))
+    rows, finals, _ = explore(
+        nsym, d.initial, succ.__getitem__, d.finals.__contains__
+    )
+    blocks, block_of = hopcroft_refine(rows, finals)
 
     # every block is reachable, and any of its states stands for it
     succ = list(zip(*rows))

@@ -1,8 +1,9 @@
 """Verification oracles, searches, and the op table.
 
 The oracle never touches the direct product constructions: it builds the
-operation from reverse/star and catenation NFAs, determinizes, and
-minimizes.  Agreement between the two routes, plus the closed-form
+operation's left NFA from reverse/star, catenates it with the right
+operand on bitmask move tables, and counts the subset construction's
+Hopcroft blocks.  Agreement between the two routes, plus the closed-form
 bounds, is what the verify and search entry points check.  Everything
 that differs from one operation to the next is a row of OPS.
 """
@@ -14,7 +15,19 @@ import string
 from dataclasses import dataclass, replace
 from typing import Callable, Container
 
-from .automata import Dfa, Nfa, determinize, equivalent, minimize_hopcroft
+# determinize and catenation_nfa are unused here, but perfbench/spans.py
+# traces them at this module's attributes, so they stay importable from it
+from .automata import (  # noqa: F401
+    Dfa,
+    Nfa,
+    _moves,
+    determinize,
+    equivalent,
+    hopcroft_refine,
+    minimize_hopcroft,
+    state_mask,
+    subset_construction,
+)
 from .bounds import (
     sc_revcat,
     sc_starcat,
@@ -22,7 +35,8 @@ from .bounds import (
     ub_revcat,
     ub_starcat_general,
 )
-from .constructions import (
+from .constructions import (  # noqa: F401
+    _require_same_alphabet,
     catenation_nfa,
     combined,
     revcat_route,
@@ -161,16 +175,68 @@ def operation(op: str, among: Container[str] = COMPOSE_OPS) -> Operation:
     return OPS[op]
 
 
+# A machine's masks: its move table, closed start set and final mask,
+# every set a bitmask of states.
+Masks = tuple[list[list[int]], int, int]
+
+
+def _left_masks(op: str, a: Dfa) -> Masks:
+    """The masks of the op's left NFA for a."""
+    left = operation(op).left(a)
+    move, start = _moves(left)
+    return move, start, state_mask(left.finals)
+
+
+def _right_masks(b: Dfa, off: int) -> Masks:
+    """b's masks with b's state q renumbered off + q, past the left NFA's
+    states."""
+    move = [[1 << (off + t) for t in row] for row in b.transitions]
+    return move, 1 << (off + b.initial), state_mask(b.finals) << off
+
+
+def catenation_masks(left: Masks, right: Masks) -> Masks:
+    """The masks of catenation_nfa(left NFA, b), given the left NFA's
+    masks and b's from _right_masks, without building either machine.
+
+    The catenation's one free move, from the left NFA's finals to b's
+    initial state, is folded in as _moves folds epsilon closure: a left
+    entry (or start set) that meets the left finals also gets b's
+    initial bit.
+    """
+    lmove, lstart, lfinal = left
+    rmove, rinit, rfinal = right
+    move = [
+        [t | rinit if t & lfinal else t for t in lrow] + rrow
+        for lrow, rrow in zip(lmove, rmove)
+    ]
+    return move, (lstart | rinit if lstart & lfinal else lstart), rfinal
+
+
+def _oracle_masks(op: str, a: Dfa, b: Dfa) -> Masks:
+    left = _left_masks(op, a)
+    _require_same_alphabet(a, b)
+    # the left NFA's state count: one move-table entry per state
+    return catenation_masks(left, _right_masks(b, len(left[0][0])))
+
+
+def _minimal_size(move, start: int, final_mask: int) -> int:
+    """Minimal DFA size of the machine with these masks: every subset
+    the construction reaches is reachable, so the blocks are the count."""
+    rows, finals, _ = subset_construction(move, start, final_mask)
+    return len(hopcroft_refine(rows, finals)[0])
+
+
 def oracle_pipeline(op: str, a: Dfa, b: Dfa) -> Dfa:
     """Determinized (not yet minimized) DFA for the operation, built only
-    from the generic NFA constructions."""
-    dfa, _ = determinize(catenation_nfa(operation(op).left(a), b))
-    return dfa
+    from the generic constructions: the same Dfa as
+    determinize(catenation_nfa(left NFA, b))."""
+    rows, finals, order = subset_construction(*_oracle_masks(op, a, b))
+    return Dfa(len(order), a.alphabet, rows, 0, finals)
 
 
 def oracle_sc(op: str, a: Dfa, b: Dfa) -> int:
     """Minimal DFA size of the operation result, via the generic pipeline."""
-    return minimize_hopcroft(oracle_pipeline(op, a, b)).state_count
+    return _minimal_size(*_oracle_masks(op, a, b))
 
 
 def _report(
@@ -261,6 +327,13 @@ def exhaustive_search(
     if m < 1 or n < 1:
         raise ValueError("automaton sizes must be at least 1")
     alphabet = _alphabet(alphabet_size)
+    if mode == "full" and m + n >= budget.bit_length():
+        # each side has at least 2^size final sets, so the pair count is
+        # over the budget; refused before its power, which can run to
+        # more digits than int-to-string conversion allows, is formed
+        raise BudgetError(
+            f"full search over at least 2^{m + n} pairs exceeds the budget of {budget}"
+        )
     count_a = dfa_count(m, alphabet_size)
     count_b = dfa_count(n, alphabet_size)
 
@@ -286,27 +359,47 @@ def exhaustive_search(
     else:
         raise ValueError(f"unknown mode {mode!r}")
 
-    # decoding is a visible share of the per-pair cost, so keep the
-    # right-hand machines around when the space is small enough
-    b_cache: list[Dfa] | None = None
-    if count_b <= 65536:
-        b_cache = [decode_dfa(ib, n, alphabet) for ib in range(count_b)]
-
     best = -1
     best_pair: tuple[Dfa, Dfa] | None = None
-    last_ia = -1
-    a = None
-    for ia, ib in pair_indices:
-        if ia != last_ia:
-            a = decode_dfa(ia, m, alphabet)
-            last_ia = ia
-        b = b_cache[ib] if b_cache is not None else decode_dfa(ib, n, alphabet)
-        size = oracle_sc(op, a, b)
+    for a, b, size in _pair_sizes(op, m, n, alphabet, pair_indices):
         if size > best:
             best = size
             best_pair = (a, b)
     assert best_pair is not None
     return SearchResult(op, m, n, alphabet_size, best, best_pair, examined)
+
+
+def _pair_sizes(op: str, m: int, n: int, alphabet: tuple[str, ...], pair_indices):
+    """(a, b, oracle_sc(op, a, b)) for each (ia, ib) in pair_indices, a
+    and b the decoded machines of sizes m and n.
+
+    The left NFA's masks are built once per run of equal ia, and the
+    pair's own work is catenation_masks and _minimal_size.
+    """
+    # every left operand of size m gives a left NFA of the same size
+    off = operation(op).left(decode_dfa(0, m, alphabet)).state_count
+    # decoding is a visible share of the per-pair cost, so keep the
+    # right-hand machines and their masks around when the space is small enough
+    right_cache = None
+    count_b = dfa_count(n, len(alphabet))
+    if count_b <= 65536:
+        right_cache = []
+        for ib in range(count_b):
+            b = decode_dfa(ib, n, alphabet)
+            right_cache.append((b, _right_masks(b, off)))
+
+    last_ia = -1
+    for ia, ib in pair_indices:
+        if ia != last_ia:
+            a = decode_dfa(ia, m, alphabet)
+            left = _left_masks(op, a)
+            last_ia = ia
+        if right_cache is not None:
+            b, right = right_cache[ib]
+        else:
+            b = decode_dfa(ib, n, alphabet)
+            right = _right_masks(b, off)
+        yield a, b, _minimal_size(*catenation_masks(left, right))
 
 
 def random_dfa(rng: random.Random, size: int, alphabet: tuple[str, ...]) -> Dfa:

@@ -299,6 +299,17 @@ class TestSearch:
         )
         assert code == 2 and "budget" in err
 
+    def test_budget_refusal_of_a_huge_space_is_readable(self, capsys):
+        # the pair count here has tens of thousands of digits, more than
+        # int-to-string conversion allows
+        code, out, err = run(
+            capsys, "search", "--op", "revcat", "--m", "2000", "--n", "2",
+            "--sigma", "2",
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error: full search over ")
+        assert err.endswith(" pairs exceeds the budget of 20000000\n")
+
     def test_bad_sigma(self, capsys):
         code, _, err = run(
             capsys, "search", "--op", "revcat", "--m", "1", "--n", "1",

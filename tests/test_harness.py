@@ -7,13 +7,23 @@ import random
 
 import pytest
 
-from statecomp.automata import equivalent, minimize_hopcroft
+from helpers import moore_minimal_size, random_complete_dfa
+from statecomp.automata import (
+    _moves,
+    determinize,
+    equivalent,
+    minimize_hopcroft,
+    state_mask,
+)
 from statecomp.bounds import sc_revcat, sc_starcat, sc_starcat_special
-from statecomp.constructions import combined
+from statecomp.constructions import catenation_nfa, combined
 from statecomp.harness import (
+    OPS,
     BoundReport,
     BudgetError,
     SearchResult,
+    _oracle_masks,
+    _pair_sizes,
     decode_dfa,
     dfa_count,
     exhaustive_search,
@@ -68,6 +78,23 @@ class TestOracle:
     def test_unknown_operation(self):
         with pytest.raises(ValueError):
             oracle_sc("shuffle", revcat_witness_M(2), revcat_witness_N(2))
+
+    def test_mask_catenation_is_the_catenation_nfa(self):
+        # the oracle's masks and Dfa against the Nfa route, on random
+        # pairs with one-state right operands and finals-free left ones
+        rng = random.Random(17)
+        for trial in range(240):
+            op = ("revcat", "starcat")[trial % 2]
+            alphabet = tuple("abc"[: rng.randint(1, 3)])
+            a = random_complete_dfa(rng, rng.randint(1, 5), alphabet)
+            b = random_complete_dfa(rng, trial % 4 + 1, alphabet)
+            if trial % 3 == 0:
+                a = dataclasses.replace(a, finals=frozenset())
+            cat = catenation_nfa(OPS[op].left(a), b)
+            move, start, final_mask = _oracle_masks(op, a, b)
+            assert (move, start) == _moves(cat), (op, a, b)
+            assert final_mask == state_mask(cat.finals)
+            assert oracle_pipeline(op, a, b) == determinize(cat)[0]
 
 
 class TestVerifyWitness:
@@ -204,6 +231,38 @@ class TestExhaustiveSearch:
         r = exhaustive_search("revcat", 2, 2, 1, "full")
         assert r.max_minimal <= sc_revcat(2, 2)
         assert r.pairs_examined == 16 * 16
+
+    @pytest.mark.parametrize("op", ["revcat", "starcat"])
+    @pytest.mark.parametrize("m,n", [(2, 2), (1, 2), (2, 1)])
+    def test_every_pair_size_is_the_nfa_route_size(self, op, m, n):
+        alphabet = ("a", "b")
+        pairs = [
+            (ia, ib) for ia in range(dfa_count(m, 2)) for ib in range(dfa_count(n, 2))
+        ]
+        sizes = _pair_sizes(op, m, n, alphabet, iter(pairs))
+        for (ia, ib), (a, b, size) in zip(pairs, sizes, strict=True):
+            assert (a, b) == (decode_dfa(ia, m, alphabet), decode_dfa(ib, n, alphabet))
+            nfa = catenation_nfa(OPS[op].left(a), b)
+            assert size == moore_minimal_size(determinize(nfa)[0]), (op, ia, ib)
+
+    # argmax pairs as decode_dfa indices, recorded from the Nfa/Dfa
+    # pipeline that the bitmask search replaced.  The sampled searches
+    # decode their right operands pair by pair: there are 157,464
+    # three-state machines over three letters, too many to cache.
+    @pytest.mark.parametrize(
+        "op,m,n,mode,kw,best,ia,ib",
+        [
+            ("revcat", 2, 2, "full", {}, 12, 22, 70),
+            ("starcat", 2, 2, "full", {}, 5, 21, 6),
+            ("revcat", 2, 3, "sampled", dict(sample_count=2000, seed=5), 22, 22, 55934),
+            ("starcat", 2, 3, "sampled", dict(sample_count=2000, seed=5), 11, 185, 135657),
+        ],
+    )
+    def test_argmax_is_pinned(self, op, m, n, mode, kw, best, ia, ib):
+        r = exhaustive_search(op, m, n, 3, mode, **kw)
+        alphabet = ("a", "b", "c")
+        assert r.max_minimal == best
+        assert r.argmax == (decode_dfa(ia, m, alphabet), decode_dfa(ib, n, alphabet))
 
     def test_budget_refusal(self):
         with pytest.raises(BudgetError):
