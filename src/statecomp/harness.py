@@ -10,8 +10,10 @@ that differs from one operation to the next is a row of OPS.
 
 from __future__ import annotations
 
+import functools
 import random
 import string
+from array import array
 from dataclasses import dataclass, replace
 from typing import Callable, Container
 
@@ -84,7 +86,8 @@ class SearchResult:
     alphabet_size: int
     max_minimal: int
     argmax: tuple[Dfa, Dfa]
-    pairs_examined: int
+    pairs_examined: int  # pairs covered
+    pairs_evaluated: int  # oracle runs made
 
 
 def _revcat_bound(a: Dfa, b: Dfa) -> tuple[int, int | None]:
@@ -317,11 +320,13 @@ def exhaustive_search(
 ) -> SearchResult:
     """Maximal oracle size over complete DFA pairs of the given shape.
 
-    Full mode enumerates every pair (initial states fixed at 0, all
+    Full mode covers every pair (initial states fixed at 0, all
     transition tables, all final sets) and refuses to start past the
-    budget.  Sampled mode draws sample_count index pairs from a seeded
-    generator.  The reported argmax is the first pair reaching the
-    maximum in enumeration order.
+    budget; it runs the oracle once per letter-permutation orbit of
+    language-class pairs (see _orbit_pairs).  Sampled mode draws
+    sample_count index pairs from a seeded generator and runs the oracle
+    on each.  The reported argmax is the first pair reaching the maximum
+    in enumeration order.
     """
     operation(op)
     if m < 1 or n < 1:
@@ -338,15 +343,12 @@ def exhaustive_search(
     count_b = dfa_count(n, alphabet_size)
 
     if mode == "full":
-        total = count_a * count_b
-        if total > budget:
+        examined = count_a * count_b
+        if examined > budget:
             raise BudgetError(
-                f"full search over {total} pairs exceeds the budget of {budget}"
+                f"full search over {examined} pairs exceeds the budget of {budget}"
             )
-        pair_indices = (
-            (ia, ib) for ia in range(count_a) for ib in range(count_b)
-        )
-        examined = total
+        pair_indices = _orbit_pairs(m, n, alphabet)
     elif mode == "sampled":
         if sample_count is None or sample_count < 1:
             raise ValueError("sampled mode needs a positive sample_count")
@@ -361,45 +363,140 @@ def exhaustive_search(
 
     best = -1
     best_pair: tuple[Dfa, Dfa] | None = None
+    evaluated = 0
     for a, b, size in _pair_sizes(op, m, n, alphabet, pair_indices):
+        evaluated += 1
         if size > best:
             best = size
             best_pair = (a, b)
     assert best_pair is not None
-    return SearchResult(op, m, n, alphabet_size, best, best_pair, examined)
+    return SearchResult(op, m, n, alphabet_size, best, best_pair, examined, evaluated)
 
 
 def _pair_sizes(op: str, m: int, n: int, alphabet: tuple[str, ...], pair_indices):
     """(a, b, oracle_sc(op, a, b)) for each (ia, ib) in pair_indices, a
     and b the decoded machines of sizes m and n.
 
-    The left NFA's masks are built once per run of equal ia, and the
-    pair's own work is catenation_masks and _minimal_size.
+    Each side keeps the machines and masks of its last 65,536 indices,
+    so an index that comes again is not decoded again, and the pair's
+    own work is catenation_masks and _minimal_size.
     """
     # every left operand of size m gives a left NFA of the same size
     off = operation(op).left(decode_dfa(0, m, alphabet)).state_count
-    # decoding is a visible share of the per-pair cost, so keep the
-    # right-hand machines and their masks around when the space is small enough
-    right_cache = None
-    count_b = dfa_count(n, len(alphabet))
-    if count_b <= 65536:
-        right_cache = []
-        for ib in range(count_b):
-            b = decode_dfa(ib, n, alphabet)
-            right_cache.append((b, _right_masks(b, off)))
 
-    last_ia = -1
+    # bounded, as a side can hold millions of machines
+    @functools.lru_cache(maxsize=1 << 16)
+    def left_of(ia: int) -> tuple[Dfa, Masks]:
+        a = decode_dfa(ia, m, alphabet)
+        return a, _left_masks(op, a)
+
+    @functools.lru_cache(maxsize=1 << 16)
+    def right_of(ib: int) -> tuple[Dfa, Masks]:
+        b = decode_dfa(ib, n, alphabet)
+        return b, _right_masks(b, off)
+
     for ia, ib in pair_indices:
-        if ia != last_ia:
-            a = decode_dfa(ia, m, alphabet)
-            left = _left_masks(op, a)
-            last_ia = ia
-        if right_cache is not None:
-            b, right = right_cache[ib]
-        else:
-            b = decode_dfa(ib, n, alphabet)
-            right = _right_masks(b, off)
+        a, left = left_of(ia)
+        b, right = right_of(ib)
         yield a, b, _minimal_size(*catenation_masks(left, right))
+
+
+def _letter_generators(nsym: int) -> list[tuple[int, ...]]:
+    """Generators of the group of letter permutations, as row orders (a
+    machine's rows taken in this order rename its letters): the swap of
+    letters 0 and 1 and the cycle of all letters.  There are none for
+    one letter, and for two letters the swap is the cycle."""
+    if nsym == 1:
+        return []
+    swap = (1, 0, *range(2, nsym))
+    if nsym == 2:
+        return [swap]
+    return [swap, (*range(1, nsym), 0)]
+
+
+def _index_of(d: Dfa) -> int:
+    """decode_dfa's index of d, a machine with initial state 0."""
+    t = 0
+    for row in reversed(d.transitions):
+        for q in reversed(row):
+            t = t * d.state_count + q
+    return t << d.state_count | state_mask(d.finals)
+
+
+def _renamed_index(index: int, size: int, order: tuple[int, ...]) -> int:
+    """decode_dfa's index of the index-th machine of this size with its
+    rows taken in the given order."""
+    radix = size ** size  # a row's digit in the index
+    t = index >> size
+    rows = []
+    for _ in order:
+        t, row = divmod(t, radix)
+        rows.append(row)
+    for s in reversed(order):
+        t = t * radix + rows[s]
+    return t << size | index & ((1 << size) - 1)
+
+
+def _classes(
+    size: int, alphabet: tuple[str, ...], gens
+) -> tuple[list[int], list[list[int]]]:
+    """The languages of the complete DFAs of this size, as classes.
+
+    Every machine is keyed by its minimize_hopcroft output, which is
+    canonical since blocks are numbered breadth-first.  Returns each
+    class's first enumeration index, classes in that order, and for
+    each generator the class it maps each class to.  Only indices are
+    kept: a side can hold millions of machines and classes.
+    """
+    index: dict[int, int] = {}  # key -> class
+    firsts: list[int] = []
+    class_of = array("q")
+    for i in range(dfa_count(size, len(alphabet))):
+        low = minimize_hopcroft(decode_dfa(i, size, alphabet))
+        # the minimal machine's own index, told apart by its state count
+        key = _index_of(low) * (size + 1) + low.state_count
+        c = index.get(key)
+        if c is None:
+            c = index[key] = len(firsts)
+            firsts.append(i)
+        class_of.append(c)
+    images = [[class_of[_renamed_index(i, size, g)] for i in firsts] for g in gens]
+    return firsts, images
+
+
+def _orbit_pairs(m: int, n: int, alphabet: tuple[str, ...]):
+    """One index pair per orbit of class pairs, enough to find the
+    maximal oracle size over all pairs and the first pair reaching it.
+
+    The oracle's size depends only on the two languages, and renaming
+    letters on both operands together keeps it.  So the class pairs
+    (x, y) are walked in lexicographic order, and a pair not yet seen
+    is the least of its orbit under the letter permutations: its orbit
+    is marked seen and the pair of the two classes' first indices is
+    yielded.  The first strict maximum over these is at the least
+    maximizing (first index of x, first index of y), which is the first
+    maximizing pair in enumeration order.
+    """
+    gens = _letter_generators(len(alphabet))
+    firsts_a, img_a = _classes(m, alphabet, gens)
+    firsts_b, img_b = (firsts_a, img_a) if n == m else _classes(n, alphabet, gens)
+    gen_pairs = list(zip(img_a, img_b))
+    ny = len(firsts_b)
+    seen = bytearray(len(firsts_a) * ny)
+    for x, ia in enumerate(firsts_a):
+        for y, ib in enumerate(firsts_b):
+            if seen[x * ny + y]:
+                continue
+            seen[x * ny + y] = 1
+            stack = [(x, y)]
+            while stack:
+                u, v = stack.pop()
+                for ga, gb in gen_pairs:
+                    k = ga[u] * ny + gb[v]
+                    if not seen[k]:
+                        seen[k] = 1
+                        stack.append((ga[u], gb[v]))
+            yield ia, ib
 
 
 def random_dfa(rng: random.Random, size: int, alphabet: tuple[str, ...]) -> Dfa:

@@ -4,11 +4,13 @@ random checker."""
 
 import dataclasses
 import random
+import string
 
 import pytest
 
-from helpers import moore_minimal_size, random_complete_dfa
+from helpers import all_words, moore_minimal_size, random_complete_dfa, run_word
 from statecomp.automata import (
+    Dfa,
     _moves,
     determinize,
     equivalent,
@@ -22,8 +24,12 @@ from statecomp.harness import (
     BoundReport,
     BudgetError,
     SearchResult,
+    _classes,
+    _index_of,
+    _letter_generators,
     _oracle_masks,
     _pair_sizes,
+    _renamed_index,
     decode_dfa,
     dfa_count,
     exhaustive_search,
@@ -246,23 +252,53 @@ class TestExhaustiveSearch:
             assert size == moore_minimal_size(determinize(nfa)[0]), (op, ia, ib)
 
     # argmax pairs as decode_dfa indices, recorded from the Nfa/Dfa
-    # pipeline that the bitmask search replaced.  The sampled searches
-    # decode their right operands pair by pair: there are 157,464
-    # three-state machines over three letters, too many to cache.
+    # pipeline that the bitmask search replaced.  The two |Σ| = 4 rows
+    # were recorded from the full search as it was before classes and
+    # orbits, when it ran the oracle on every index pair.  The sampled
+    # searches draw from 157,464 three-state machines over three letters.
     @pytest.mark.parametrize(
-        "op,m,n,mode,kw,best,ia,ib",
+        "op,m,n,sigma,mode,kw,best,ia,ib",
         [
-            ("revcat", 2, 2, "full", {}, 12, 22, 70),
-            ("starcat", 2, 2, "full", {}, 5, 21, 6),
-            ("revcat", 2, 3, "sampled", dict(sample_count=2000, seed=5), 22, 22, 55934),
-            ("starcat", 2, 3, "sampled", dict(sample_count=2000, seed=5), 11, 185, 135657),
+            ("revcat", 2, 2, 3, "full", {}, 12, 22, 70),
+            ("starcat", 2, 2, 3, "full", {}, 5, 21, 6),
+            ("revcat", 2, 2, 4, "full", {}, 12, 22, 70),
+            ("starcat", 2, 2, 4, "full", {}, 5, 21, 6),
+            ("revcat", 2, 3, 3, "sampled", dict(sample_count=2000, seed=5), 22, 22, 55934),
+            ("starcat", 2, 3, 3, "sampled", dict(sample_count=2000, seed=5), 11, 185, 135657),
         ],
     )
-    def test_argmax_is_pinned(self, op, m, n, mode, kw, best, ia, ib):
-        r = exhaustive_search(op, m, n, 3, mode, **kw)
-        alphabet = ("a", "b", "c")
+    def test_argmax_is_pinned(self, op, m, n, sigma, mode, kw, best, ia, ib):
+        r = exhaustive_search(op, m, n, sigma, mode, **kw)
+        alphabet = tuple("abcd"[:sigma])
         assert r.max_minimal == best
         assert r.argmax == (decode_dfa(ia, m, alphabet), decode_dfa(ib, n, alphabet))
+
+    @pytest.mark.parametrize("op", ["revcat", "starcat"])
+    @pytest.mark.parametrize(
+        "m,n,sigma",
+        [(2, 2, 2), (1, 2, 2), (2, 1, 2), (1, 3, 2), (3, 1, 2), (1, 1, 1), (1, 1, 26)],
+    )
+    def test_full_search_is_the_first_strict_max_of_the_raw_search(self, op, m, n, sigma):
+        alphabet = tuple(string.ascii_lowercase[:sigma])
+        pairs = (
+            (ia, ib)
+            for ia in range(dfa_count(m, sigma))
+            for ib in range(dfa_count(n, sigma))
+        )
+        best, best_pair = -1, None
+        for a, b, size in _pair_sizes(op, m, n, alphabet, pairs):
+            if size > best:
+                best, best_pair = size, (a, b)
+        r = exhaustive_search(op, m, n, sigma, "full")
+        assert (r.max_minimal, r.argmax) == (best, best_pair)
+        assert r.pairs_examined == dfa_count(m, sigma) * dfa_count(n, sigma)
+
+    @pytest.mark.parametrize("op", ["revcat", "starcat"])
+    def test_one_oracle_run_per_orbit(self, op):
+        r = exhaustive_search(op, 2, 2, 3, "full")
+        assert (r.pairs_evaluated, r.pairs_examined) == (2516, 65536)
+        r = exhaustive_search(op, 2, 3, 3, "sampled", sample_count=50, seed=1)
+        assert r.pairs_evaluated == r.pairs_examined == 50
 
     def test_budget_refusal(self):
         with pytest.raises(BudgetError):
@@ -304,6 +340,78 @@ class TestExhaustiveSearch:
         assert isinstance(r, SearchResult)
         with pytest.raises(dataclasses.FrozenInstanceError):
             r.max_minimal = 0
+
+
+def _words(d: Dfa, max_len: int) -> frozenset[str]:
+    return frozenset(w for w in all_words(d.alphabet, max_len) if run_word(d, w))
+
+
+class TestLanguageClasses:
+    # two DFAs of at most 2 states each agree on every word iff they
+    # agree on the words shorter than 2 · 2, the number of state pairs
+
+    @pytest.mark.parametrize("sigma", [2, 3])
+    def test_minimal_dfa_key_is_the_language(self, sigma):
+        alphabet = tuple("abc"[:sigma])
+        machines = [decode_dfa(i, 2, alphabet) for i in range(dfa_count(2, sigma))]
+        by_key, by_words = {}, {}
+        for i, d in enumerate(machines):
+            by_key.setdefault(minimize_hopcroft(d), []).append(i)
+            by_words.setdefault(_words(d, 3), []).append(i)
+        assert sorted(by_key.values()) == sorted(by_words.values())
+        firsts, _ = _classes(2, alphabet, [])
+        assert firsts == [block[0] for block in by_words.values()]
+
+    @pytest.mark.parametrize("sigma", [2, 3])
+    def test_images_are_the_renamed_languages(self, sigma):
+        alphabet = tuple("abc"[:sigma])
+        gens = _letter_generators(sigma)
+        firsts, images = _classes(2, alphabet, gens)
+        languages = [_words(decode_dfa(i, 2, alphabet), 3) for i in firsts]
+        for g, image in zip(gens, images, strict=True):
+            # the machine with rows in order g reads letter g[s] as s
+            rename = str.maketrans({alphabet[g[s]]: alphabet[s] for s in range(sigma)})
+            for x, y in enumerate(image):
+                assert languages[y] == {w.translate(rename) for w in languages[x]}
+
+    def test_generators_generate_every_permutation(self):
+        assert [len(_letter_generators(k)) for k in (1, 2, 3, 26)] == [0, 1, 2, 2]
+        group = {tuple(range(4))}
+        frontier = list(group)
+        while frontier:
+            p = frontier.pop()
+            for g in _letter_generators(4):
+                q = tuple(p[s] for s in g)
+                if q not in group:
+                    group.add(q)
+                    frontier.append(q)
+        assert len(group) == 24
+
+    @pytest.mark.parametrize("size,sigma", [(1, 3), (2, 2), (2, 3), (3, 1)])
+    def test_index_arithmetic(self, size, sigma):
+        alphabet = tuple("abc"[:sigma])
+        for i in range(dfa_count(size, sigma)):
+            d = decode_dfa(i, size, alphabet)
+            assert _index_of(d) == i
+            for g in _letter_generators(sigma):
+                renamed = decode_dfa(_renamed_index(i, size, g), size, alphabet)
+                assert renamed.transitions == tuple(d.transitions[s] for s in g)
+                assert renamed.finals == d.finals
+
+    @pytest.mark.parametrize("op", ["revcat", "starcat"])
+    def test_renaming_letters_keeps_the_oracle_size(self, op):
+        rng = random.Random(29)
+        for _ in range(150):
+            alphabet = tuple("abcd"[: rng.randint(1, 4)])
+            a = random_complete_dfa(rng, rng.randint(1, 4), alphabet)
+            b = random_complete_dfa(rng, rng.randint(1, 4), alphabet)
+            perm = list(range(len(alphabet)))
+            rng.shuffle(perm)
+            pa, pb = (
+                dataclasses.replace(d, transitions=tuple(d.transitions[s] for s in perm))
+                for d in (a, b)
+            )
+            assert oracle_sc(op, pa, pb) == oracle_sc(op, a, b), (a, b, perm)
 
 
 class TestRandomChecks:
