@@ -14,6 +14,7 @@ from .automata import (
     distinguishing_word,
     enumerate_accepted,
     equivalent,
+    minimal_size,
     minimize_brzozowski,
     minimize_hopcroft,
     nfa_accepts,

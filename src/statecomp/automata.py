@@ -220,6 +220,38 @@ def _moves(nfa: Nfa) -> tuple[list[list[int]], int]:
     return move, start
 
 
+# Subset constructions on more than BIT_LOOP_MAX_STATES and at most
+# TABLE_MAX_STATES NFA states step through image tables; the others OR
+# the move entries of a subset's states one by one.  On fewer states the
+# tables cost more to build than they save.  On more, the tables, built
+# before the first step, grow as n^2 however few subsets are reached;
+# at TABLE_MAX_STATES they are at most 1,024 entries.
+BIT_LOOP_MAX_STATES = 8
+TABLE_MAX_STATES = 32
+
+
+def _image_tables(move, n: int) -> list[list[int]]:
+    """For each byte of an n-state subset, the packed image of every
+    value of that byte: entry j of table c holds, n bits apart in symbol
+    order, the union of move[s][q] over the states q = 8c + i with bit i
+    of j set."""
+    # state q's images on every symbol, padded to whole bytes
+    packed = [0] * (-(-n // 8) * 8)
+    for s, row in enumerate(move):
+        shift = s * n
+        for q, t in enumerate(row):
+            packed[q] |= t << shift
+    tables = []
+    for base in range(0, n, 8):
+        table = [0] * 256
+        for j in range(1, 256):
+            low = j & -j
+            # the entry with j's lowest bit cleared, plus that bit's state
+            table[j] = table[j ^ low] | packed[base + low.bit_length() - 1]
+        tables.append(table)
+    return tables
+
+
 def subset_construction(move, start: int, final_mask: int):
     """Subset construction over a bitmask move table.
 
@@ -230,17 +262,36 @@ def subset_construction(move, start: int, final_mask: int):
     them, taking symbols in alphabet order; the empty subset becomes an
     ordinary dead state when reached.  Returns explore's rows, finals
     (the subsets meeting final_mask) and subsets in that order.
-    """
 
-    def step(cur: int) -> list[int]:
-        qs = _mask_bits(cur)
-        out = []
-        for mv in move:
-            t = 0
-            for q in qs:
-                t |= mv[q]
-            out.append(t)
-        return out
+    On more than BIT_LOOP_MAX_STATES and at most TABLE_MAX_STATES
+    states, a step looks each byte of the subset up in _image_tables and
+    cuts the packed union into one image per symbol; otherwise it ORs
+    the subset's states' entries one by one.
+    """
+    n = len(move[0])
+    if BIT_LOOP_MAX_STATES < n <= TABLE_MAX_STATES:
+        tables = _image_tables(move, n)
+        nbytes = len(tables)
+        full = (1 << n) - 1
+        shifts = range(0, len(move) * n, n)
+
+        def step(cur: int) -> list[int]:
+            acc = 0
+            for table, piece in zip(tables, cur.to_bytes(nbytes, "little")):
+                acc |= table[piece]
+            return [acc >> sh & full for sh in shifts]
+
+    else:
+
+        def step(cur: int) -> list[int]:
+            qs = _mask_bits(cur)
+            out = []
+            for mv in move:
+                t = 0
+                for q in qs:
+                    t |= mv[q]
+                out.append(t)
+            return out
 
     return explore(len(move), start, step, final_mask.__and__)
 
@@ -327,28 +378,55 @@ def hopcroft_refine(rows, finals) -> tuple[list[set[int]], list[int]]:
     return blocks, block_of
 
 
-def minimize_hopcroft(d: Dfa) -> Dfa:
-    """Unique minimal Dfa for the same language.
-
-    Restricts to reachable states, refines them with hopcroft_refine,
-    then renumbers blocks breadth-first from the initial block in
-    alphabet order so equal inputs give equal outputs.
-    """
-    nsym = len(d.alphabet)
+def _reachable(transitions, initial: int, finals):
+    """explore's rows and finals of a complete table's states reachable
+    from initial (transitions[s][q] the target of q on symbol s, finals
+    a container of states)."""
     # successors of each state, in alphabet order
-    succ = list(zip(*d.transitions))
+    succ = list(zip(*transitions))
     rows, finals, _ = explore(
-        nsym, d.initial, succ.__getitem__, d.finals.__contains__
+        len(transitions), initial, succ.__getitem__, finals.__contains__
     )
-    blocks, block_of = hopcroft_refine(rows, finals)
+    return rows, finals
 
+
+def minimal_size(d: Dfa) -> int:
+    """State count of d's minimal Dfa, without building it: the number
+    of Hopcroft blocks of d's reachable states."""
+    return len(hopcroft_refine(*_reachable(d.transitions, d.initial, d.finals))[0])
+
+
+def minimal_rows(transitions, initial: int, finals):
+    """Transition rows and finals of the minimal machine of a complete
+    table, given as _reachable takes it.
+
+    Blocks are numbered breadth-first from the initial block in
+    alphabet order, so the initial block is 0 and two tables with the
+    same language give equal rows and finals.
+    """
+    rows, finals = _reachable(transitions, initial, finals)
+    blocks, block_of = hopcroft_refine(rows, finals)
     # every block is reachable, and any of its states stands for it
     succ = list(zip(*rows))
     reps = [next(iter(blk)) for blk in blocks]
     block_succ = [[block_of[t] for t in succ[q]] for q in reps]
     block_final = [q in finals for q in reps]
-    return explore_dfa(
-        d.alphabet, block_of[0], block_succ.__getitem__, block_final.__getitem__
+    rows, finals, _ = explore(
+        len(rows), block_of[0], block_succ.__getitem__, block_final.__getitem__
+    )
+    return rows, finals
+
+
+def minimize_hopcroft(d: Dfa) -> Dfa:
+    """Unique minimal Dfa for the same language: minimal_rows' machine,
+    so equal languages give equal outputs."""
+    rows, finals = minimal_rows(d.transitions, d.initial, d.finals)
+    return Dfa(
+        state_count=len(rows[0]),
+        alphabet=d.alphabet,
+        transitions=rows,
+        initial=0,
+        finals=finals,
     )
 
 

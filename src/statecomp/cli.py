@@ -18,7 +18,7 @@ import os
 import sys
 from pathlib import Path
 
-from .automata import Dfa, minimize_hopcroft
+from .automata import Dfa, minimal_size, minimize_hopcroft
 from .constructions import combined
 from .harness import (
     COMPOSE_OPS,
@@ -70,11 +70,13 @@ def cmd_compose(args) -> int:
         result = combined(args.op, a, b)
     else:
         result = oracle_pipeline(args.op, a, b)
-    minimal = minimize_hopcroft(result)
     if args.minimize:
-        result = minimal
+        result = minimize_hopcroft(result)
+        minimal = result.state_count
+    else:
+        minimal = minimal_size(result)
     _emit(result, args.format)
-    print(f"states={result.state_count} minimal={minimal.state_count}")
+    print(f"states={result.state_count} minimal={minimal}")
     return 0
 
 

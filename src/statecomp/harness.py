@@ -17,8 +17,9 @@ from array import array
 from dataclasses import dataclass, replace
 from typing import Callable, Container
 
-# determinize and catenation_nfa are unused here, but perfbench/spans.py
-# traces them at this module's attributes, so they stay importable from it
+# determinize, minimize_hopcroft and catenation_nfa are unused here, but
+# perfbench/spans.py traces them at this module's attributes, so they stay
+# importable from it
 from .automata import (  # noqa: F401
     Dfa,
     Nfa,
@@ -26,6 +27,7 @@ from .automata import (  # noqa: F401
     determinize,
     equivalent,
     hopcroft_refine,
+    minimal_rows,
     minimize_hopcroft,
     state_mask,
     subset_construction,
@@ -222,7 +224,7 @@ def _oracle_masks(op: str, a: Dfa, b: Dfa) -> Masks:
     return catenation_masks(left, _right_masks(b, len(left[0][0])))
 
 
-def _minimal_size(move, start: int, final_mask: int) -> int:
+def _masks_minimal_size(move, start: int, final_mask: int) -> int:
     """Minimal DFA size of the machine with these masks: every subset
     the construction reaches is reachable, so the blocks are the count."""
     rows, finals, _ = subset_construction(move, start, final_mask)
@@ -239,7 +241,7 @@ def oracle_pipeline(op: str, a: Dfa, b: Dfa) -> Dfa:
 
 def oracle_sc(op: str, a: Dfa, b: Dfa) -> int:
     """Minimal DFA size of the operation result, via the generic pipeline."""
-    return _minimal_size(*_oracle_masks(op, a, b))
+    return _masks_minimal_size(*_oracle_masks(op, a, b))
 
 
 def _report(
@@ -250,7 +252,9 @@ def _report(
     formula (exact) or the direct construction's size fits under it."""
     direct = combined(base, a, b)
     oracle = oracle_pipeline(base, a, b)
-    minimal = minimize_hopcroft(oracle).state_count
+    # every subset the construction reaches is reachable, so the blocks
+    # are the count
+    minimal = len(hopcroft_refine(oracle.transitions, oracle.finals)[0])
     fits = minimal == formula if exact else direct.state_count <= formula
     passed = fits and equivalent(direct, oracle)
     return BoundReport(
@@ -278,24 +282,30 @@ def dfa_count(size: int, alphabet_size: int) -> int:
     return size ** (size * alphabet_size) * 2 ** size
 
 
+def _decode(index: int, size: int, nsym: int):
+    """Transition rows and finals of decode_dfa's machine."""
+    finals_bits = index & ((1 << size) - 1)
+    t = index >> size
+    rows = []
+    for _ in range(nsym):
+        row = []
+        for _ in range(size):
+            t, q = divmod(t, size)
+            row.append(q)
+        rows.append(tuple(row))
+    finals = frozenset(q for q in range(size) if (finals_bits >> q) & 1)
+    return tuple(rows), finals
+
+
 def decode_dfa(index: int, size: int, alphabet: tuple[str, ...]) -> Dfa:
     """The index-th DFA in the enumeration of all complete machines of
     the given size, initial state 0.  The low bits pick the final set,
     the rest spell the transition table in base size."""
-    finals_bits = index & ((1 << size) - 1)
-    t = index >> size
-    rows = []
-    for _ in range(len(alphabet)):
-        row = []
-        for _ in range(size):
-            row.append(t % size)
-            t //= size
-        rows.append(tuple(row))
-    finals = frozenset(q for q in range(size) if (finals_bits >> q) & 1)
+    rows, finals = _decode(index, size, len(alphabet))
     return Dfa(
         state_count=size,
         alphabet=alphabet,
-        transitions=tuple(rows),
+        transitions=rows,
         initial=0,
         finals=finals,
     )
@@ -379,7 +389,7 @@ def _pair_sizes(op: str, m: int, n: int, alphabet: tuple[str, ...], pair_indices
 
     Each side keeps the machines and masks of its last 65,536 indices,
     so an index that comes again is not decoded again, and the pair's
-    own work is catenation_masks and _minimal_size.
+    own work is catenation_masks and _masks_minimal_size.
     """
     # every left operand of size m gives a left NFA of the same size
     off = operation(op).left(decode_dfa(0, m, alphabet)).state_count
@@ -398,7 +408,7 @@ def _pair_sizes(op: str, m: int, n: int, alphabet: tuple[str, ...], pair_indices
     for ia, ib in pair_indices:
         a, left = left_of(ia)
         b, right = right_of(ib)
-        yield a, b, _minimal_size(*catenation_masks(left, right))
+        yield a, b, _masks_minimal_size(*catenation_masks(left, right))
 
 
 def _letter_generators(nsym: int) -> list[tuple[int, ...]]:
@@ -414,13 +424,15 @@ def _letter_generators(nsym: int) -> list[tuple[int, ...]]:
     return [swap, (*range(1, nsym), 0)]
 
 
-def _index_of(d: Dfa) -> int:
-    """decode_dfa's index of d, a machine with initial state 0."""
+def _index_of(rows, finals) -> int:
+    """decode_dfa's index of the machine with these transition rows and
+    finals, initial state 0."""
+    size = len(rows[0])
     t = 0
-    for row in reversed(d.transitions):
+    for row in reversed(rows):
         for q in reversed(row):
-            t = t * d.state_count + q
-    return t << d.state_count | state_mask(d.finals)
+            t = t * size + q
+    return t << size | state_mask(finals)
 
 
 def _renamed_index(index: int, size: int, order: tuple[int, ...]) -> int:
@@ -442,8 +454,8 @@ def _classes(
 ) -> tuple[list[int], list[list[int]]]:
     """The languages of the complete DFAs of this size, as classes.
 
-    Every machine is keyed by its minimize_hopcroft output, which is
-    canonical since blocks are numbered breadth-first.  Returns each
+    Every machine is keyed by its minimal_rows, which are canonical
+    since blocks are numbered breadth-first.  Returns each
     class's first enumeration index, classes in that order, and for
     each generator the class it maps each class to.  Only indices are
     kept: a side can hold millions of machines and classes.
@@ -451,10 +463,12 @@ def _classes(
     index: dict[int, int] = {}  # key -> class
     firsts: list[int] = []
     class_of = array("q")
-    for i in range(dfa_count(size, len(alphabet))):
-        low = minimize_hopcroft(decode_dfa(i, size, alphabet))
+    nsym = len(alphabet)
+    for i in range(dfa_count(size, nsym)):
+        rows, finals = _decode(i, size, nsym)
+        rows, finals = minimal_rows(rows, 0, finals)
         # the minimal machine's own index, told apart by its state count
-        key = _index_of(low) * (size + 1) + low.state_count
+        key = _index_of(rows, finals) * (size + 1) + len(rows[0])
         c = index.get(key)
         if c is None:
             c = index[key] = len(firsts)

@@ -14,6 +14,7 @@ from statecomp import (
     distinguishing_word,
     enumerate_accepted,
     equivalent,
+    minimal_size,
     minimize_brzozowski,
     minimize_hopcroft,
     nfa_accepts,
@@ -24,9 +25,16 @@ from statecomp import (
     revcat_witness_N,
     sigma_star_dfa,
 )
-from statecomp.automata import _pair_walk
+from statecomp import automata
+from statecomp.automata import BIT_LOOP_MAX_STATES, TABLE_MAX_STATES, _pair_walk
 
-from helpers import all_words, moore_minimal_size, random_complete_dfa, run_word
+from helpers import (
+    _bfs_build,
+    all_words,
+    moore_minimal_size,
+    random_complete_dfa,
+    run_word,
+)
 
 
 class TestValidation:
@@ -167,6 +175,85 @@ class TestDeterminize:
             assert got == want
 
 
+def _frozenset_subsets(nfa: Nfa) -> tuple[Dfa, list[int]]:
+    """Subset construction on frozensets, numbered breadth-first with
+    symbols in alphabet order: the Dfa and its subsets as masks."""
+    eps: dict[int, list[int]] = {q: [] for q in range(nfa.state_count)}
+    for u, v in nfa.epsilon_edges:
+        eps[u].append(v)
+
+    def close(states) -> frozenset[int]:
+        seen = set(states)
+        stack = list(seen)
+        while stack:
+            for v in eps[stack.pop()]:
+                if v not in seen:
+                    seen.add(v)
+                    stack.append(v)
+        return frozenset(seen)
+
+    def step(cur, s):
+        return close(t for q in cur for t in nfa.transitions[s][q])
+
+    dfa, order = _bfs_build(
+        nfa.alphabet, close(nfa.initials), step, lambda key: bool(key & nfa.finals)
+    )
+    return dfa, [sum(1 << q for q in key) for key in order]
+
+
+def _random_nfa(rng: random.Random, n: int, nsym: int, epsilon: bool) -> Nfa:
+    """Up to two targets per state and symbol, two initial draws and,
+    with epsilon, n // 3 + 1 random free moves."""
+    rows = tuple(
+        tuple(
+            frozenset(rng.randrange(n) for _ in range(rng.choice((0, 1, 1, 2))))
+            for _ in range(n)
+        )
+        for _ in range(nsym)
+    )
+    eps = frozenset(
+        (rng.randrange(n), rng.randrange(n)) for _ in range(n // 3 + 1 if epsilon else 0)
+    )
+    initials = frozenset(rng.randrange(n) for _ in range(2))
+    finals = frozenset(q for q in range(n) if rng.random() < 0.3)
+    return Nfa(n, tuple("abcd"[:nsym]), rows, initials, eps, finals)
+
+
+class TestSubsetTables:
+    # past BIT_LOOP_MAX_STATES states, up to TABLE_MAX_STATES, a step
+    # reads byte-indexed image tables; sizes 1..20 cross the switch (8 to
+    # 9) and the byte boundaries (8 to 9, 16 to 17)
+
+    def test_tables_only_between_the_bounds(self, monkeypatch):
+        built = []
+        real = automata._image_tables
+        monkeypatch.setattr(
+            automata, "_image_tables", lambda move, n: built.append(n) or real(move, n)
+        )
+        low, high = BIT_LOOP_MAX_STATES, TABLE_MAX_STATES
+        for n in (low, low + 1, high, high + 1):
+            nfa = _random_nfa(random.Random(n), n, 1, epsilon=False)
+            assert determinize(nfa) == _frozenset_subsets(nfa), n
+        assert built == [low + 1, high]
+
+    @pytest.mark.parametrize("n", range(1, 21))
+    def test_same_rows_finals_and_order_as_frozensets(self, n):
+        rng = random.Random(1000 + n)
+        for k in range(8):
+            nsym = k % 4 + 1
+            nfa = _random_nfa(rng, n, nsym, epsilon=k >= 4)
+            assert determinize(nfa) == _frozenset_subsets(nfa), (n, k)
+
+    @pytest.mark.parametrize("m", [9, 12])
+    def test_every_table_entry(self, m):
+        # the reversed witness reaches all 2^m subsets, so every entry of
+        # every table is looked up
+        nfa = reverse_nfa(revcat_witness_M(m))
+        det, order = determinize(nfa)
+        assert sorted(order) == list(range(2 ** m))
+        assert (det, order) == _frozenset_subsets(nfa)
+
+
 class TestMinimize:
     def test_witness_already_minimal(self):
         assert minimize_hopcroft(revcat_witness_M(3)).state_count == 3
@@ -237,6 +324,25 @@ class TestMinimize:
             assert h.state_count == minimize_brzozowski(d).state_count
             assert h.state_count == moore_minimal_size(d)
             assert equivalent(h, d)
+
+    def test_minimal_size_counts_reachable_blocks(self):
+        # a random core plus states only reachable from each other, whose
+        # edges also lead into the core: Hopcroft on the whole table would
+        # count their blocks too
+        rng = random.Random(41)
+        for k in range(120):
+            alphabet = tuple("abc"[: k % 3 + 1])
+            core = random_complete_dfa(rng, rng.randint(1, 6), alphabet)
+            size, extra = core.state_count, rng.randint(1, 4)
+            total = size + extra
+            rows = tuple(
+                row + tuple(rng.randrange(total) for _ in range(extra))
+                for row in core.transitions
+            )
+            finals = frozenset(q for q in range(total) if rng.random() < 0.5)
+            d = Dfa(total, alphabet, rows, core.initial, finals)
+            assert minimal_size(d) == minimize_hopcroft(d).state_count
+            assert minimal_size(d) == moore_minimal_size(d)
 
     def test_idempotent(self):
         rng = random.Random(5)

@@ -6,6 +6,7 @@ import subprocess
 
 import pytest
 
+from statecomp import Dfa
 from statecomp.cli import build_parser, main
 from statecomp.serialize import emit_document, parse_document
 from statecomp.witnesses import (
@@ -148,6 +149,25 @@ class TestCompose:
         assert first.rstrip().splitlines()[-1] == "states=4 minimal=4"
         assert second.rstrip().splitlines()[-1] == "states=6 minimal=4"
         assert build_parser() is build_parser()
+
+    @pytest.mark.parametrize("minimize,summary", [
+        ((), "states=3 minimal=2"), (("--minimize",), "states=2 minimal=2"),
+    ])
+    def test_minimal_counts_only_reachable_states(
+        self, capsys, tmp_path, minimize, summary
+    ):
+        # a left operand with no finals routes starcat to the right
+        # operand itself, whose state 2 is unreachable: refined with the
+        # reachable states, it would be a block of its own
+        lhs, rhs = tmp_path / "lhs.json", tmp_path / "rhs.json"
+        lhs.write_text(emit_document(Dfa(2, ("a",), ((1, 0),), 0, frozenset())))
+        rhs.write_text(emit_document(Dfa(3, ("a",), ((1, 0, 2),), 0, frozenset((1, 2)))))
+        code, out, _ = run(
+            capsys, "compose", "--op", "starcat", "--lhs", str(lhs), "--rhs", str(rhs),
+            "--method", "direct", *minimize,
+        )
+        assert code == 0
+        assert out.rstrip().splitlines()[-1] == summary
 
     def test_dot_format(self, capsys, pair):
         lhs, rhs = pair

@@ -392,7 +392,7 @@ class TestLanguageClasses:
         alphabet = tuple("abc"[:sigma])
         for i in range(dfa_count(size, sigma)):
             d = decode_dfa(i, size, alphabet)
-            assert _index_of(d) == i
+            assert _index_of(d.transitions, d.finals) == i
             for g in _letter_generators(sigma):
                 renamed = decode_dfa(_renamed_index(i, size, g), size, alphabet)
                 assert renamed.transitions == tuple(d.transitions[s] for s in g)
