@@ -3,8 +3,9 @@
 States are integers 0..state_count-1 and symbols are single characters.
 A Dfa is always complete: every (state, symbol) pair has exactly one
 target.  Subsets of states are integer bitmasks, fast enough for
-exhaustive searches over millions of machines; minimization's partition
-blocks are sets of states, which scale to hundreds of thousands.
+exhaustive searches over millions of machines; minimization keeps its
+partition as ranges of one permutation of the states, which scales to
+hundreds of thousands.
 """
 
 from __future__ import annotations
@@ -316,66 +317,102 @@ def determinize(nfa: Nfa) -> tuple[Dfa, list[int]]:
     return dfa, order
 
 
-def hopcroft_refine(rows, finals) -> tuple[list[set[int]], list[int]]:
+def hopcroft_refine(rows, finals) -> tuple[list[int], list[int]]:
     """Coarsest partition of a transition table's states that respects
     finals, by Hopcroft's smaller-half worklist.
 
-    rows[s][q] is the successor of state q on symbol s.  Returns the
-    blocks, as sets of states, and block_of, the index of each state's
-    block.  When every state is reachable, as explore's tables are, the
-    number of blocks is the minimal Dfa's state count; an unreachable
-    state could add a block of its own.  Blocks are sets, so a split
-    costs the size of the splitter's preimage and the refinement runs in
-    O(k n log n).
+    rows[s][q] is the successor of state q on symbol s.  Returns reps,
+    one state of each block, and block_of, the index of each state's
+    block, so block_of[reps[b]] == b.  When every state is reachable, as
+    explore's tables are, the number of blocks is the minimal Dfa's
+    state count; an unreachable state could add a block of its own.
+
+    The partition lives in flat arrays: elems is a permutation of the
+    states, loc its inverse, and block b is the range
+    elems[first[b]:end[b]].  A splitter's preimage on one symbol is
+    swapped to the front of each block it meets, up to mid[b]; the
+    smaller of the marked and unmarked parts becomes a new block.  A
+    split costs the size of the splitter's preimage, and the refinement
+    runs in O(k n log n).
     """
     n = len(rows[0])
-    nonfinals = set(range(n)).difference(finals)
-    block_of = [0] * n
-    if not (finals and nonfinals):
+    nf = len(finals)
+    if nf in (0, n):
         # one block: nothing to refine
-        return [nonfinals or set(finals)], block_of
-    blocks = [set(finals), nonfinals]
-    for q in nonfinals:
-        block_of[q] = 1
-    worklist = [0 if len(finals) <= len(nonfinals) else 1]
+        return [0], [0] * n
+    block_of = [1] * n
+    for q in finals:
+        block_of[q] = 0
+    # one int object per state, shared by every table below
+    states = list(range(n))
+    # finals first; elems is a permutation, so sorting positions by it
+    # gives its inverse
+    elems = sorted(states, key=block_of.__getitem__)
+    loc = sorted(states, key=elems.__getitem__)
+    first, end, mid = [0, nf], [nf, n], [0, nf]
+    worklist = [0 if nf <= n - nf else 1]
     # pre[s][q] lists the states that rows[s] sends to q
     pre = []
     for row in rows:
-        ps: list[list[int]] = [[] for _ in range(n)]
-        for q, t in enumerate(row):
-            ps[t].append(q)
+        ps: list = [()] * n  # a list once q has a preimage
+        for q, t in zip(states, row):
+            x = ps[t]
+            if x:
+                x.append(q)
+            else:
+                ps[t] = [q]
         pre.append(ps)
 
     while worklist:
-        # a copy: every symbol must refine by the whole block, even after
-        # the block itself splits below
-        splitter = list(blocks[worklist.pop()])
+        w = worklist.pop()
+        # a copy: the swaps below reorder elems, the splitter's own range
+        # included, and every symbol refines by the whole block even after
+        # the block itself splits
+        splitter = elems[first[w] : end[w]]
         for ps in pre:
-            touched: dict[int, list[int]] = {}  # block -> its states in the preimage
+            touched = []
             for q in splitter:
+                # rows[s] is a function, so each p turns up once per symbol
                 for p in ps[q]:
                     b = block_of[p]
-                    inter = touched.get(b)
-                    if inter is None:
-                        touched[b] = [p]
-                    else:
-                        inter.append(p)
-            for b, inter in touched.items():
-                y = blocks[b]
-                if len(inter) == len(y):
+                    m = mid[b]
+                    if m == first[b]:
+                        touched.append(b)
+                    # swap p into the marked front of its block
+                    i = loc[p]
+                    if i != m:
+                        r = elems[m]
+                        elems[m] = p
+                        loc[p] = m
+                        elems[i] = r
+                        loc[r] = i
+                    mid[b] = m + 1
+            for b in touched:
+                f, m, e = first[b], mid[b], end[b]
+                if m == e:
+                    # the whole block is in the preimage
+                    mid[b] = f
                     continue
                 # the larger part keeps index b; the smaller one is
                 # appended, relabelled and queued
-                y.difference_update(inter)
-                small = set(inter)
-                if len(y) < len(small):
-                    blocks[b], small = small, y
-                ni = len(blocks)
-                blocks.append(small)
-                for q in small:
+                ni = len(first)
+                if m - f <= e - m:
+                    first.append(f)
+                    end.append(m)
+                    mid.append(f)
+                    first[b] = mid[b] = m
+                    lo, hi = f, m
+                else:
+                    first.append(m)
+                    end.append(e)
+                    mid.append(m)
+                    end[b] = m
+                    mid[b] = f
+                    lo, hi = m, e
+                for q in elems[lo:hi]:
                     block_of[q] = ni
                 worklist.append(ni)
-    return blocks, block_of
+    return [elems[f] for f in first], block_of
 
 
 def _reachable(transitions, initial: int, finals):
@@ -405,10 +442,9 @@ def minimal_rows(transitions, initial: int, finals):
     same language give equal rows and finals.
     """
     rows, finals = _reachable(transitions, initial, finals)
-    blocks, block_of = hopcroft_refine(rows, finals)
+    reps, block_of = hopcroft_refine(rows, finals)
     # every block is reachable, and any of its states stands for it
     succ = list(zip(*rows))
-    reps = [next(iter(blk)) for blk in blocks]
     block_succ = [[block_of[t] for t in succ[q]] for q in reps]
     block_final = [q in finals for q in reps]
     rows, finals, _ = explore(
@@ -486,21 +522,31 @@ def _pair_walk(a: Dfa, p: int, b: Dfa, q: int) -> str | None:
 
     Breadth-first over state pairs taking symbols in alphabet order, so
     among shortest witnesses the alphabet-lexicographically first wins.
+    Each pair keeps the index of the pair it was reached from and the
+    symbol taken, and the word is spelled out only on a hit.
     """
     afin, bfin = a.finals, b.finals
     start = (p, q)
-    words = {start: ""}  # the word that first reached each pair
+    seen = {start}
     # the loop also visits the pairs appended while it runs
     queue = [start]
-    for pair in queue:
-        u, v = pair
+    parent = [0]
+    via = [""]
+    steps = list(zip(a.alphabet, a.transitions, b.transitions))
+    for i, (u, v) in enumerate(queue):
         if (u in afin) != (v in bfin):
-            return words[pair]
-        for sym, arow, brow in zip(a.alphabet, a.transitions, b.transitions):
+            word = []
+            while i:
+                word.append(via[i])
+                i = parent[i]
+            return "".join(reversed(word))
+        for sym, arow, brow in steps:
             child = (arow[u], brow[v])
-            if child not in words:
-                words[child] = words[pair] + sym
+            if child not in seen:
+                seen.add(child)
                 queue.append(child)
+                parent.append(i)
+                via.append(sym)
     return None
 
 

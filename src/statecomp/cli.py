@@ -23,7 +23,6 @@ from .constructions import combined
 from .harness import (
     COMPOSE_OPS,
     OPS,
-    BoundReport,
     exhaustive_search,
     oracle_pipeline,
     verify_witness,
@@ -103,15 +102,6 @@ def _parse_range(text: str, name: str) -> range:
     return values
 
 
-def _report_row(r: BoundReport) -> str:
-    k1 = "-" if r.k1 is None else str(r.k1)
-    verdict = "PASS" if r.passed else "FAIL"
-    return (
-        f"{r.op} m={r.m} n={r.n} k1={k1} formula={r.formula} "
-        f"constructed={r.constructed} minimal={r.minimal} {verdict}"
-    )
-
-
 def cmd_verify(args) -> int:
     ms = _parse_range(args.m, "--m")
     ns = _parse_range(args.n, "--n")
@@ -119,7 +109,7 @@ def cmd_verify(args) -> int:
     for m in ms:
         for n in ns:
             report = verify_witness(args.op, m, n)
-            print(_report_row(report))
+            print(report)
             all_passed = all_passed and report.passed
     return 0 if all_passed else 1
 

@@ -17,13 +17,14 @@ from array import array
 from dataclasses import dataclass, replace
 from typing import Callable, Container
 
-# determinize, minimize_hopcroft and catenation_nfa are unused here, but
-# perfbench/spans.py traces them at this module's attributes, so they stay
-# importable from it
+# determinize, equivalent, minimize_hopcroft and catenation_nfa are unused
+# here, but perfbench/spans.py traces them at this module's attributes, so
+# they stay importable from it
 from .automata import (  # noqa: F401
     Dfa,
     Nfa,
     _moves,
+    _pair_walk,
     determinize,
     equivalent,
     hopcroft_refine,
@@ -78,6 +79,23 @@ class BoundReport:
     constructed: int
     minimal: int
     passed: bool
+    # the shortest word the direct route and the oracle disagree on, or
+    # None when their languages agree
+    word: str | None = None
+
+    def __str__(self) -> str:
+        """The report as one verify row, ending with the word the routes
+        disagree on when there is one."""
+        k1 = "-" if self.k1 is None else str(self.k1)
+        verdict = "PASS" if self.passed else "FAIL"
+        row = (
+            f"{self.op} m={self.m} n={self.n} k1={k1} formula={self.formula} "
+            f"constructed={self.constructed} minimal={self.minimal} {verdict}"
+        )
+        if self.word is not None:
+            # the empty word prints as ""
+            row += " word=" + (self.word or '""')
+        return row
 
 
 @dataclass(frozen=True)
@@ -249,16 +267,18 @@ def _report(
 ) -> BoundReport:
     """Run the direct construction and the oracle on (a, b).  Passed when
     both give the same language and the oracle's minimal size equals
-    formula (exact) or the direct construction's size fits under it."""
+    formula (exact) or the direct construction's size fits under it;
+    the report keeps the shortest word they disagree on, if any."""
     direct = combined(base, a, b)
     oracle = oracle_pipeline(base, a, b)
     # every subset the construction reaches is reachable, so the blocks
     # are the count
     minimal = len(hopcroft_refine(oracle.transitions, oracle.finals)[0])
     fits = minimal == formula if exact else direct.state_count <= formula
-    passed = fits and equivalent(direct, oracle)
+    word = _pair_walk(direct, direct.initial, oracle, 0)
     return BoundReport(
-        op, a.state_count, b.state_count, k1, formula, direct.state_count, minimal, passed
+        op, a.state_count, b.state_count, k1, formula, direct.state_count, minimal,
+        fits and word is None, word,
     )
 
 

@@ -10,7 +10,7 @@ compare the fast implementations against these.
 from __future__ import annotations
 
 import random
-from itertools import product
+from itertools import count, product
 
 from statecomp import Dfa
 
@@ -53,6 +53,23 @@ def moore_minimal_size(d: Dfa) -> int:
             return n_classes
         cls = new
         n_classes = len(ren)
+
+
+def moore_classes(rows, finals) -> list[int]:
+    """Class of every state of a complete table (rows[s][q] the successor
+    of q on symbol s), numbered by first occurrence: two states share a
+    class exactly when no word tells them apart.  Plain Moore rounds,
+    each splitting by (class, successor classes); no reachability pass."""
+    cls = [int(q in finals) for q in range(len(rows[0]))]
+    size = len(set(cls))
+    while True:
+        sig = list(zip(cls, *(map(cls.__getitem__, row) for row in rows)))
+        # number the signatures by first occurrence
+        ids = dict(zip(dict.fromkeys(sig), count()))
+        cls = list(map(ids.__getitem__, sig))
+        if len(ids) == size:
+            return cls
+        size = len(ids)
 
 
 def revcat_member(a: Dfa, b: Dfa, word: str) -> bool:

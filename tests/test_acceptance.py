@@ -141,7 +141,8 @@ def test_6_starcat_one_state_right_operand(capfd):
 
 def test_7_random_construction_checks(capfd):
     reports = random_check(200, 5, 5, 4, 20260815)
-    bad = [r for r in reports if not r.passed]
+    # failing reports as verify rows, each with its separating word if any
+    bad = [str(r) for r in reports if not r.passed]
     ok = len(reports) == 200 and not bad
     _report(capfd, 7, "random construction vs oracle checks", ok)
     assert ok, bad

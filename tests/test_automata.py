@@ -31,6 +31,7 @@ from statecomp.automata import BIT_LOOP_MAX_STATES, TABLE_MAX_STATES, _pair_walk
 from helpers import (
     _bfs_build,
     all_words,
+    moore_classes,
     moore_minimal_size,
     random_complete_dfa,
     run_word,
@@ -314,9 +315,8 @@ class TestMinimize:
             finals = frozenset(q for q, c in enumerate(of) if c in core_finals)
             initial = rng.randrange(len(of))
             machines.append(Dfa(len(of), core.alphabet, rows, initial, finals))
-        # a splitter whose own block splits, keeping the larger part in
-        # place: refining the later symbols by that part alone, not by the
-        # whole splitter, would merge two of these six states
+        # a splitter whose own block splits while it refines (see
+        # TestHopcroftRefine.test_splitter_whose_own_block_splits)
         rows = ((5, 0, 1, 0, 5, 3), (5, 1, 4, 2, 4, 0))
         machines.append(Dfa(6, ("a", "b"), rows, 0, frozenset((0, 1, 3))))
         for d in machines:
@@ -366,6 +366,70 @@ class TestMinimize:
             once, _ = determinize(reverse_nfa(d))
             twice, _ = determinize(reverse_nfa(once))
             assert equivalent(twice, d)
+
+
+class TestHopcroftRefine:
+    """hopcroft_refine's partition itself, against Moore's classes."""
+
+    @staticmethod
+    def check(rows, finals) -> int:
+        reps, block_of = automata.hopcroft_refine(rows, finals)
+        assert len(set(block_of)) == len(reps)
+        assert all(block_of[q] == b for b, q in enumerate(reps))
+        # the same partition up to renaming: number blocks by first occurrence
+        ids: dict[int, int] = {}
+        assert [ids.setdefault(b, len(ids)) for b in block_of] == moore_classes(
+            rows, finals
+        )
+        return len(reps)
+
+    def test_random_tables(self):
+        # half plain random tables, half clones of a small core machine,
+        # so that blocks of many states merge
+        rng = random.Random(8)
+        for k in range(400):
+            n, nsym = rng.randint(1, 60), rng.randint(1, 4)
+            if k % 2:
+                rows = [[rng.randrange(n) for _ in range(n)] for _ in range(nsym)]
+                finals = {q for q in range(n) if rng.random() < 0.5}
+            else:
+                size = rng.randint(1, min(n, 6))
+                of = list(range(size)) + [rng.randrange(size) for _ in range(n - size)]
+                clones = [[q for q, c in enumerate(of) if c == x] for x in range(size)]
+                core = [[rng.randrange(size) for _ in range(size)] for _ in range(nsym)]
+                rows = [[rng.choice(clones[row[c]]) for c in of] for row in core]
+                core_finals = {x for x in range(size) if rng.random() < 0.5}
+                finals = {q for q, c in enumerate(of) if c in core_finals}
+            self.check(rows, frozenset(finals))
+
+    def test_chain_peels_one_state_per_split(self):
+        # q -> q + 1, the last state final and looping: every split cuts
+        # one state off the front block, and all 2,000 states stay apart
+        n = 2000
+        rows = [[min(q + 1, n - 1) for q in range(n)]]
+        assert self.check(rows, frozenset((n - 1,))) == n
+
+    def test_discrete_partition(self):
+        # a cycle with one final state plus a letter to state 0: the
+        # cycle alone already tells every state apart
+        n = 50
+        rows = [[(q + 1) % n for q in range(n)], [0] * n]
+        assert self.check(rows, frozenset((7,))) == n
+
+    @pytest.mark.parametrize("finals", [(), (0, 3), (0, 1, 2, 3, 4)])
+    def test_nothing_splits(self, finals):
+        # every state moves to state 0 on every letter, so only finality
+        # tells states apart
+        rows = [[0] * 5, [0] * 5]
+        want = 1 if len(finals) in (0, 5) else 2
+        assert self.check(rows, frozenset(finals)) == want
+
+    def test_splitter_whose_own_block_splits(self):
+        # the splitter's own block splits while it refines: reading its
+        # states off elems, which the swaps reorder, instead of from a
+        # copy taken at the pop gives the wrong partition here
+        rows = ((5, 0, 1, 0, 5, 3), (5, 1, 4, 2, 4, 0))
+        self.check(rows, frozenset((0, 1, 3)))
 
 
 class TestEquivalent:

@@ -1,13 +1,15 @@
 """Command-line front end, driven in process through main(argv)."""
 
+import dataclasses
 import json
 import shutil
 import subprocess
 
 import pytest
 
-from statecomp import Dfa
+from statecomp import Dfa, accepts, harness
 from statecomp.cli import build_parser, main
+from statecomp.harness import OPS
 from statecomp.serialize import emit_document, parse_document
 from statecomp.witnesses import (
     revcat_witness_M,
@@ -242,6 +244,28 @@ class TestVerify:
         )
         assert code == 0
         assert out == "starcat m=2 n=2 k1=1 formula=5 constructed=5 minimal=5 PASS\n"
+
+    @pytest.mark.parametrize("flipped", [0, 47])
+    def test_fail_row_prints_a_separating_word(self, capsys, monkeypatch, flipped):
+        # a direct route with one state's finality flipped; flipping the
+        # initial state makes the empty word the separating one
+        def broken(op, a, b):
+            d = harness.oracle_pipeline(op, a, b)
+            return dataclasses.replace(d, finals=d.finals ^ {flipped})
+
+        monkeypatch.setattr(harness, "combined", broken)
+        code, out, _ = run(capsys, "verify", "--op", "revcat", "--m", "3", "--n", "3")
+        assert code == 1
+        head, sep, word = out.rstrip("\n").partition(" FAIL word=")
+        assert head == "revcat m=3 n=3 k1=- formula=48 constructed=48 minimal=48"
+        assert sep and "\n" not in word
+        if flipped == 0:
+            assert word == '""'
+        word = "" if word == '""' else word
+        a, b, _ = OPS["revcat"].witness(3, 3)
+        assert accepts(broken("revcat", a, b), word) != accepts(
+            harness.oracle_pipeline("revcat", a, b), word
+        )
 
     def test_bad_range_text(self, capsys):
         code, _, err = run(

@@ -9,6 +9,7 @@ import string
 import pytest
 
 from helpers import all_words, moore_minimal_size, random_complete_dfa, run_word
+from statecomp import harness
 from statecomp.automata import (
     Dfa,
     _moves,
@@ -428,6 +429,38 @@ class TestRandomChecks:
         reports = random_check(50, 4, 4, 2, 7)
         assert len(reports) == 50
         assert all(r.passed for r in reports)
+
+    def test_random_check_reports_a_separating_word(self, monkeypatch):
+        # a direct route with the finality of its last state reached
+        # breadth-first flipped: every report fails on language, with a
+        # word that exactly one of the two machines accepts
+        def broken(op, a, b):
+            d = combined(op, a, b)
+            reached = [d.initial]
+            for q in reached:
+                reached += {row[q] for row in d.transitions}.difference(reached)
+            return dataclasses.replace(d, finals=d.finals ^ {reached[-1]})
+
+        monkeypatch.setattr(harness, "combined", broken)
+        reports = random_check(30, 3, 3, 2, 5)
+        rng = random.Random(5)
+        for r in reports:
+            # replay random_check's draws to rebuild the pair
+            op = rng.choice(harness.COMPOSE_OPS)
+            m, n = rng.randint(1, 3), rng.randint(1, 3)
+            alphabet = harness._alphabet(rng.randint(1, 2))
+            a, b = random_dfa(rng, m, alphabet), random_dfa(rng, n, alphabet)
+            assert (r.op, r.m, r.n) == (op, m, n)
+            assert not r.passed and r.word is not None
+            assert run_word(broken(op, a, b), r.word) != run_word(
+                oracle_pipeline(op, a, b), r.word
+            )
+            assert str(r).endswith(" FAIL word=" + (r.word or '""'))
+
+    def test_passing_reports_carry_no_word(self):
+        for r in random_check(20, 3, 3, 2, 5):
+            assert r.passed and r.word is None
+            assert str(r).endswith(" PASS")
 
     def test_random_check_is_deterministic(self):
         assert random_check(10, 3, 3, 2, 11) == random_check(10, 3, 3, 2, 11)
