@@ -32,7 +32,6 @@ from .constructions import (
     ShapeError,
     catenation_nfa,
     combined,
-    revcat_direct,
     revcat_n1_direct,
     star_nfa,
     starcat_general_direct,

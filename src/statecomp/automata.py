@@ -180,8 +180,13 @@ def explore_dfa(alphabet: tuple[str, ...], start, step, is_final) -> Dfa:
     )
 
 
-def _moves(nfa: Nfa) -> tuple[list[list[int]], int]:
-    """The Nfa's move table and closed initial set, as bitmasks.
+# A machine's masks: its move table, closed start set and final mask,
+# every set a bitmask of states.
+Masks = tuple[list[list[int]], int, int]
+
+
+def nfa_masks(nfa: Nfa) -> Masks:
+    """The Nfa's masks.
 
     move[s][q] is the epsilon closure of q's targets on symbol s.  With
     the closure folded in, the closed successor of a closed set is the
@@ -218,7 +223,7 @@ def _moves(nfa: Nfa) -> tuple[list[list[int]], int]:
     start = 0
     for q in nfa.initials:
         start |= closure[q]
-    return move, start
+    return move, start, state_mask(nfa.finals)
 
 
 # Subset constructions on more than BIT_LOOP_MAX_STATES and at most
@@ -257,7 +262,7 @@ def subset_construction(move, start: int, final_mask: int):
     """Subset construction over a bitmask move table.
 
     move[s][q] is the bitmask of states q reaches on symbol s, epsilon
-    closure already folded in (as _moves builds it); start is the closed
+    closure already folded in (as nfa_masks builds it); start is the closed
     initial set and final_mask the accepting states.  Subsets are
     numbered in the order a breadth-first walk from start discovers
     them, taking symbols in alphabet order; the empty subset becomes an
@@ -297,24 +302,20 @@ def subset_construction(move, start: int, final_mask: int):
     return explore(len(move), start, step, final_mask.__and__)
 
 
-def determinize(nfa: Nfa) -> tuple[Dfa, list[int]]:
-    """Subset construction with epsilon closure.
+def subset_dfa(
+    alphabet: tuple[str, ...], move, start: int, final_mask: int
+) -> tuple[Dfa, list[int]]:
+    """The Dfa over alphabet of subset_construction on these masks, and
+    its subsets in state order: bit q of order[i] is set when machine
+    state q is behind Dfa state i."""
+    rows, finals, order = subset_construction(move, start, final_mask)
+    return Dfa(len(order), alphabet, rows, 0, finals), order
 
-    Dfa states are the reachable closed subsets, numbered as
-    subset_construction numbers them.  Returns the Dfa and the subsets
-    in that order: bit q of order[i] is set when Nfa state q is behind
-    Dfa state i.
-    """
-    move, start = _moves(nfa)
-    rows, finals, order = subset_construction(move, start, state_mask(nfa.finals))
-    dfa = Dfa(
-        state_count=len(order),
-        alphabet=nfa.alphabet,
-        transitions=rows,
-        initial=0,
-        finals=finals,
-    )
-    return dfa, order
+
+def determinize(nfa: Nfa) -> tuple[Dfa, list[int]]:
+    """Subset construction with epsilon closure: subset_dfa on the
+    Nfa's masks."""
+    return subset_dfa(nfa.alphabet, *nfa_masks(nfa))
 
 
 def hopcroft_refine(rows, finals) -> tuple[list[int], list[int]]:
@@ -507,13 +508,13 @@ def accepts(d: Dfa, word: str) -> bool:
 
 def nfa_accepts(nfa: Nfa, word: str) -> bool:
     idx = {sym: s for s, sym in enumerate(nfa.alphabet)}
-    move, cur = _moves(nfa)
+    move, cur, final_mask = nfa_masks(nfa)
     for ch in word:
         s = idx.get(ch)
         if s is None:
             raise ValueError(f"symbol {ch!r} is not in the alphabet")
         cur = mask_image(cur, move[s])
-    return bool(cur & state_mask(nfa.finals))
+    return bool(cur & final_mask)
 
 
 def _pair_walk(a: Dfa, p: int, b: Dfa, q: int) -> str | None:

@@ -1,30 +1,32 @@
 """Operation constructions: reversal, star, catenation, and the direct
 DFAs for the two combined operations.
 
-Each direct construction builds the paper's NFA for its operand shape
-and hands it to automata.determinize, so they share one subset
-construction, numbered breadth-first in alphabet order, and their
-counts never exceed the closed-form size bounds.  revcat_n1_direct is
-the one exception: it merges every subset holding the left operand's
-initial state into one absorbing state, a quotient of the subset
-construction rather than the construction itself.
+The catenation with the right operand is catenation_masks, on the
+bitmask move tables of automata.nfa_masks; it is the oracle's too.  Each
+catenation-based direct construction hands its masks to
+automata.subset_dfa, so every route shares one subset construction,
+numbered breadth-first in alphabet order, and no count exceeds the
+closed-form size bounds.  revcat_route's general case is the oracle's
+own pipeline; starcat's two direct routes differ from the oracle only in
+the left table and the start set.  revcat_n1_direct is the one
+quotient: it merges every subset holding the left operand's initial
+state into one absorbing state.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 from .automata import (
     AlphabetMismatch,
     Dfa,
+    Masks,
     Nfa,
-    _moves,
-    determinize,
     explore_dfa,
     mask_image,
     minimize_hopcroft,
-    nfa_from_dfa,
+    nfa_masks,
     reverse_nfa,
+    state_mask,
+    subset_dfa,
 )
 from .witnesses import empty_dfa, sigma_star_dfa
 
@@ -32,8 +34,9 @@ __all__ = [
     "ShapeError",
     "reverse_nfa",
     "catenation_nfa",
+    "dfa_masks",
+    "catenation_masks",
     "star_nfa",
-    "revcat_direct",
     "revcat_n1_direct",
     "starcat_special_direct",
     "starcat_general_direct",
@@ -109,20 +112,28 @@ def star_nfa(a: Dfa) -> Nfa:
     )
 
 
-def revcat_direct(m: Dfa, n: Dfa) -> Dfa:
-    """Direct DFA for L(m)^R L(n): the subset construction of
-    catenation_nfa(reverse_nfa(m), n).
+def dfa_masks(d: Dfa, off: int = 0) -> Masks:
+    """d's masks with d's state q renumbered off + q, as the right
+    operand of a catenation whose left machine has off states."""
+    move = [[1 << (off + t) for t in row] for row in d.transitions]
+    return move, 1 << (off + d.initial), state_mask(d.finals) << off
 
-    A subset splits into i, m's states walked under preimages (the
-    reversal part), and j, n's states.  n's initial state joins j exactly
-    when i contains m's initial state, which is when the prefix read so
-    far lies in L(m)^R.  Final when j meets n's finals.  At most
-    3/4 * 2^(m+n) states are reachable.
 
-    This is the oracle's own pipeline, so it is no independent check of
-    the oracle.
+def catenation_masks(left: Masks, right: Masks) -> Masks:
+    """The masks of catenation_nfa(left machine, b), given the left
+    machine's masks and b's from dfa_masks, without building either.
+
+    The catenation's one free move, from the left finals to b's initial
+    state, is folded in as nfa_masks folds epsilon closure: a left entry
+    (or start set) that meets the left finals also gets b's initial bit.
     """
-    return determinize(catenation_nfa(reverse_nfa(m), n))[0]
+    lmove, lstart, lfinal = left
+    rmove, rinit, rfinal = right
+    move = [
+        [t | rinit if t & lfinal else t for t in lrow] + rrow
+        for lrow, rrow in zip(lmove, rmove)
+    ]
+    return move, (lstart | rinit if lstart & lfinal else lstart), rfinal
 
 
 def revcat_n1_direct(m: Dfa, n_accepting: bool) -> Dfa:
@@ -136,7 +147,7 @@ def revcat_n1_direct(m: Dfa, n_accepting: bool) -> Dfa:
     if not n_accepting:
         return empty_dfa(m.alphabet)
     # the reversal's moves are m's preimages; its initial set is m's finals
-    pre, i0 = _moves(reverse_nfa(m))
+    pre, i0, _ = nfa_masks(reverse_nfa(m))
     init_bit = 1 << m.initial
     SINK = -1  # the merged absorbing final state
 
@@ -155,8 +166,8 @@ def revcat_n1_direct(m: Dfa, n_accepting: bool) -> Dfa:
 
 def starcat_special_direct(a: Dfa, b: Dfa) -> Dfa:
     """Direct DFA for L(a) L(b) (= L(a)* L(b)) when a's only final state
-    is its initial state: the subset construction of
-    catenation_nfa(nfa_from_dfa(a), b).
+    is its initial state: the subset construction of a's own masks
+    catenated with b's.
 
     A subset holds one state q of a and a nonempty subset T of b's
     states; b's initial state joins T exactly when q lands on a's
@@ -171,20 +182,21 @@ def starcat_special_direct(a: Dfa, b: Dfa) -> Dfa:
         )
     if b.state_count < 2:
         raise ShapeError("starcat_special_direct needs a second operand with >= 2 states")
-    return determinize(catenation_nfa(nfa_from_dfa(a), b))[0]
+    masks = catenation_masks(dfa_masks(a), dfa_masks(b, a.state_count))
+    return subset_dfa(a.alphabet, *masks)[0]
 
 
 def starcat_general_direct(a: Dfa, b: Dfa) -> Dfa:
     """Direct DFA for L(a)* L(b) when a has a final state other than its
     initial state.
 
-    The subset construction of star_nfa(a) without its fresh state
-    (initial a.initial, finals a's), catenated with b and started in
-    {a.initial, b.initial}, since the empty word is in L(a)*.  A subset
-    splits into p, a's states, and t, b's states: whenever p meets a's
-    finals, a's initial state joins p (star re-entry) and b's initial
-    state joins t.  Final when t meets b's finals.  The reachable count
-    never exceeds
+    The subset construction of star_nfa(a)'s masks without the fresh
+    state's column (start a.initial, finals a's), catenated with b's
+    and started in {a.initial, b.initial}, since the empty word is in
+    L(a)*.  A subset splits into p, a's states, and t, b's states:
+    whenever p meets a's finals, a's initial state joins p (star
+    re-entry) and b's initial state joins t.  Final when t meets b's
+    finals.  The reachable count never exceeds
     (3/4 * 2^m - 1)(2^n - 1) - (2^(m-1) - 2^(m-k1-1))(2^(n-1) - 1)
     with k1 the number of non-initial final states of a.
     """
@@ -199,23 +211,25 @@ def starcat_general_direct(a: Dfa, b: Dfa) -> Dfa:
     if b.state_count < 2:
         raise ShapeError("starcat_general_direct needs a second operand with >= 2 states")
     m = a.state_count
-    star = star_nfa(a)
-    loop = replace(
-        star,
-        state_count=m,
-        transitions=tuple(row[:m] for row in star.transitions),
-        initials=frozenset((a.initial,)),
-        finals=a.finals,
-    )
-    cat = catenation_nfa(loop, b)
-    return determinize(replace(cat, initials=frozenset((a.initial, m + b.initial))))[0]
+    move = nfa_masks(star_nfa(a))[0]
+    loop = [row[:m] for row in move], 1 << a.initial, state_mask(a.finals)
+    move, start, final_mask = catenation_masks(loop, dfa_masks(b, m))
+    return subset_dfa(a.alphabet, move, start | 1 << (m + b.initial), final_mask)[0]
 
 
 def revcat_route(a: Dfa, b: Dfa) -> Dfa:
     """The direct construction for L(a)^R L(b) that fits the operands' shape."""
     if b.state_count == 1 and a.state_count >= 2:
         return revcat_n1_direct(a, bool(b.finals))
-    return revcat_direct(a, b)
+    # the subset construction of catenation_nfa(reverse_nfa(a), b): a
+    # subset splits into a's states walked under preimages and b's
+    # states, and b's initial state joins exactly when a's initial state
+    # is in, when the prefix read so far lies in L(a)^R.  At most
+    # 3/4 * 2^(m+n) states.  This is the oracle's own pipeline, so it is
+    # no independent check of the oracle.
+    _require_same_alphabet(a, b)
+    masks = catenation_masks(nfa_masks(reverse_nfa(a)), dfa_masks(b, a.state_count))
+    return subset_dfa(a.alphabet, *masks)[0]
 
 
 def starcat_route(a: Dfa, b: Dfa) -> Dfa:

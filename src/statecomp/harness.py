@@ -1,11 +1,14 @@
 """Verification oracles, searches, and the op table.
 
-The oracle never touches the direct product constructions: it builds the
-operation's left NFA from reverse/star, catenates it with the right
-operand on bitmask move tables, and counts the subset construction's
-Hopcroft blocks.  Agreement between the two routes, plus the closed-form
-bounds, is what the verify and search entry points check.  Everything
-that differs from one operation to the next is a row of OPS.
+The oracle builds the operation's left NFA from reverse/star, takes its
+masks, catenates them with the right operand's through
+constructions.catenation_masks, and counts the subset construction's
+Hopcroft blocks.  That is the direct route too for revcat with n >= 2,
+so there the two routes agree by construction; starcat's direct routes
+differ from it in the left table and the start set.  Agreement between
+the routes, plus the closed-form bounds, is what the verify and search
+entry points check.  Everything that differs from one operation to the
+next is a row of OPS.
 """
 
 from __future__ import annotations
@@ -17,21 +20,17 @@ from array import array
 from dataclasses import dataclass, replace
 from typing import Callable, Container
 
-# determinize, equivalent, minimize_hopcroft and catenation_nfa are unused
-# here, but perfbench/spans.py traces them at this module's attributes, so
-# they stay importable from it
-from .automata import (  # noqa: F401
+from .automata import (
     Dfa,
+    Masks,
     Nfa,
-    _moves,
     _pair_walk,
-    determinize,
-    equivalent,
     hopcroft_refine,
     minimal_rows,
-    minimize_hopcroft,
+    nfa_masks,
     state_mask,
     subset_construction,
+    subset_dfa,
 )
 from .bounds import (
     sc_revcat,
@@ -40,10 +39,11 @@ from .bounds import (
     ub_revcat,
     ub_starcat_general,
 )
-from .constructions import (  # noqa: F401
+from .constructions import (
     _require_same_alphabet,
-    catenation_nfa,
+    catenation_masks,
     combined,
+    dfa_masks,
     revcat_route,
     reverse_nfa,
     star_nfa,
@@ -198,48 +198,11 @@ def operation(op: str, among: Container[str] = COMPOSE_OPS) -> Operation:
     return OPS[op]
 
 
-# A machine's masks: its move table, closed start set and final mask,
-# every set a bitmask of states.
-Masks = tuple[list[list[int]], int, int]
-
-
-def _left_masks(op: str, a: Dfa) -> Masks:
-    """The masks of the op's left NFA for a."""
-    left = operation(op).left(a)
-    move, start = _moves(left)
-    return move, start, state_mask(left.finals)
-
-
-def _right_masks(b: Dfa, off: int) -> Masks:
-    """b's masks with b's state q renumbered off + q, past the left NFA's
-    states."""
-    move = [[1 << (off + t) for t in row] for row in b.transitions]
-    return move, 1 << (off + b.initial), state_mask(b.finals) << off
-
-
-def catenation_masks(left: Masks, right: Masks) -> Masks:
-    """The masks of catenation_nfa(left NFA, b), given the left NFA's
-    masks and b's from _right_masks, without building either machine.
-
-    The catenation's one free move, from the left NFA's finals to b's
-    initial state, is folded in as _moves folds epsilon closure: a left
-    entry (or start set) that meets the left finals also gets b's
-    initial bit.
-    """
-    lmove, lstart, lfinal = left
-    rmove, rinit, rfinal = right
-    move = [
-        [t | rinit if t & lfinal else t for t in lrow] + rrow
-        for lrow, rrow in zip(lmove, rmove)
-    ]
-    return move, (lstart | rinit if lstart & lfinal else lstart), rfinal
-
-
 def _oracle_masks(op: str, a: Dfa, b: Dfa) -> Masks:
-    left = _left_masks(op, a)
+    left = nfa_masks(operation(op).left(a))
     _require_same_alphabet(a, b)
     # the left NFA's state count: one move-table entry per state
-    return catenation_masks(left, _right_masks(b, len(left[0][0])))
+    return catenation_masks(left, dfa_masks(b, len(left[0][0])))
 
 
 def _masks_minimal_size(move, start: int, final_mask: int) -> int:
@@ -253,8 +216,7 @@ def oracle_pipeline(op: str, a: Dfa, b: Dfa) -> Dfa:
     """Determinized (not yet minimized) DFA for the operation, built only
     from the generic constructions: the same Dfa as
     determinize(catenation_nfa(left NFA, b))."""
-    rows, finals, order = subset_construction(*_oracle_masks(op, a, b))
-    return Dfa(len(order), a.alphabet, rows, 0, finals)
+    return subset_dfa(a.alphabet, *_oracle_masks(op, a, b))[0]
 
 
 def oracle_sc(op: str, a: Dfa, b: Dfa) -> int:
@@ -411,19 +373,20 @@ def _pair_sizes(op: str, m: int, n: int, alphabet: tuple[str, ...], pair_indices
     so an index that comes again is not decoded again, and the pair's
     own work is catenation_masks and _masks_minimal_size.
     """
+    left_nfa = operation(op).left
     # every left operand of size m gives a left NFA of the same size
-    off = operation(op).left(decode_dfa(0, m, alphabet)).state_count
+    off = left_nfa(decode_dfa(0, m, alphabet)).state_count
 
     # bounded, as a side can hold millions of machines
     @functools.lru_cache(maxsize=1 << 16)
     def left_of(ia: int) -> tuple[Dfa, Masks]:
         a = decode_dfa(ia, m, alphabet)
-        return a, _left_masks(op, a)
+        return a, nfa_masks(left_nfa(a))
 
     @functools.lru_cache(maxsize=1 << 16)
     def right_of(ib: int) -> tuple[Dfa, Masks]:
         b = decode_dfa(ib, n, alphabet)
-        return b, _right_masks(b, off)
+        return b, dfa_masks(b, off)
 
     for ia, ib in pair_indices:
         a, left = left_of(ia)

@@ -107,8 +107,11 @@ def parse_document(text: str) -> Dfa | Nfa:
                 for q, tgt in enumerate(row)
             )
         )
+    pairs = obj.get("epsilon", [])
+    if not isinstance(pairs, list):
+        raise DocumentError("epsilon: expected a list of [from, to] pairs")
     epsilon = set()
-    for k, pair in enumerate(obj.get("epsilon", [])):
+    for k, pair in enumerate(pairs):
         if not isinstance(pair, list) or len(pair) != 2:
             raise DocumentError(f"epsilon[{k}]: expected a [from, to] pair")
         u = _int_in_range(pair[0], states, f"epsilon[{k}][0]")

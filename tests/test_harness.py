@@ -12,10 +12,10 @@ from helpers import all_words, moore_minimal_size, random_complete_dfa, run_word
 from statecomp import harness
 from statecomp.automata import (
     Dfa,
-    _moves,
     determinize,
     equivalent,
     minimize_hopcroft,
+    nfa_masks,
     state_mask,
 )
 from statecomp.bounds import sc_revcat, sc_starcat, sc_starcat_special
@@ -99,7 +99,7 @@ class TestOracle:
                 a = dataclasses.replace(a, finals=frozenset())
             cat = catenation_nfa(OPS[op].left(a), b)
             move, start, final_mask = _oracle_masks(op, a, b)
-            assert (move, start) == _moves(cat), (op, a, b)
+            assert (move, start, final_mask) == nfa_masks(cat), (op, a, b)
             assert final_mask == state_mask(cat.finals)
             assert oracle_pipeline(op, a, b) == determinize(cat)[0]
 

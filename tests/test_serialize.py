@@ -135,6 +135,12 @@ class TestParseErrors:
         with pytest.raises(DocumentError, match="nfa documents take initials"):
             parse_document(json.dumps(bad))
 
+        for value in (5, None, True):
+            bad = dict(nfa_doc)
+            bad["epsilon"] = value
+            with pytest.raises(DocumentError, match="^epsilon: expected a list"):
+                parse_document(json.dumps(bad))
+
         bad = dict(nfa_doc)
         bad["epsilon"] = [[0, 1, 2]]
         with pytest.raises(DocumentError, match=r"epsilon\[0\]"):
