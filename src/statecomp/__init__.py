@@ -31,7 +31,6 @@ from .bounds import (
 from .constructions import (
     ShapeError,
     catenation_nfa,
-    combined,
     revcat_n1_direct,
     star_nfa,
     starcat_general_direct,
@@ -41,6 +40,7 @@ from .harness import (
     BoundReport,
     BudgetError,
     SearchResult,
+    combined,
     decode_dfa,
     dfa_count,
     exhaustive_search,

@@ -19,10 +19,10 @@ import sys
 from pathlib import Path
 
 from .automata import Dfa, minimal_size, minimize_hopcroft
-from .constructions import combined
 from .harness import (
     COMPOSE_OPS,
     OPS,
+    combined,
     exhaustive_search,
     oracle_pipeline,
     verify_witness,
@@ -80,14 +80,31 @@ def cmd_compose(args) -> int:
 
 
 def cmd_sc(args) -> int:
+    # imported here: it costs every other command about 2.5 ms and 0.5 MiB
+    import decimal
+
     spec = OPS[args.op]
     if args.k1 is None:
-        value = spec.sc(args.m, args.n)
+        count, sizes = spec.sc, (args.m, args.n)
     elif spec.bound_k1 is None:
         raise ValueError("--k1 only applies to --op starcat")
     else:
-        value = spec.bound_k1(args.m, args.n, args.k1)
-    print(value)
+        count, sizes = spec.bound_k1, (args.m, args.n, args.k1)
+    limit = getattr(sys, "get_int_max_str_digits", int)()  # 0: no limit
+    # the count's decimal exponent, from the count to 20 digits, forms no
+    # power of two in full, so one far past the limit is refused at once,
+    # and one near it is cheap to form exactly
+    try:
+        with decimal.localcontext(decimal.Context(prec=20, Emax=decimal.MAX_EMAX)):
+            exponent = decimal.Decimal(count(*map(decimal.Decimal, sizes))).adjusted()
+    except decimal.Overflow:
+        exponent = limit + 1
+    if limit and (exponent > limit or count(*sizes) >= 10 ** limit):
+        raise ValueError(
+            f"--m/--n: the count has more than {limit} digits, "
+            "past this interpreter's limit for printing an int"
+        )
+    print(count(*sizes))
     return 0
 
 

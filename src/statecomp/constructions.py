@@ -1,16 +1,16 @@
-"""Operation constructions: reversal, star, catenation, and the direct
-DFAs for the two combined operations.
+"""Operation constructions: reversal, star, catenation, their bitmask
+masks, and the three direct DFAs for the two combined operations.
 
 The catenation with the right operand is catenation_masks, on the
 bitmask move tables of automata.nfa_masks; it is the oracle's too.  Each
 catenation-based direct construction hands its masks to
 automata.subset_dfa, so every route shares one subset construction,
 numbered breadth-first in alphabet order, and no count exceeds the
-closed-form size bounds.  revcat_route's general case is the oracle's
-own pipeline; starcat's two direct routes differ from the oracle only in
-the left table and the start set.  revcat_n1_direct is the one
-quotient: it merges every subset holding the left operand's initial
-state into one absorbing state.
+closed-form size bounds.  starcat's two direct constructions differ
+from the oracle only in the left table and the start set.
+revcat_n1_direct is the one quotient: it merges every subset holding
+the left operand's initial state into one absorbing state.  Which
+construction fits which operand shape is decided in harness's op table.
 """
 
 from __future__ import annotations
@@ -22,13 +22,12 @@ from .automata import (
     Nfa,
     explore_dfa,
     mask_image,
-    minimize_hopcroft,
     nfa_masks,
     reverse_nfa,
     state_mask,
     subset_dfa,
 )
-from .witnesses import empty_dfa, sigma_star_dfa
+from .witnesses import empty_dfa
 
 __all__ = [
     "ShapeError",
@@ -40,9 +39,6 @@ __all__ = [
     "revcat_n1_direct",
     "starcat_special_direct",
     "starcat_general_direct",
-    "revcat_route",
-    "starcat_route",
-    "combined",
 ]
 
 
@@ -215,47 +211,3 @@ def starcat_general_direct(a: Dfa, b: Dfa) -> Dfa:
     loop = [row[:m] for row in move], 1 << a.initial, state_mask(a.finals)
     move, start, final_mask = catenation_masks(loop, dfa_masks(b, m))
     return subset_dfa(a.alphabet, move, start | 1 << (m + b.initial), final_mask)[0]
-
-
-def revcat_route(a: Dfa, b: Dfa) -> Dfa:
-    """The direct construction for L(a)^R L(b) that fits the operands' shape."""
-    if b.state_count == 1 and a.state_count >= 2:
-        return revcat_n1_direct(a, bool(b.finals))
-    # the subset construction of catenation_nfa(reverse_nfa(a), b): a
-    # subset splits into a's states walked under preimages and b's
-    # states, and b's initial state joins exactly when a's initial state
-    # is in, when the prefix read so far lies in L(a)^R.  At most
-    # 3/4 * 2^(m+n) states.  This is the oracle's own pipeline, so it is
-    # no independent check of the oracle.
-    _require_same_alphabet(a, b)
-    masks = catenation_masks(nfa_masks(reverse_nfa(a)), dfa_masks(b, a.state_count))
-    return subset_dfa(a.alphabet, *masks)[0]
-
-
-def starcat_route(a: Dfa, b: Dfa) -> Dfa:
-    """The direct construction for L(a)* L(b) that fits the operands' shape."""
-    if b.state_count == 1:
-        # L(b) is all words or none, and the star factor always
-        # contributes the empty word
-        return sigma_star_dfa(a.alphabet) if b.finals else empty_dfa(a.alphabet)
-    if not a.finals:
-        # L(a)* is just the empty word, so the product is L(b)
-        return b
-    if a.finals == frozenset((a.initial,)):
-        return starcat_special_direct(a, b)
-    return starcat_general_direct(a, b)
-
-
-def combined(op: str, a: Dfa, b: Dfa, minimized: bool = False) -> Dfa:
-    """Run the operation's direct construction, as routed in the op table.
-
-    op is "revcat" for L(a)^R L(b) or "starcat" for L(a)* L(b).  With
-    minimized=True the result is minimized before returning.
-    """
-    # the op table lives in harness, which imports this module, so it is
-    # imported here rather than at the top
-    from .harness import operation
-
-    _require_same_alphabet(a, b)
-    out = operation(op).direct(a, b)
-    return minimize_hopcroft(out) if minimized else out

@@ -1,14 +1,15 @@
-"""Verification oracles, searches, and the op table.
+"""Verification oracles, searches, the op table and its routes.
 
 The oracle builds the operation's left NFA from reverse/star, takes its
 masks, catenates them with the right operand's through
 constructions.catenation_masks, and counts the subset construction's
-Hopcroft blocks.  That is the direct route too for revcat with n >= 2,
-so there the two routes agree by construction; starcat's direct routes
-differ from it in the left table and the start set.  Agreement between
-the routes, plus the closed-form bounds, is what the verify and search
-entry points check.  Everything that differs from one operation to the
-next is a row of OPS.
+Hopcroft blocks.  Each op's route picks the direct construction and
+its size bound by operand shape; revcat with n >= 2 has none of its own
+(the paper's is the oracle's pipeline), so there verify checks the one
+machine against the closed form only.  Agreement between the routes,
+plus the closed-form bounds, is what the verify and search entry points
+check.  Everything that differs from one operation to the next is a row
+of OPS.
 """
 
 from __future__ import annotations
@@ -42,14 +43,15 @@ from .bounds import (
 from .constructions import (
     _require_same_alphabet,
     catenation_masks,
-    combined,
     dfa_masks,
-    revcat_route,
+    revcat_n1_direct,
     reverse_nfa,
     star_nfa,
-    starcat_route,
+    starcat_general_direct,
+    starcat_special_direct,
 )
 from .witnesses import (
+    empty_dfa,
     revcat_n1_witness,
     revcat_witness_M,
     revcat_witness_N,
@@ -110,22 +112,29 @@ class SearchResult:
     pairs_evaluated: int  # oracle runs made
 
 
-def _revcat_bound(a: Dfa, b: Dfa) -> tuple[int, int | None]:
+def _revcat_route(a: Dfa, b: Dfa) -> tuple[Dfa | None, int, int | None]:
     m, n = a.state_count, b.state_count
-    return (sc_revcat(m, 1) if n == 1 and m >= 2 else ub_revcat(m, n)), None
+    if n == 1 and m >= 2:
+        return revcat_n1_direct(a, bool(b.finals)), sc_revcat(m, 1), None
+    # none of its own: the paper's is the subset construction of
+    # catenation_nfa(reverse_nfa(a), b), the oracle's pipeline
+    return None, ub_revcat(m, n), None
 
 
-def _starcat_bound(a: Dfa, b: Dfa) -> tuple[int, int | None]:
+def _starcat_route(a: Dfa, b: Dfa) -> tuple[Dfa | None, int, int | None]:
     m, n = a.state_count, b.state_count
     if n == 1:
-        return 1, None
+        # L(b) is all words or none, and the star factor always
+        # contributes the empty word
+        return (sigma_star_dfa(a.alphabet) if b.finals else empty_dfa(a.alphabet)), 1, None
     if not a.finals:
-        # the result is a copy of b, so its own size is the bound
-        return n, None
+        # L(a)* is just the empty word, so the result is b itself and
+        # its own size is the bound
+        return b, n, None
     if a.finals == frozenset((a.initial,)):
-        return sc_starcat_special(m, n), None
+        return starcat_special_direct(a, b), sc_starcat_special(m, n), None
     k1 = len(a.finals - {a.initial})
-    return ub_starcat_general(m, n, k1), k1
+    return starcat_general_direct(a, b), ub_starcat_general(m, n, k1), k1
 
 
 def _revcat_pair(m: int, n: int) -> tuple[Dfa, Dfa, int | None]:
@@ -165,8 +174,9 @@ class Operation:
 
     base: str  # the op whose constructions run; starcat-special runs starcat's
     left: Callable[[Dfa], Nfa]  # the oracle's NFA for the left operand
-    direct: Callable[[Dfa, Dfa], Dfa]  # direct construction routed by operand shape
-    bound: Callable[[Dfa, Dfa], tuple[int, int | None]]  # that route's size bound, k1
+    # by operand shape: the direct construction (None where the oracle's
+    # pipeline is the only one), its size bound, and k1
+    route: Callable[[Dfa, Dfa], tuple[Dfa | None, int, int | None]]
     sc: Callable[[int, int], int]  # exact worst-case minimal size
     bound_k1: Callable[[int, int, int], int] | None  # construction bound at a given k1
     witness: Callable[[int, int], tuple[Dfa, Dfa, int | None]]  # worst-case pair, k1
@@ -174,11 +184,11 @@ class Operation:
 
 OPS = {
     "revcat": Operation(
-        "revcat", reverse_nfa, revcat_route, _revcat_bound, sc_revcat, None, _revcat_pair
+        "revcat", reverse_nfa, _revcat_route, sc_revcat, None, _revcat_pair
     ),
     "starcat": Operation(
-        "starcat", star_nfa, starcat_route, _starcat_bound, sc_starcat,
-        ub_starcat_general, _starcat_pair,
+        "starcat", star_nfa, _starcat_route, sc_starcat, ub_starcat_general,
+        _starcat_pair,
     ),
 }
 # star-catenation restricted to a first operand whose only final state
@@ -224,20 +234,33 @@ def oracle_sc(op: str, a: Dfa, b: Dfa) -> int:
     return _masks_minimal_size(*_oracle_masks(op, a, b))
 
 
+def combined(op: str, a: Dfa, b: Dfa) -> Dfa:
+    """The direct construction routed for the operands' shape, or the
+    oracle's pipeline where the route has none; op is "revcat" for
+    L(a)^R L(b) or "starcat" for L(a)* L(b)."""
+    _require_same_alphabet(a, b)
+    direct = operation(op).route(a, b)[0]
+    return oracle_pipeline(op, a, b) if direct is None else direct
+
+
 def _report(
-    op: str, base: str, a: Dfa, b: Dfa, k1: int | None, formula: int, exact: bool
+    op: str, base: str, a: Dfa, b: Dfa, direct: Dfa | None, k1: int | None,
+    formula: int, exact: bool,
 ) -> BoundReport:
-    """Run the direct construction and the oracle on (a, b).  Passed when
-    both give the same language and the oracle's minimal size equals
-    formula (exact) or the direct construction's size fits under it;
-    the report keeps the shortest word they disagree on, if any."""
-    direct = combined(base, a, b)
+    """Compare a route's direct machine with the oracle on (a, b), or
+    report the oracle's own when direct is None.  Passed when both give
+    the same language and the oracle's minimal size equals formula
+    (exact) or the direct machine's size fits under it; the report keeps
+    the shortest word they disagree on, if any."""
     oracle = oracle_pipeline(base, a, b)
     # every subset the construction reaches is reachable, so the blocks
     # are the count
     minimal = len(hopcroft_refine(oracle.transitions, oracle.finals)[0])
+    if direct is None:
+        direct, word = oracle, None
+    else:
+        word = _pair_walk(direct, direct.initial, oracle, 0)
     fits = minimal == formula if exact else direct.state_count <= formula
-    word = _pair_walk(direct, direct.initial, oracle, 0)
     return BoundReport(
         op, a.state_count, b.state_count, k1, formula, direct.state_count, minimal,
         fits and word is None, word,
@@ -245,18 +268,19 @@ def _report(
 
 
 def verify_witness(op: str, m: int, n: int) -> BoundReport:
-    """Build the stored witness pair for (op, m, n), run the direct
-    construction and the oracle, and compare against the formula."""
+    """Build the stored witness pair for (op, m, n), run the routed
+    direct construction and the oracle, and compare against the formula."""
     spec = operation(op, OPS)
     a, b, k1 = spec.witness(m, n)
-    return _report(op, spec.base, a, b, k1, spec.sc(m, n), exact=True)
+    direct = spec.route(a, b)[0]
+    return _report(op, spec.base, a, b, direct, k1, spec.sc(m, n), exact=True)
 
 
 def verify_construction(op: str, a: Dfa, b: Dfa) -> BoundReport:
-    """Check one concrete pair: the direct construction must match the
-    oracle's language and fit under the route's size bound."""
-    formula, k1 = operation(op).bound(a, b)
-    return _report(op, op, a, b, k1, formula, exact=False)
+    """Check one concrete pair: the routed direct construction must match
+    the oracle's language and fit under the route's size bound."""
+    direct, formula, k1 = operation(op).route(a, b)
+    return _report(op, op, a, b, direct, k1, formula, exact=False)
 
 
 def dfa_count(size: int, alphabet_size: int) -> int:

@@ -21,8 +21,13 @@ from statecomp.bounds import (
     sc_starcat_special,
     ub_starcat_general,
 )
-from statecomp.constructions import combined
-from statecomp.harness import exhaustive_search, oracle_sc, random_check, random_dfa
+from statecomp.harness import (
+    combined,
+    exhaustive_search,
+    oracle_sc,
+    random_check,
+    random_dfa,
+)
 from statecomp.serialize import parse_document
 from statecomp.witnesses import (
     FAMILIES,
@@ -131,7 +136,7 @@ def test_6_starcat_one_state_right_operand(capfd):
     for i in range(50):
         a = random_dfa(rng, rng.randint(1, 5), ("a", "b", "c"))
         for b in (sigma_star_dfa(a.alphabet), empty_dfa(a.alphabet)):
-            result = combined("starcat", a, b, minimized=True)
+            result = minimize_hopcroft(combined("starcat", a, b))
             if result.state_count != 1:
                 bad.append((i, bool(b.finals), result.state_count))
     ok = not bad

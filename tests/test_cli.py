@@ -8,6 +8,7 @@ import subprocess
 import pytest
 
 from statecomp import Dfa, accepts, harness
+from statecomp.bounds import sc_revcat, sc_starcat
 from statecomp.cli import build_parser, main
 from statecomp.harness import OPS
 from statecomp.serialize import emit_document, parse_document
@@ -55,6 +56,33 @@ class TestSc:
     def test_out_of_range_sizes(self, capsys):
         code, _, err = run(capsys, "sc", "--op", "revcat", "--m", "0", "--n", "2")
         assert code == 2 and "error:" in err
+
+    @pytest.mark.parametrize("op, m, n, k1", [
+        ("revcat", "20000", "2", None),
+        ("revcat", "2", "100000000", None),
+        # would need a 1.25 GB power of two if it were formed
+        ("revcat", "10000000000", "2", None),
+        ("starcat", "14284", "2", None),
+        ("starcat", "10000000000", "3", "2"),
+        ("starcat-special", "3", "14284", None),
+    ])
+    def test_count_past_the_print_limit_is_refused(self, capsys, op, m, n, k1):
+        argv = ["sc", "--op", op, "--m", m, "--n", n]
+        code, out, err = run(capsys, *argv, *(["--k1", k1] if k1 else []))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: --m/--n: the count has more than ")
+
+    @pytest.mark.parametrize("op, m, n, want", [
+        # the largest counts under the limit of 4,300 digits
+        ("revcat", 14282, 2, sc_revcat(14282, 2)),
+        ("starcat", 14283, 2, sc_starcat(14283, 2)),
+        # huge sizes whose counts are small
+        ("starcat-special", 10_000_000_000, 2, 29_999_999_999),
+        ("starcat", 10_000_000_000, 1, 1),
+    ])
+    def test_large_sizes_with_printable_counts(self, capsys, op, m, n, want):
+        code, out, err = run(capsys, "sc", "--op", op, "--m", str(m), "--n", str(n))
+        assert (code, out, err) == (0, f"{want}\n", "")
 
 
 class TestWitness:
@@ -245,26 +273,31 @@ class TestVerify:
         assert code == 0
         assert out == "starcat m=2 n=2 k1=1 formula=5 constructed=5 minimal=5 PASS\n"
 
-    @pytest.mark.parametrize("flipped", [0, 47])
+    @pytest.mark.parametrize("flipped", [0, 28])
     def test_fail_row_prints_a_separating_word(self, capsys, monkeypatch, flipped):
-        # a direct route with one state's finality flipped; flipping the
-        # initial state makes the empty word the separating one
-        def broken(op, a, b):
-            d = harness.oracle_pipeline(op, a, b)
-            return dataclasses.replace(d, finals=d.finals ^ {flipped})
+        # starcat's route with one state of its 29-state direct machine
+        # flipped in finality; flipping the initial state makes the empty
+        # word the separating one
+        route = OPS["starcat"].route
 
-        monkeypatch.setattr(harness, "combined", broken)
-        code, out, _ = run(capsys, "verify", "--op", "revcat", "--m", "3", "--n", "3")
+        def broken(a, b):
+            d, bound, k1 = route(a, b)
+            return dataclasses.replace(d, finals=d.finals ^ {flipped}), bound, k1
+
+        monkeypatch.setitem(
+            harness.OPS, "starcat", dataclasses.replace(OPS["starcat"], route=broken)
+        )
+        code, out, _ = run(capsys, "verify", "--op", "starcat", "--m", "3", "--n", "3")
         assert code == 1
         head, sep, word = out.rstrip("\n").partition(" FAIL word=")
-        assert head == "revcat m=3 n=3 k1=- formula=48 constructed=48 minimal=48"
+        assert head == "starcat m=3 n=3 k1=1 formula=29 constructed=29 minimal=29"
         assert sep and "\n" not in word
         if flipped == 0:
             assert word == '""'
         word = "" if word == '""' else word
-        a, b, _ = OPS["revcat"].witness(3, 3)
-        assert accepts(broken("revcat", a, b), word) != accepts(
-            harness.oracle_pipeline("revcat", a, b), word
+        a, b, _ = OPS["starcat"].witness(3, 3)
+        assert accepts(broken(a, b)[0], word) != accepts(
+            harness.oracle_pipeline("starcat", a, b), word
         )
 
     def test_bad_range_text(self, capsys):

@@ -27,13 +27,12 @@ from statecomp.bounds import (
 from statecomp.constructions import (
     ShapeError,
     catenation_nfa,
-    combined,
     revcat_n1_direct,
     star_nfa,
     starcat_general_direct,
     starcat_special_direct,
 )
-from statecomp.harness import oracle_pipeline
+from statecomp.harness import combined, oracle_pipeline
 from statecomp.serialize import parse_document
 from statecomp.witnesses import (
     empty_dfa,
@@ -425,7 +424,7 @@ class TestCombined:
 
     def test_revcat_one_state_left_operand(self):
         rhs = parse_document((FIXTURES / "revcat_m1_n2_rhs.json").read_text())
-        d = combined("revcat", sigma_star_dfa(rhs.alphabet), rhs, minimized=True)
+        d = minimize_hopcroft(combined("revcat", sigma_star_dfa(rhs.alphabet), rhs))
         assert d.state_count == 2
 
     def test_starcat_one_state_right_operand(self):
@@ -448,10 +447,3 @@ class TestCombined:
         assert combined("starcat", sa, sb) == starcat_special_direct(sa, sb)
         ga, gb = starcat_witness_A(2), starcat_witness_B(2)
         assert combined("starcat", ga, gb) == starcat_general_direct(ga, gb)
-
-    def test_minimized_flag(self):
-        a, b = revcat_witness_M(3), revcat_witness_N(3)
-        raw = combined("revcat", a, b)
-        small = combined("revcat", a, b, minimized=True)
-        assert small.state_count == minimize_hopcroft(raw).state_count
-        assert equivalent(raw, small)

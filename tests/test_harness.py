@@ -9,7 +9,7 @@ import string
 import pytest
 
 from helpers import all_words, moore_minimal_size, random_complete_dfa, run_word
-from statecomp import harness
+from statecomp import automata, harness
 from statecomp.automata import (
     Dfa,
     determinize,
@@ -19,7 +19,7 @@ from statecomp.automata import (
     state_mask,
 )
 from statecomp.bounds import sc_revcat, sc_starcat, sc_starcat_special
-from statecomp.constructions import catenation_nfa, combined
+from statecomp.constructions import catenation_nfa
 from statecomp.harness import (
     OPS,
     BoundReport,
@@ -31,6 +31,7 @@ from statecomp.harness import (
     _oracle_masks,
     _pair_sizes,
     _renamed_index,
+    combined,
     decode_dfa,
     dfa_count,
     exhaustive_search,
@@ -75,8 +76,14 @@ class TestOracle:
         assert raw.state_count >= minimize_hopcroft(raw).state_count
 
     def test_pipeline_agrees_with_direct_construction(self):
+        # revcat has no construction of its own for n >= 2 or m = 1:
+        # combined runs the oracle's pipeline there
+        for a, b in [
+            (revcat_witness_M(3), revcat_witness_N(3)),
+            (sigma_star_dfa(("a", "b", "c", "d")), revcat_witness_N(3)),
+        ]:
+            assert combined("revcat", a, b) == oracle_pipeline("revcat", a, b)
         for op, a, b in [
-            ("revcat", revcat_witness_M(3), revcat_witness_N(3)),
             ("starcat", starcat_witness_A(3), starcat_witness_B(2)),
             ("starcat", starcat_special_witness_A(3), starcat_special_witness_B(2)),
         ]:
@@ -108,6 +115,29 @@ class TestVerifyWitness:
     def test_revcat(self):
         r = verify_witness("revcat", 3, 3)
         assert r == BoundReport("revcat", 3, 3, None, 48, 48, 48, True)
+
+    @pytest.mark.parametrize("m, n", [(2, 2), (3, 4), (5, 3)])
+    def test_revcat_builds_one_subset_dfa(self, monkeypatch, m, n):
+        # the route has no machine of its own, so the oracle's is built
+        # once and not walked against itself
+        calls = {"subset": 0, "walk": 0}
+
+        def counted(key, fn):
+            def wrapper(*args):
+                calls[key] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(
+            automata, "subset_construction",
+            counted("subset", automata.subset_construction),
+        )
+        monkeypatch.setattr(harness, "_pair_walk", counted("walk", harness._pair_walk))
+        f = sc_revcat(m, n)
+        assert verify_witness("revcat", m, n) == BoundReport(
+            "revcat", m, n, None, f, f, f, True
+        )
+        assert calls == {"subset": 1, "walk": 0}
 
     def test_revcat_right_operand_one_state(self):
         r = verify_witness("revcat", 5, 1)
@@ -431,31 +461,49 @@ class TestRandomChecks:
         assert all(r.passed for r in reports)
 
     def test_random_check_reports_a_separating_word(self, monkeypatch):
-        # a direct route with the finality of its last state reached
-        # breadth-first flipped: every report fails on language, with a
-        # word that exactly one of the two machines accepts
-        def broken(op, a, b):
-            d = combined(op, a, b)
+        # every route's direct machine with the finality of its last
+        # state reached breadth-first flipped: every report whose route
+        # builds a machine of its own fails on language, with a word that
+        # exactly one of the two machines accepts.  revcat with n >= 2 or
+        # m = 1 has no direct machine to break, so those reports pass
+        # unchanged.
+        def flip(d):
             reached = [d.initial]
             for q in reached:
                 reached += {row[q] for row in d.transitions}.difference(reached)
             return dataclasses.replace(d, finals=d.finals ^ {reached[-1]})
 
-        monkeypatch.setattr(harness, "combined", broken)
+        unpatched = random_check(30, 3, 3, 2, 5)
+        for op in harness.COMPOSE_OPS:
+            def broken(a, b, route=OPS[op].route):
+                d, bound, k1 = route(a, b)
+                return (None if d is None else flip(d)), bound, k1
+
+            monkeypatch.setitem(
+                harness.OPS, op, dataclasses.replace(OPS[op], route=broken)
+            )
         reports = random_check(30, 3, 3, 2, 5)
         rng = random.Random(5)
-        for r in reports:
+        unbroken = 0
+        for r, before in zip(reports, unpatched):
             # replay random_check's draws to rebuild the pair
             op = rng.choice(harness.COMPOSE_OPS)
             m, n = rng.randint(1, 3), rng.randint(1, 3)
             alphabet = harness._alphabet(rng.randint(1, 2))
             a, b = random_dfa(rng, m, alphabet), random_dfa(rng, n, alphabet)
             assert (r.op, r.m, r.n) == (op, m, n)
+            direct = harness.OPS[op].route(a, b)[0]
+            if direct is None:
+                assert op == "revcat" and (n >= 2 or m == 1)
+                assert r.passed and r.word is None and r == before
+                unbroken += 1
+                continue
             assert not r.passed and r.word is not None
-            assert run_word(broken(op, a, b), r.word) != run_word(
+            assert run_word(direct, r.word) != run_word(
                 oracle_pipeline(op, a, b), r.word
             )
             assert str(r).endswith(" FAIL word=" + (r.word or '""'))
+        assert 0 < unbroken < len(reports)
 
     def test_passing_reports_carry_no_word(self):
         for r in random_check(20, 3, 3, 2, 5):
