@@ -30,7 +30,6 @@ from .bounds import (
 )
 from .constructions import (
     ShapeError,
-    catenation_nfa,
     revcat_n1_direct,
     star_nfa,
     starcat_general_direct,

@@ -167,19 +167,6 @@ def explore(nsym: int, start, step, is_final):
     return rows, finals, order
 
 
-def explore_dfa(alphabet: tuple[str, ...], start, step, is_final) -> Dfa:
-    """The Dfa over alphabet whose states are the keys explore numbers,
-    start (state 0) initial."""
-    rows, finals, order = explore(len(alphabet), start, step, is_final)
-    return Dfa(
-        state_count=len(order),
-        alphabet=alphabet,
-        transitions=rows,
-        initial=0,
-        finals=finals,
-    )
-
-
 # A machine's masks: its move table, closed start set and final mask,
 # every set a bitmask of states.
 Masks = tuple[list[list[int]], int, int]
@@ -302,20 +289,18 @@ def subset_construction(move, start: int, final_mask: int):
     return explore(len(move), start, step, final_mask.__and__)
 
 
-def subset_dfa(
-    alphabet: tuple[str, ...], move, start: int, final_mask: int
-) -> tuple[Dfa, list[int]]:
-    """The Dfa over alphabet of subset_construction on these masks, and
-    its subsets in state order: bit q of order[i] is set when machine
-    state q is behind Dfa state i."""
+def subset_dfa(alphabet: tuple[str, ...], move, start: int, final_mask: int) -> Dfa:
+    """The Dfa over alphabet of subset_construction on these masks."""
     rows, finals, order = subset_construction(move, start, final_mask)
-    return Dfa(len(order), alphabet, rows, 0, finals), order
+    return Dfa(len(order), alphabet, rows, 0, finals)
 
 
 def determinize(nfa: Nfa) -> tuple[Dfa, list[int]]:
-    """Subset construction with epsilon closure: subset_dfa on the
-    Nfa's masks."""
-    return subset_dfa(nfa.alphabet, *nfa_masks(nfa))
+    """Subset construction with epsilon closure: the Dfa of the Nfa's
+    masks, and its subsets in state order: bit q of order[i] is set
+    when Nfa state q is behind Dfa state i."""
+    rows, finals, order = subset_construction(*nfa_masks(nfa))
+    return Dfa(len(order), nfa.alphabet, rows, 0, finals), order
 
 
 def hopcroft_refine(rows, finals) -> tuple[list[int], list[int]]:

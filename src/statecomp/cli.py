@@ -19,9 +19,11 @@ import sys
 from pathlib import Path
 
 from .automata import Dfa, minimal_size, minimize_hopcroft
+from .bounds import _check_sizes
 from .harness import (
     COMPOSE_OPS,
     OPS,
+    _alphabet,
     combined,
     exhaustive_search,
     oracle_pipeline,
@@ -34,6 +36,14 @@ from .witnesses import FAMILIES
 def _emit(machine, fmt: str) -> None:
     text = emit_document(machine) if fmt == "json" else emit_dot(machine)
     sys.stdout.write(text)
+
+
+def _option(name: str, check, *args):
+    """check(*args), naming the option in a ValueError it raises."""
+    try:
+        return check(*args)
+    except ValueError as e:
+        raise ValueError(f"{name}: {e}") from None
 
 
 def _load_dfa(path: str, name: str) -> Dfa:
@@ -52,7 +62,7 @@ def _load_dfa(path: str, name: str) -> Dfa:
 def cmd_witness(args) -> int:
     kind, generator = FAMILIES[args.family]
     if kind == "alphabet":
-        machine = generator(tuple(args.alphabet))
+        machine = _option("--alphabet", generator, tuple(args.alphabet))
     else:
         size = getattr(args, kind)
         if size is None:
@@ -85,18 +95,19 @@ def cmd_sc(args) -> int:
 
     spec = OPS[args.op]
     if args.k1 is None:
-        count, sizes = spec.sc, (args.m, args.n)
+        count, sizes, option = spec.sc, (args.m, args.n), "--m/--n"
     elif spec.bound_k1 is None:
         raise ValueError("--k1 only applies to --op starcat")
     else:
-        count, sizes = spec.bound_k1, (args.m, args.n, args.k1)
+        count, sizes, option = spec.bound_k1, (args.m, args.n, args.k1), "--m/--n/--k1"
     limit = getattr(sys, "get_int_max_str_digits", int)()  # 0: no limit
     # the count's decimal exponent, from the count to 20 digits, forms no
     # power of two in full, so one far past the limit is refused at once,
     # and one near it is cheap to form exactly
     try:
         with decimal.localcontext(decimal.Context(prec=20, Emax=decimal.MAX_EMAX)):
-            exponent = decimal.Decimal(count(*map(decimal.Decimal, sizes))).adjusted()
+            estimate = _option(option, count, *map(decimal.Decimal, sizes))
+            exponent = decimal.Decimal(estimate).adjusted()
     except decimal.Overflow:
         exponent = limit + 1
     if limit and (exponent > limit or count(*sizes) >= 10 ** limit):
@@ -133,6 +144,10 @@ def cmd_verify(args) -> int:
 
 def cmd_search(args) -> int:
     mode = "full" if args.sample is None else "sampled"
+    _option("--m/--n", _check_sizes, args.m, args.n)
+    _option("--sigma", _alphabet, args.sigma)
+    if mode == "sampled" and args.sample < 1:
+        raise ValueError("--sample: the sample size must be at least 1")
     prefix = args.out_prefix or f"argmax_{args.op}_m{args.m}_n{args.n}"
     paths = [Path(f"{prefix}_{side}.json") for side in ("lhs", "rhs")]
     # a search can take minutes, so a bad prefix fails before it starts

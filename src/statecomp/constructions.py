@@ -1,5 +1,5 @@
-"""Operation constructions: reversal, star, catenation, their bitmask
-masks, and the three direct DFAs for the two combined operations.
+"""Operation constructions: reversal, star, the bitmask masks of a
+catenation, and the three direct DFAs for the two combined operations.
 
 The catenation with the right operand is catenation_masks, on the
 bitmask move tables of automata.nfa_masks; it is the oracle's too.  Each
@@ -20,7 +20,7 @@ from .automata import (
     Dfa,
     Masks,
     Nfa,
-    explore_dfa,
+    explore,
     mask_image,
     nfa_masks,
     reverse_nfa,
@@ -32,7 +32,6 @@ from .witnesses import empty_dfa
 __all__ = [
     "ShapeError",
     "reverse_nfa",
-    "catenation_nfa",
     "dfa_masks",
     "catenation_masks",
     "star_nfa",
@@ -51,31 +50,6 @@ def _require_same_alphabet(a, b) -> None:
         raise AlphabetMismatch(
             f"operands use different alphabets {a.alphabet!r} and {b.alphabet!r}"
         )
-
-
-def catenation_nfa(a: Nfa, b: Dfa) -> Nfa:
-    """Catenation of an Nfa with a Dfa: disjoint union with free moves
-    from every final state of a to b's initial state; finals are b's."""
-    _require_same_alphabet(a, b)
-    off = a.state_count
-    rows = []
-    for s in range(len(a.alphabet)):
-        brow = b.transitions[s]
-        rows.append(
-            a.transitions[s]
-            + tuple(frozenset((brow[q] + off,)) for q in range(b.state_count))
-        )
-    eps = set(a.epsilon_edges)
-    for f in a.finals:
-        eps.add((f, off + b.initial))
-    return Nfa(
-        state_count=off + b.state_count,
-        alphabet=a.alphabet,
-        transitions=tuple(rows),
-        initials=a.initials,
-        epsilon_edges=frozenset(eps),
-        finals=frozenset(off + q for q in b.finals),
-    )
 
 
 def star_nfa(a: Dfa) -> Nfa:
@@ -116,11 +90,11 @@ def dfa_masks(d: Dfa, off: int = 0) -> Masks:
 
 
 def catenation_masks(left: Masks, right: Masks) -> Masks:
-    """The masks of catenation_nfa(left machine, b), given the left
+    """The masks of a left machine catenated with b, given the left
     machine's masks and b's from dfa_masks, without building either.
 
-    The catenation's one free move, from the left finals to b's initial
-    state, is folded in as nfa_masks folds epsilon closure: a left entry
+    The catenation's free moves, from the left finals to b's initial
+    state, are folded in as nfa_masks folds epsilon closure: a left entry
     (or start set) that meets the left finals also gets b's initial bit.
     """
     lmove, lstart, lfinal = left
@@ -157,7 +131,8 @@ def revcat_n1_direct(m: Dfa, n_accepting: bool) -> Dfa:
         return out
 
     start = SINK if i0 & init_bit else i0
-    return explore_dfa(m.alphabet, start, step, lambda key: key == SINK)
+    rows, finals, order = explore(len(m.alphabet), start, step, lambda key: key == SINK)
+    return Dfa(len(order), m.alphabet, rows, 0, finals)
 
 
 def starcat_special_direct(a: Dfa, b: Dfa) -> Dfa:
@@ -179,7 +154,7 @@ def starcat_special_direct(a: Dfa, b: Dfa) -> Dfa:
     if b.state_count < 2:
         raise ShapeError("starcat_special_direct needs a second operand with >= 2 states")
     masks = catenation_masks(dfa_masks(a), dfa_masks(b, a.state_count))
-    return subset_dfa(a.alphabet, *masks)[0]
+    return subset_dfa(a.alphabet, *masks)
 
 
 def starcat_general_direct(a: Dfa, b: Dfa) -> Dfa:
@@ -210,4 +185,4 @@ def starcat_general_direct(a: Dfa, b: Dfa) -> Dfa:
     move = nfa_masks(star_nfa(a))[0]
     loop = [row[:m] for row in move], 1 << a.initial, state_mask(a.finals)
     move, start, final_mask = catenation_masks(loop, dfa_masks(b, m))
-    return subset_dfa(a.alphabet, move, start | 1 << (m + b.initial), final_mask)[0]
+    return subset_dfa(a.alphabet, move, start | 1 << (m + b.initial), final_mask)

@@ -116,8 +116,8 @@ def _revcat_route(a: Dfa, b: Dfa) -> tuple[Dfa | None, int, int | None]:
     m, n = a.state_count, b.state_count
     if n == 1 and m >= 2:
         return revcat_n1_direct(a, bool(b.finals)), sc_revcat(m, 1), None
-    # none of its own: the paper's is the subset construction of
-    # catenation_nfa(reverse_nfa(a), b), the oracle's pipeline
+    # none of its own: the paper's is the oracle's pipeline, reverse_nfa(a)
+    # with free moves from its finals to b's initial state, determinized
     return None, ub_revcat(m, n), None
 
 
@@ -137,7 +137,7 @@ def _starcat_route(a: Dfa, b: Dfa) -> tuple[Dfa | None, int, int | None]:
     return starcat_general_direct(a, b), ub_starcat_general(m, n, k1), k1
 
 
-def _revcat_pair(m: int, n: int) -> tuple[Dfa, Dfa, int | None]:
+def _revcat_pair(m: int, n: int) -> tuple[Dfa, Dfa]:
     if m < 2:
         raise ValueError(
             "no stored reversal-catenation family covers m = 1; "
@@ -147,25 +147,22 @@ def _revcat_pair(m: int, n: int) -> tuple[Dfa, Dfa, int | None]:
         raise ValueError("n must be at least 1")
     if n == 1:
         a = revcat_n1_witness(m)
-        return a, sigma_star_dfa(a.alphabet), None
-    return revcat_witness_M(m), revcat_witness_N(n), None
+        return a, sigma_star_dfa(a.alphabet)
+    return revcat_witness_M(m), revcat_witness_N(n)
 
 
-def _starcat_pair(m: int, n: int) -> tuple[Dfa, Dfa, int | None]:
+def _starcat_pair(m: int, n: int) -> tuple[Dfa, Dfa]:
     if m < 2 or n < 1:
         raise ValueError("starcat witnesses need m >= 2 and n >= 1")
     a = starcat_witness_A(m)
-    if n == 1:
-        return a, sigma_star_dfa(a.alphabet), None
-    return a, starcat_witness_B(n), len(a.finals - {a.initial})
+    return a, sigma_star_dfa(a.alphabet) if n == 1 else starcat_witness_B(n)
 
 
-def _starcat_special_pair(m: int, n: int) -> tuple[Dfa, Dfa, int | None]:
+def _starcat_special_pair(m: int, n: int) -> tuple[Dfa, Dfa]:
     if m < 2 or n < 1:
         raise ValueError("starcat-special witnesses need m >= 2 and n >= 1")
     a = starcat_special_witness_A(m)
-    b = sigma_star_dfa(a.alphabet) if n == 1 else starcat_special_witness_B(n)
-    return a, b, None
+    return a, sigma_star_dfa(a.alphabet) if n == 1 else starcat_special_witness_B(n)
 
 
 @dataclass(frozen=True)
@@ -179,7 +176,7 @@ class Operation:
     route: Callable[[Dfa, Dfa], tuple[Dfa | None, int, int | None]]
     sc: Callable[[int, int], int]  # exact worst-case minimal size
     bound_k1: Callable[[int, int, int], int] | None  # construction bound at a given k1
-    witness: Callable[[int, int], tuple[Dfa, Dfa, int | None]]  # worst-case pair, k1
+    witness: Callable[[int, int], tuple[Dfa, Dfa]]  # worst-case pair
 
 
 OPS = {
@@ -224,9 +221,9 @@ def _masks_minimal_size(move, start: int, final_mask: int) -> int:
 
 def oracle_pipeline(op: str, a: Dfa, b: Dfa) -> Dfa:
     """Determinized (not yet minimized) DFA for the operation, built only
-    from the generic constructions: the same Dfa as
-    determinize(catenation_nfa(left NFA, b))."""
-    return subset_dfa(a.alphabet, *_oracle_masks(op, a, b))[0]
+    from the generic constructions: the left NFA and b side by side, with
+    free moves from the left NFA's finals to b's initial state."""
+    return subset_dfa(a.alphabet, *_oracle_masks(op, a, b))
 
 
 def oracle_sc(op: str, a: Dfa, b: Dfa) -> int:
@@ -244,15 +241,15 @@ def combined(op: str, a: Dfa, b: Dfa) -> Dfa:
 
 
 def _report(
-    op: str, base: str, a: Dfa, b: Dfa, direct: Dfa | None, k1: int | None,
-    formula: int, exact: bool,
+    op: str, spec: Operation, a: Dfa, b: Dfa, formula: int | None
 ) -> BoundReport:
-    """Compare a route's direct machine with the oracle on (a, b), or
-    report the oracle's own when direct is None.  Passed when both give
-    the same language and the oracle's minimal size equals formula
-    (exact) or the direct machine's size fits under it; the report keeps
-    the shortest word they disagree on, if any."""
-    oracle = oracle_pipeline(base, a, b)
+    """Compare the route's direct machine and k1 for (a, b) with the
+    oracle, or report the oracle's own where the route has none.  Passed
+    when both give the same language and the oracle's minimal size equals
+    formula or, formula None, the direct machine fits the route's bound;
+    the report keeps the shortest word they disagree on, if any."""
+    direct, bound, k1 = spec.route(a, b)
+    oracle = oracle_pipeline(spec.base, a, b)
     # every subset the construction reaches is reachable, so the blocks
     # are the count
     minimal = len(hopcroft_refine(oracle.transitions, oracle.finals)[0])
@@ -260,27 +257,27 @@ def _report(
         direct, word = oracle, None
     else:
         word = _pair_walk(direct, direct.initial, oracle, 0)
-    fits = minimal == formula if exact else direct.state_count <= formula
+    exact = formula is not None
+    fits = minimal == formula if exact else direct.state_count <= bound
     return BoundReport(
-        op, a.state_count, b.state_count, k1, formula, direct.state_count, minimal,
-        fits and word is None, word,
+        op, a.state_count, b.state_count, k1, formula if exact else bound,
+        direct.state_count, minimal, fits and word is None, word,
     )
 
 
 def verify_witness(op: str, m: int, n: int) -> BoundReport:
     """Build the stored witness pair for (op, m, n), run the routed
-    direct construction and the oracle, and compare against the formula."""
+    direct construction and the oracle, and compare the oracle's minimal
+    size with the closed form at (m, n)."""
     spec = operation(op, OPS)
-    a, b, k1 = spec.witness(m, n)
-    direct = spec.route(a, b)[0]
-    return _report(op, spec.base, a, b, direct, k1, spec.sc(m, n), exact=True)
+    a, b = spec.witness(m, n)
+    return _report(op, spec, a, b, spec.sc(m, n))
 
 
 def verify_construction(op: str, a: Dfa, b: Dfa) -> BoundReport:
     """Check one concrete pair: the routed direct construction must match
     the oracle's language and fit under the route's size bound."""
-    direct, formula, k1 = operation(op).route(a, b)
-    return _report(op, op, a, b, direct, k1, formula, exact=False)
+    return _report(op, operation(op), a, b, None)
 
 
 def dfa_count(size: int, alphabet_size: int) -> int:
@@ -442,20 +439,6 @@ def _index_of(rows, finals) -> int:
     return t << size | state_mask(finals)
 
 
-def _renamed_index(index: int, size: int, order: tuple[int, ...]) -> int:
-    """decode_dfa's index of the index-th machine of this size with its
-    rows taken in the given order."""
-    radix = size ** size  # a row's digit in the index
-    t = index >> size
-    rows = []
-    for _ in order:
-        t, row = divmod(t, radix)
-        rows.append(row)
-    for s in reversed(order):
-        t = t * radix + rows[s]
-    return t << size | index & ((1 << size) - 1)
-
-
 def _classes(
     size: int, alphabet: tuple[str, ...], gens
 ) -> tuple[list[int], list[list[int]]]:
@@ -481,7 +464,13 @@ def _classes(
             c = index[key] = len(firsts)
             firsts.append(i)
         class_of.append(c)
-    images = [[class_of[_renamed_index(i, size, g)] for i in firsts] for g in gens]
+    # a generator's image of a class is the class of its first machine
+    # with its rows taken in the generator's order
+    images: list[list[int]] = [[] for _ in gens]
+    for i in firsts:
+        rows, finals = _decode(i, size, nsym)
+        for g, image in zip(gens, images):
+            image.append(class_of[_index_of([rows[s] for s in g], finals)])
     return firsts, images
 
 

@@ -2,9 +2,9 @@
 
 Nothing here reuses the library's bitmask machinery: minimization is
 redone by naive signature refinement, operation membership is decided at
-the word level by trying every split, and the product constructions are
-rebuilt with plain frozensets straight from their definitions.  Tests
-compare the fast implementations against these.
+the word level by trying every split, and the catenation and product
+constructions are rebuilt with plain frozensets straight from their
+definitions.  Tests compare the fast implementations against these.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 from itertools import count, product
 
-from statecomp import Dfa
+from statecomp import AlphabetMismatch, Dfa, Nfa
 
 
 def all_words(alphabet, max_len):
@@ -70,6 +70,29 @@ def moore_classes(rows, finals) -> list[int]:
         if len(ids) == size:
             return cls
         size = len(ids)
+
+
+def catenation_nfa(a: Nfa, b: Dfa) -> Nfa:
+    """Catenation of an Nfa with a Dfa, the reference for the library's
+    catenation_masks: disjoint union with free moves from every final
+    state of a to b's initial state; finals are b's."""
+    if a.alphabet != b.alphabet:
+        raise AlphabetMismatch(
+            f"operands use different alphabets {a.alphabet!r} and {b.alphabet!r}"
+        )
+    off = a.state_count
+    rows = tuple(
+        arow + tuple(frozenset((t + off,)) for t in brow)
+        for arow, brow in zip(a.transitions, b.transitions)
+    )
+    return Nfa(
+        state_count=off + b.state_count,
+        alphabet=a.alphabet,
+        transitions=rows,
+        initials=a.initials,
+        epsilon_edges=a.epsilon_edges | {(f, off + b.initial) for f in a.finals},
+        finals=frozenset(off + q for q in b.finals),
+    )
 
 
 def revcat_member(a: Dfa, b: Dfa, word: str) -> bool:

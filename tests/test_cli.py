@@ -295,7 +295,7 @@ class TestVerify:
         if flipped == 0:
             assert word == '""'
         word = "" if word == '""' else word
-        a, b, _ = OPS["starcat"].witness(3, 3)
+        a, b = OPS["starcat"].witness(3, 3)
         assert accepts(broken(a, b)[0], word) != accepts(
             harness.oracle_pipeline("starcat", a, b), word
         )
@@ -405,6 +405,22 @@ class TestUsage:
         with pytest.raises(SystemExit) as e:
             main(["sc", "--op", "revcat", "--m", "2"])
         assert e.value.code == 2
+
+    @pytest.mark.parametrize("argv, option, message", [
+        (["witness", "--family", "sigma-star", "--alphabet", ""], "--alphabet",
+         "alphabet must contain at least one symbol"),
+        (["witness", "--family", "empty", "--alphabet", "aa"], "--alphabet",
+         "alphabet symbols must be distinct"),
+        (["search", "--op", "revcat", "--m", "1", "--n", "1", "--sigma", "27"], "--sigma",
+         "alphabet size must be between 1 and 26"),
+        (["search", "--op", "starcat", "--m", "1", "--n", "1", "--sigma", "2",
+          "--sample", "0"], "--sample", "the sample size must be at least 1"),
+        (["sc", "--op", "revcat", "--m", "0", "--n", "2"], "--m/--n",
+         "automaton sizes must be at least 1"),
+    ])
+    def test_bad_value_names_its_option(self, capsys, argv, option, message):
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (2, "", f"error: {option}: {message}\n")
 
     def test_console_script_is_installed(self):
         exe = shutil.which("statecomp")

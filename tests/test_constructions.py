@@ -26,7 +26,6 @@ from statecomp.bounds import (
 )
 from statecomp.constructions import (
     ShapeError,
-    catenation_nfa,
     revcat_n1_direct,
     star_nfa,
     starcat_general_direct,
@@ -48,6 +47,7 @@ from statecomp.witnesses import (
 
 from helpers import (
     all_words,
+    catenation_nfa,
     random_complete_dfa,
     ref_revcat,
     ref_starcat_general,

@@ -8,7 +8,13 @@ import string
 
 import pytest
 
-from helpers import all_words, moore_minimal_size, random_complete_dfa, run_word
+from helpers import (
+    all_words,
+    catenation_nfa,
+    moore_minimal_size,
+    random_complete_dfa,
+    run_word,
+)
 from statecomp import automata, harness
 from statecomp.automata import (
     Dfa,
@@ -19,7 +25,6 @@ from statecomp.automata import (
     state_mask,
 )
 from statecomp.bounds import sc_revcat, sc_starcat, sc_starcat_special
-from statecomp.constructions import catenation_nfa
 from statecomp.harness import (
     OPS,
     BoundReport,
@@ -30,7 +35,6 @@ from statecomp.harness import (
     _letter_generators,
     _oracle_masks,
     _pair_sizes,
-    _renamed_index,
     combined,
     decode_dfa,
     dfa_count,
@@ -153,6 +157,36 @@ class TestVerifyWitness:
         r = verify_witness("starcat", 2, 2)
         assert r.k1 == 1
         assert r.formula == 5 and r.minimal == 5 and r.passed
+
+    def test_k1_is_the_routes(self, monkeypatch):
+        # the report's k1 comes from the route, not from the witness
+        route = OPS["starcat"].route
+
+        def shifted(a, b):
+            d, bound, k1 = route(a, b)
+            return d, bound, k1 + 1
+
+        before = verify_witness("starcat", 4, 3)
+        monkeypatch.setitem(
+            harness.OPS, "starcat", dataclasses.replace(OPS["starcat"], route=shifted)
+        )
+        assert verify_witness("starcat", 4, 3) == dataclasses.replace(
+            before, k1=before.k1 + 1
+        )
+
+    @pytest.mark.parametrize("op", ["revcat", "starcat", "starcat-special"])
+    def test_wrong_sized_witness_fails(self, monkeypatch, op):
+        # the formula is the closed form at the requested sizes, so a
+        # witness one state larger than asked for fails
+        spec = OPS[op]
+        monkeypatch.setitem(
+            harness.OPS, op,
+            dataclasses.replace(spec, witness=lambda m, n: spec.witness(m + 1, n)),
+        )
+        r = verify_witness(op, 3, 3)
+        assert (r.m, r.formula, r.minimal) == (4, spec.sc(3, 3), spec.sc(4, 3))
+        assert not r.passed and r.word is None
+        assert str(r).endswith(" FAIL")
 
     def test_starcat_right_operand_one_state(self):
         r = verify_witness("starcat", 4, 1)
@@ -424,10 +458,17 @@ class TestLanguageClasses:
         for i in range(dfa_count(size, sigma)):
             d = decode_dfa(i, size, alphabet)
             assert _index_of(d.transitions, d.finals) == i
-            for g in _letter_generators(sigma):
-                renamed = decode_dfa(_renamed_index(i, size, g), size, alphabet)
-                assert renamed.transitions == tuple(d.transitions[s] for s in g)
-                assert renamed.finals == d.finals
+        # a generator sends a class to the class of its first machine
+        # with the rows taken in the generator's order
+        gens = _letter_generators(sigma)
+        firsts, images = _classes(size, alphabet, gens)
+        for g, image in zip(gens, images, strict=True):
+            for i, y in zip(firsts, image, strict=True):
+                d = decode_dfa(i, size, alphabet)
+                renamed = dataclasses.replace(
+                    d, transitions=tuple(d.transitions[s] for s in g)
+                )
+                assert equivalent(renamed, decode_dfa(firsts[y], size, alphabet)), (i, g)
 
     @pytest.mark.parametrize("op", ["revcat", "starcat"])
     def test_renaming_letters_keeps_the_oracle_size(self, op):

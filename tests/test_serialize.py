@@ -5,7 +5,6 @@ import json
 import pytest
 
 from statecomp.automata import Nfa, nfa_from_dfa, reverse_nfa
-from statecomp.constructions import catenation_nfa
 from statecomp.serialize import (
     DocumentError,
     document_dict,
@@ -21,6 +20,8 @@ from statecomp.witnesses import (
     sigma_star_dfa,
     starcat_witness_A,
 )
+
+from helpers import catenation_nfa
 
 
 def _doc(**overrides) -> str:
