@@ -33,7 +33,6 @@ from .constructions import (
     revcat_n1_direct,
     star_nfa,
     starcat_general_direct,
-    starcat_special_direct,
 )
 from .harness import (
     BoundReport,

@@ -67,7 +67,7 @@ def cmd_witness(args) -> int:
         size = getattr(args, kind)
         if size is None:
             raise ValueError(f"family {args.family} needs --{kind}")
-        machine = generator(size)
+        machine = _option(f"--{kind}", generator, size)
     _emit(machine, args.format)
     return 0
 
@@ -75,10 +75,8 @@ def cmd_witness(args) -> int:
 def cmd_compose(args) -> int:
     a = _load_dfa(args.lhs, "--lhs")
     b = _load_dfa(args.rhs, "--rhs")
-    if args.method == "direct":
-        result = combined(args.op, a, b)
-    else:
-        result = oracle_pipeline(args.op, a, b)
+    build = combined if args.method == "direct" else oracle_pipeline
+    result = _option("--lhs/--rhs", build, args.op, a, b)
     if args.minimize:
         result = minimize_hopcroft(result)
         minimal = result.state_count
@@ -124,7 +122,7 @@ def _parse_range(text: str, name: str) -> range:
     try:
         values = range(int(lo), int(hi if sep else lo) + 1)
     except ValueError:
-        raise ValueError(f"bad range {text!r}, expected A..B or a single integer")
+        raise ValueError(f"{name}: bad range {text!r}, expected A..B or a single integer")
     if not values:
         raise ValueError(f"{name}: range {text!r} is empty")
     return values
@@ -136,7 +134,7 @@ def cmd_verify(args) -> int:
     all_passed = True
     for m in ms:
         for n in ns:
-            report = verify_witness(args.op, m, n)
+            report = _option("--m/--n", verify_witness, args.op, m, n)
             print(report)
             all_passed = all_passed and report.passed
     return 0 if all_passed else 1

@@ -1,13 +1,13 @@
 """Operation constructions: reversal, star, the bitmask masks of a
-catenation, and the three direct DFAs for the two combined operations.
+catenation, and the two direct DFAs for the two combined operations.
 
 The catenation with the right operand is catenation_masks, on the
 bitmask move tables of automata.nfa_masks; it is the oracle's too.  Each
 catenation-based direct construction hands its masks to
 automata.subset_dfa, so every route shares one subset construction,
 numbered breadth-first in alphabet order, and no count exceeds the
-closed-form size bounds.  starcat's two direct constructions differ
-from the oracle only in the left table and the start set.
+closed-form size bounds.  starcat's direct construction differs from
+the oracle only in the left table and the start set.
 revcat_n1_direct is the one quotient: it merges every subset holding
 the left operand's initial state into one absorbing state.  Which
 construction fits which operand shape is decided in harness's op table.
@@ -36,7 +36,6 @@ __all__ = [
     "catenation_masks",
     "star_nfa",
     "revcat_n1_direct",
-    "starcat_special_direct",
     "starcat_general_direct",
 ]
 
@@ -82,7 +81,7 @@ def star_nfa(a: Dfa) -> Nfa:
     )
 
 
-def dfa_masks(d: Dfa, off: int = 0) -> Masks:
+def dfa_masks(d: Dfa, off: int) -> Masks:
     """d's masks with d's state q renumbered off + q, as the right
     operand of a catenation whose left machine has off states."""
     move = [[1 << (off + t) for t in row] for row in d.transitions]
@@ -135,31 +134,8 @@ def revcat_n1_direct(m: Dfa, n_accepting: bool) -> Dfa:
     return Dfa(len(order), m.alphabet, rows, 0, finals)
 
 
-def starcat_special_direct(a: Dfa, b: Dfa) -> Dfa:
-    """Direct DFA for L(a) L(b) (= L(a)* L(b)) when a's only final state
-    is its initial state: the subset construction of a's own masks
-    catenated with b's.
-
-    A subset holds one state q of a and a nonempty subset T of b's
-    states; b's initial state joins T exactly when q lands on a's
-    initial (and only final) state.  At most m(2^n - 1) - 2^(n-1) + 1
-    states are reachable.
-    """
-    _require_same_alphabet(a, b)
-    if a.finals != frozenset((a.initial,)):
-        raise ShapeError(
-            "starcat_special_direct needs the first operand's single final "
-            "state to be its initial state"
-        )
-    if b.state_count < 2:
-        raise ShapeError("starcat_special_direct needs a second operand with >= 2 states")
-    masks = catenation_masks(dfa_masks(a), dfa_masks(b, a.state_count))
-    return subset_dfa(a.alphabet, *masks)
-
-
 def starcat_general_direct(a: Dfa, b: Dfa) -> Dfa:
-    """Direct DFA for L(a)* L(b) when a has a final state other than its
-    initial state.
+    """Direct DFA for L(a)* L(b) when a has a final state.
 
     The subset construction of star_nfa(a)'s masks without the fresh
     state's column (start a.initial, finals a's), catenated with b's
@@ -169,16 +145,13 @@ def starcat_general_direct(a: Dfa, b: Dfa) -> Dfa:
     re-entry) and b's initial state joins t.  Final when t meets b's
     finals.  The reachable count never exceeds
     (3/4 * 2^m - 1)(2^n - 1) - (2^(m-1) - 2^(m-k1-1))(2^(n-1) - 1)
-    with k1 the number of non-initial final states of a.
+    with k1 the number of non-initial final states of a.  When a's only
+    final state is its initial state, L(a)* = L(a) and p is always a
+    single state, so at most m(2^n - 1) - 2^(n-1) + 1 are reachable.
     """
     _require_same_alphabet(a, b)
     if not a.finals:
         raise ShapeError("starcat_general_direct needs at least one final state")
-    if a.finals == frozenset((a.initial,)):
-        raise ShapeError(
-            "first operand's only final state is its initial state; "
-            "use starcat_special_direct"
-        )
     if b.state_count < 2:
         raise ShapeError("starcat_general_direct needs a second operand with >= 2 states")
     m = a.state_count

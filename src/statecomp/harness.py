@@ -34,6 +34,7 @@ from .automata import (
     subset_dfa,
 )
 from .bounds import (
+    _check_sizes,
     sc_revcat,
     sc_starcat,
     sc_starcat_special,
@@ -48,7 +49,6 @@ from .constructions import (
     reverse_nfa,
     star_nfa,
     starcat_general_direct,
-    starcat_special_direct,
 )
 from .witnesses import (
     empty_dfa,
@@ -131,10 +131,11 @@ def _starcat_route(a: Dfa, b: Dfa) -> tuple[Dfa | None, int, int | None]:
         # L(a)* is just the empty word, so the result is b itself and
         # its own size is the bound
         return b, n, None
+    direct = starcat_general_direct(a, b)
     if a.finals == frozenset((a.initial,)):
-        return starcat_special_direct(a, b), sc_starcat_special(m, n), None
+        return direct, sc_starcat_special(m, n), None
     k1 = len(a.finals - {a.initial})
-    return starcat_general_direct(a, b), ub_starcat_general(m, n, k1), k1
+    return direct, ub_starcat_general(m, n, k1), k1
 
 
 def _revcat_pair(m: int, n: int) -> tuple[Dfa, Dfa]:
@@ -342,8 +343,7 @@ def exhaustive_search(
     in enumeration order.
     """
     operation(op)
-    if m < 1 or n < 1:
-        raise ValueError("automaton sizes must be at least 1")
+    _check_sizes(m, n)
     alphabet = _alphabet(alphabet_size)
     if mode == "full" and m + n >= budget.bit_length():
         # each side has at least 2^size final sets, so the pair count is
@@ -390,13 +390,12 @@ def _pair_sizes(op: str, m: int, n: int, alphabet: tuple[str, ...], pair_indices
     """(a, b, oracle_sc(op, a, b)) for each (ia, ib) in pair_indices, a
     and b the decoded machines of sizes m and n.
 
-    Each side keeps the machines and masks of its last 65,536 indices,
-    so an index that comes again is not decoded again, and the pair's
-    own work is catenation_masks and _masks_minimal_size.
+    Each side keeps the machines and masks of its last 65,536 indices
+    (the right side's also keyed by its offset, the left NFA's state
+    count), so an index that comes again is not decoded again, and the
+    pair's own work is catenation_masks and _masks_minimal_size.
     """
     left_nfa = operation(op).left
-    # every left operand of size m gives a left NFA of the same size
-    off = left_nfa(decode_dfa(0, m, alphabet)).state_count
 
     # bounded, as a side can hold millions of machines
     @functools.lru_cache(maxsize=1 << 16)
@@ -405,13 +404,14 @@ def _pair_sizes(op: str, m: int, n: int, alphabet: tuple[str, ...], pair_indices
         return a, nfa_masks(left_nfa(a))
 
     @functools.lru_cache(maxsize=1 << 16)
-    def right_of(ib: int) -> tuple[Dfa, Masks]:
+    def right_of(ib: int, off: int) -> tuple[Dfa, Masks]:
         b = decode_dfa(ib, n, alphabet)
         return b, dfa_masks(b, off)
 
     for ia, ib in pair_indices:
         a, left = left_of(ia)
-        b, right = right_of(ib)
+        # the left NFA's state count: one move-table entry per state
+        b, right = right_of(ib, len(left[0][0]))
         yield a, b, _masks_minimal_size(*catenation_masks(left, right))
 
 

@@ -15,6 +15,7 @@ from statecomp.serialize import emit_document, parse_document
 from statecomp.witnesses import (
     revcat_witness_M,
     revcat_witness_N,
+    sigma_star_dfa,
     starcat_witness_A,
 )
 
@@ -417,8 +418,26 @@ class TestUsage:
           "--sample", "0"], "--sample", "the sample size must be at least 1"),
         (["sc", "--op", "revcat", "--m", "0", "--n", "2"], "--m/--n",
          "automaton sizes must be at least 1"),
+        (["witness", "--family", "revcat-M", "--m", "0"], "--m",
+         "revcat_witness_M needs m >= 2"),
+        (["verify", "--op", "revcat", "--m", "1", "--n", "2"], "--m/--n",
+         "no stored reversal-catenation family covers m = 1; use exhaustive_search"),
+        (["verify", "--op", "starcat", "--m", "3", "--n", "0"], "--m/--n",
+         "starcat witnesses need m >= 2 and n >= 1"),
+        (["compose", "--op", "revcat", "--lhs", "a.json", "--rhs", "b.json",
+          "--method", "direct"], "--lhs/--rhs",
+         "operands use different alphabets ('a',) and ('b',)"),
+        (["verify", "--op", "revcat", "--m", "2", "--n", "x"], "--n",
+         "bad range 'x', expected A..B or a single integer"),
     ])
-    def test_bad_value_names_its_option(self, capsys, argv, option, message):
+    def test_bad_value_names_its_option(
+        self, capsys, tmp_path, monkeypatch, argv, option, message
+    ):
+        # the compose case reads one-letter machines over a and over b
+        monkeypatch.chdir(tmp_path)
+        for letter in "ab":
+            machine = sigma_star_dfa((letter,))
+            (tmp_path / f"{letter}.json").write_text(emit_document(machine))
         code, out, err = run(capsys, *argv)
         assert (code, out, err) == (2, "", f"error: {option}: {message}\n")
 
