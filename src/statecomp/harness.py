@@ -66,7 +66,8 @@ DEFAULT_BUDGET = 20_000_000
 
 
 class BudgetError(ValueError):
-    """Raised when a full search would exceed the configured pair budget."""
+    """Raised when a full search's pairs, or the states of a witness cell
+    to verify, would exceed the budget."""
 
 
 @dataclass(frozen=True)
@@ -269,8 +270,21 @@ def _report(
 def verify_witness(op: str, m: int, n: int) -> BoundReport:
     """Build the stored witness pair for (op, m, n), run the routed
     direct construction and the oracle, and compare the oracle's minimal
-    size with the closed form at (m, n)."""
+    size with the closed form at (m, n).
+
+    The oracle builds at least the closed form's count of states, so a
+    cell whose count is over DEFAULT_BUDGET is refused (BudgetError)
+    before any machine or table is built.  Sizes below 1 are left to the
+    witness's own checks, so their messages name the witness family.
+    """
     spec = operation(op, OPS)
+    if min(m, n) >= 1 and spec.sc(m, n) > DEFAULT_BUDGET:
+        # the count itself can run to more digits than int-to-string
+        # conversion allows, so the message does not print it
+        raise BudgetError(
+            f"the {op} witness cell ({m}, {n}) needs more states than "
+            f"the budget of {DEFAULT_BUDGET}"
+        )
     a, b = spec.witness(m, n)
     return _report(op, spec, a, b, spec.sc(m, n))
 
@@ -337,7 +351,8 @@ def exhaustive_search(
     Full mode covers every pair (initial states fixed at 0, all
     transition tables, all final sets) and refuses to start past the
     budget; it runs the oracle once per letter-permutation orbit of
-    language-class pairs (see _orbit_pairs).  Sampled mode draws
+    language-class pairs (see _orbit_pairs) whose catenation bound beats
+    the best size found before it.  Sampled mode draws
     sample_count index pairs from a seeded generator and runs the oracle
     on each.  The reported argmax is the first pair reaching the maximum
     in enumeration order.
@@ -354,6 +369,8 @@ def exhaustive_search(
         )
     count_a = dfa_count(m, alphabet_size)
     count_b = dfa_count(n, alphabet_size)
+    best = -1
+    best_pair: tuple[Dfa, Dfa] | None = None
 
     if mode == "full":
         examined = count_a * count_b
@@ -361,7 +378,16 @@ def exhaustive_search(
             raise BudgetError(
                 f"full search over {examined} pairs exceeds the budget of {budget}"
             )
-        pair_indices = _orbit_pairs(m, n, alphabet)
+        # a pair whose catenation bound is at most the best size so far
+        # cannot be a new strict maximum, so its oracle run is skipped;
+        # the filter reads best as the loop below raises it.  Only this
+        # bound, which predates the paper, prunes: the search is the
+        # machine check that no pair beats sc_revcat and sc_starcat, and
+        # a walk pruned by those could never find a pair that does.
+        pair_indices = (
+            (ia, ib) for ia, ib, bound in _orbit_pairs(op, m, n, alphabet)
+            if bound > best
+        )
     elif mode == "sampled":
         if sample_count is None or sample_count < 1:
             raise ValueError("sampled mode needs a positive sample_count")
@@ -374,8 +400,6 @@ def exhaustive_search(
     else:
         raise ValueError(f"unknown mode {mode!r}")
 
-    best = -1
-    best_pair: tuple[Dfa, Dfa] | None = None
     evaluated = 0
     for a, b, size in _pair_sizes(op, m, n, alphabet, pair_indices):
         evaluated += 1
@@ -439,30 +463,38 @@ def _index_of(rows, finals) -> int:
     return t << size | state_mask(finals)
 
 
+def _language_key(rows, finals) -> tuple[int, int]:
+    """A key for the language of minimal_rows' machine, which is
+    canonical since blocks are numbered breadth-first: its state count
+    and its own decode index."""
+    return len(rows[0]), _index_of(rows, finals)
+
+
 def _classes(
     size: int, alphabet: tuple[str, ...], gens
-) -> tuple[list[int], list[list[int]]]:
+) -> tuple[list[int], list[list[int]], list[int]]:
     """The languages of the complete DFAs of this size, as classes.
 
-    Every machine is keyed by its minimal_rows, which are canonical
-    since blocks are numbered breadth-first.  Returns each
-    class's first enumeration index, classes in that order, and for
-    each generator the class it maps each class to.  Only indices are
-    kept: a side can hold millions of machines and classes.
+    Every machine is keyed by its minimal_rows.  Returns each class's
+    first enumeration index, classes in that order; for each generator
+    the class it maps each class to; and each class's minimal size.
+    Only indices are kept: a side can hold millions of machines and
+    classes.
     """
-    index: dict[int, int] = {}  # key -> class
+    index: dict[tuple[int, int], int] = {}  # key -> class
     firsts: list[int] = []
+    sizes: list[int] = []
     class_of = array("q")
     nsym = len(alphabet)
     for i in range(dfa_count(size, nsym)):
         rows, finals = _decode(i, size, nsym)
         rows, finals = minimal_rows(rows, 0, finals)
-        # the minimal machine's own index, told apart by its state count
-        key = _index_of(rows, finals) * (size + 1) + len(rows[0])
+        key = _language_key(rows, finals)
         c = index.get(key)
         if c is None:
             c = index[key] = len(firsts)
             firsts.append(i)
+            sizes.append(len(rows[0]))
         class_of.append(c)
     # a generator's image of a class is the class of its first machine
     # with its rows taken in the generator's order
@@ -471,29 +503,75 @@ def _classes(
         rows, finals = _decode(i, size, nsym)
         for g, image in zip(gens, images):
             image.append(class_of[_index_of([rows[s] for s in g], finals)])
-    return firsts, images
+    return firsts, images, sizes
 
 
-def _orbit_pairs(m: int, n: int, alphabet: tuple[str, ...]):
+def _left_classes(
+    op: str, size: int, alphabet: tuple[str, ...], classes
+) -> tuple[list[int], list[list[int]], list[tuple[int, int]]]:
+    """The left operand's classes by the language of its left NFA
+    (L(a)^R for revcat, L(a)* for starcat): _classes' classes, merged
+    where their first machines' left NFAs accept the same language.
+
+    A merged class keeps the least first index among those it absorbs,
+    and classes stay in that order.  Renaming letters commutes with
+    reversal and with star, so a generator still sends a merged class to
+    the class of its renamed first machine.  Returns firsts and images
+    as _classes does, and for each class (r, k): the state and final
+    counts of its left language's minimal DFA.
+    """
+    left = operation(op).left
+    firsts, images, _ = classes
+    index: dict[tuple[int, int], int] = {}  # key -> merged class
+    merged_of: list[int] = []  # class -> merged class
+    heads: list[int] = []  # each merged class's first class
+    counts: list[tuple[int, int]] = []
+    for c, i in enumerate(firsts):
+        nfa = left(decode_dfa(i, size, alphabet))
+        rows, finals, _ = subset_construction(*nfa_masks(nfa))
+        rows, finals = minimal_rows(rows, 0, finals)
+        key = _language_key(rows, finals)
+        x = index.get(key)
+        if x is None:
+            x = index[key] = len(heads)
+            heads.append(c)
+            counts.append((len(rows[0]), len(finals)))
+        merged_of.append(x)
+    return (
+        [firsts[c] for c in heads],
+        [[merged_of[image[c]] for c in heads] for image in images],
+        counts,
+    )
+
+
+def _orbit_pairs(op: str, m: int, n: int, alphabet: tuple[str, ...]):
     """One index pair per orbit of class pairs, enough to find the
-    maximal oracle size over all pairs and the first pair reaching it.
+    maximal oracle size over all pairs and the first pair reaching it,
+    each with its catenation bound.
 
-    The oracle's size depends only on the two languages, and renaming
-    letters on both operands together keeps it.  So the class pairs
-    (x, y) are walked in lexicographic order, and a pair not yet seen
-    is the least of its orbit under the letter permutations: its orbit
-    is marked seen and the pair of the two classes' first indices is
+    The oracle's size depends only on the left NFA's language and b's,
+    and renaming letters on both operands together keeps it.  So the
+    pairs of left classes (_left_classes) and right classes (_classes)
+    are walked in lexicographic order, and a pair not yet seen is the
+    least of its orbit under the letter permutations: its orbit is
+    marked seen and the pair of the two classes' first indices is
     yielded.  The first strict maximum over these is at the least
     maximizing (first index of x, first index of y), which is the first
     maximizing pair in enumeration order.
+
+    The bound is Yu, Zhuang & Salomaa's (1994) for catenation,
+    r * 2^s - k * 2^(s - 1): r and k the state and final counts of the
+    left language's minimal DFA, s the right class's minimal size.
     """
     gens = _letter_generators(len(alphabet))
-    firsts_a, img_a = _classes(m, alphabet, gens)
-    firsts_b, img_b = (firsts_a, img_a) if n == m else _classes(n, alphabet, gens)
+    classes_a = _classes(m, alphabet, gens)
+    firsts_a, img_a, counts_a = _left_classes(op, m, alphabet, classes_a)
+    firsts_b, img_b, sizes_b = classes_a if n == m else _classes(n, alphabet, gens)
     gen_pairs = list(zip(img_a, img_b))
     ny = len(firsts_b)
     seen = bytearray(len(firsts_a) * ny)
     for x, ia in enumerate(firsts_a):
+        r, k = counts_a[x]
         for y, ib in enumerate(firsts_b):
             if seen[x * ny + y]:
                 continue
@@ -502,11 +580,12 @@ def _orbit_pairs(m: int, n: int, alphabet: tuple[str, ...]):
             while stack:
                 u, v = stack.pop()
                 for ga, gb in gen_pairs:
-                    k = ga[u] * ny + gb[v]
-                    if not seen[k]:
-                        seen[k] = 1
+                    j = ga[u] * ny + gb[v]
+                    if not seen[j]:
+                        seen[j] = 1
                         stack.append((ga[u], gb[v]))
-            yield ia, ib
+            s = sizes_b[y]
+            yield ia, ib, r * 2 ** s - k * 2 ** (s - 1)
 
 
 def random_dfa(rng: random.Random, size: int, alphabet: tuple[str, ...]) -> Dfa:

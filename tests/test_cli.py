@@ -313,6 +313,22 @@ class TestVerify:
         assert (code, out) == (2, "")
         assert err.startswith(f"error: {field}: ")
 
+    @pytest.mark.parametrize("m, n", [("30", "30"), ("1000000", "2")])
+    def test_cell_past_the_budget_is_an_input_error(self, capsys, monkeypatch, m, n):
+        # refused before the witness is built
+        def witness(m, n):
+            raise AssertionError("witness built")
+
+        monkeypatch.setitem(
+            harness.OPS, "revcat", dataclasses.replace(OPS["revcat"], witness=witness)
+        )
+        code, out, err = run(capsys, "verify", "--op", "revcat", "--m", m, "--n", n)
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: --m/--n: the revcat witness cell ({m}, {n}) needs more states "
+            "than the budget of 20000000\n"
+        )
+
     def test_unsupported_corner_is_an_input_error(self, capsys):
         code, _, err = run(
             capsys, "verify", "--op", "revcat", "--m", "1", "--n", "2"

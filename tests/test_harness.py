@@ -3,6 +3,7 @@ construction reports, the enumeration-based search, and the seeded
 random checker."""
 
 import dataclasses
+import functools
 import random
 import string
 
@@ -26,14 +27,17 @@ from statecomp.automata import (
 )
 from statecomp.bounds import sc_revcat, sc_starcat, sc_starcat_special
 from statecomp.harness import (
+    DEFAULT_BUDGET,
     OPS,
     BoundReport,
     BudgetError,
     SearchResult,
     _classes,
     _index_of,
+    _left_classes,
     _letter_generators,
     _oracle_masks,
+    _orbit_pairs,
     _pair_sizes,
     combined,
     decode_dfa,
@@ -203,6 +207,37 @@ class TestVerifyWitness:
         with pytest.raises(ValueError):
             verify_witness("revcat", 1, 4)
 
+    @pytest.mark.parametrize(
+        "op,m,n", [("revcat", 30, 30), ("revcat", 1_000_000, 2), ("starcat", 30, 30)]
+    )
+    def test_cell_past_the_budget_is_refused_before_its_witness(
+        self, monkeypatch, op, m, n
+    ):
+        def witness(m, n):
+            raise AssertionError("witness built")
+
+        monkeypatch.setitem(
+            harness.OPS, op, dataclasses.replace(OPS[op], witness=witness)
+        )
+        with pytest.raises(BudgetError, match=f"budget of {DEFAULT_BUDGET}$"):
+            verify_witness(op, m, n)
+
+    @pytest.mark.parametrize("op", ["revcat", "starcat", "starcat-special"])
+    @pytest.mark.parametrize("m,n", [(11, 11), (12, 12), (9, 9)])
+    def test_cells_within_the_budget_reach_their_witness(self, monkeypatch, op, m, n):
+        # a stand-in witness stops the run once the budget check is passed
+        class Reached(Exception):
+            pass
+
+        def witness(m, n):
+            raise Reached
+
+        monkeypatch.setitem(
+            harness.OPS, op, dataclasses.replace(OPS[op], witness=witness)
+        )
+        with pytest.raises(Reached):
+            verify_witness(op, m, n)
+
     def test_bad_sizes_and_ops(self):
         with pytest.raises(ValueError):
             verify_witness("revcat", 3, 0)
@@ -319,7 +354,9 @@ class TestExhaustiveSearch:
     # argmax pairs as decode_dfa indices, recorded from the Nfa/Dfa
     # pipeline that the bitmask search replaced.  The two |Σ| = 4 rows
     # were recorded from the full search as it was before classes and
-    # orbits, when it ran the oracle on every index pair.  The sampled
+    # orbits, when it ran the oracle on every index pair; the (3, 2) and
+    # (2, 3) rows from the class search before it skipped pairs by their
+    # catenation bound, which skips some of their orbits.  The sampled
     # searches draw from 157,464 three-state machines over three letters.
     @pytest.mark.parametrize(
         "op,m,n,sigma,mode,kw,best,ia,ib",
@@ -328,6 +365,10 @@ class TestExhaustiveSearch:
             ("starcat", 2, 2, 3, "full", {}, 5, 21, 6),
             ("revcat", 2, 2, 4, "full", {}, 12, 22, 70),
             ("starcat", 2, 2, 4, "full", {}, 5, 21, 6),
+            ("revcat", 3, 2, 2, "full", {}, 20, 742, 6),
+            ("starcat", 3, 2, 2, "full", {}, 10, 348, 54),
+            ("revcat", 2, 3, 2, "full", {}, 18, 6, 738),
+            ("starcat", 2, 3, 2, "full", {}, 11, 25, 1154),
             ("revcat", 2, 3, 3, "sampled", dict(sample_count=2000, seed=5), 22, 22, 55934),
             ("starcat", 2, 3, 3, "sampled", dict(sample_count=2000, seed=5), 11, 185, 135657),
         ],
@@ -358,12 +399,54 @@ class TestExhaustiveSearch:
         assert (r.max_minimal, r.argmax) == (best, best_pair)
         assert r.pairs_examined == dfa_count(m, sigma) * dfa_count(n, sigma)
 
-    @pytest.mark.parametrize("op", ["revcat", "starcat"])
-    def test_one_oracle_run_per_orbit(self, op):
+    # 2,516 orbits for revcat, 1,512 for starcat, whose 114 classes of
+    # machines have 69 languages L(a)*; the rest are skipped by their bound
+    @pytest.mark.parametrize("op,runs", [("revcat", 328), ("starcat", 1444)])
+    def test_one_oracle_run_per_orbit(self, op, runs):
         r = exhaustive_search(op, 2, 2, 3, "full")
-        assert (r.pairs_evaluated, r.pairs_examined) == (2516, 65536)
+        assert (r.pairs_evaluated, r.pairs_examined) == (runs, 65536)
         r = exhaustive_search(op, 2, 3, 3, "sampled", sample_count=50, seed=1)
         assert r.pairs_evaluated == r.pairs_examined == 50
+
+    @pytest.mark.parametrize("op", ["revcat", "starcat"])
+    @pytest.mark.parametrize(
+        "m,n,sigma", [(2, 2, 2), (1, 2, 2), (2, 1, 2), (1, 3, 2), (3, 1, 2), (1, 1, 26)]
+    )
+    def test_every_pair_is_within_its_orbits_bound(self, op, m, n, sigma):
+        # a pair is keyed by its two languages, the left NFA's and b's, as
+        # minimal DFAs; a yielded bound covers its pair's orbit, which the
+        # generators' renamings of the two keys reach
+        alphabet = tuple(string.ascii_lowercase[:sigma])
+        gens = _letter_generators(sigma)
+
+        def left_key(i):
+            nfa = OPS[op].left(decode_dfa(i, m, alphabet))
+            return minimize_hopcroft(determinize(nfa)[0])
+
+        def right_key(i):
+            return minimize_hopcroft(decode_dfa(i, n, alphabet))
+
+        @functools.cache
+        def renamed(d, g):
+            return minimize_hopcroft(
+                dataclasses.replace(d, transitions=tuple(d.transitions[s] for s in g))
+            )
+
+        lefts = [left_key(i) for i in range(dfa_count(m, sigma))]
+        rights = [right_key(i) for i in range(dfa_count(n, sigma))]
+        bound_of = {}
+        for ia, ib, bound in _orbit_pairs(op, m, n, alphabet):
+            stack = [(lefts[ia], rights[ib])]
+            while stack:
+                key = stack.pop()
+                if key not in bound_of:
+                    bound_of[key] = bound
+                    stack.extend((renamed(key[0], g), renamed(key[1], g)) for g in gens)
+                assert bound_of[key] == bound
+        pairs = [(ia, ib) for ia in range(len(lefts)) for ib in range(len(rights))]
+        sizes = _pair_sizes(op, m, n, alphabet, iter(pairs))
+        for (ia, ib), (_, _, size) in zip(pairs, sizes, strict=True):
+            assert size <= bound_of[lefts[ia], rights[ib]], (op, ia, ib)
 
     def test_budget_refusal(self):
         with pytest.raises(BudgetError):
@@ -424,20 +507,45 @@ class TestLanguageClasses:
             by_key.setdefault(minimize_hopcroft(d), []).append(i)
             by_words.setdefault(_words(d, 3), []).append(i)
         assert sorted(by_key.values()) == sorted(by_words.values())
-        firsts, _ = _classes(2, alphabet, [])
+        firsts, _, sizes = _classes(2, alphabet, [])
         assert firsts == [block[0] for block in by_words.values()]
+        assert sizes == [minimize_hopcroft(machines[i]).state_count for i in firsts]
 
     @pytest.mark.parametrize("sigma", [2, 3])
     def test_images_are_the_renamed_languages(self, sigma):
         alphabet = tuple("abc"[:sigma])
         gens = _letter_generators(sigma)
-        firsts, images = _classes(2, alphabet, gens)
+        firsts, images, _ = _classes(2, alphabet, gens)
         languages = [_words(decode_dfa(i, 2, alphabet), 3) for i in firsts]
         for g, image in zip(gens, images, strict=True):
             # the machine with rows in order g reads letter g[s] as s
             rename = str.maketrans({alphabet[g[s]]: alphabet[s] for s in range(sigma)})
             for x, y in enumerate(image):
                 assert languages[y] == {w.translate(rename) for w in languages[x]}
+
+    @pytest.mark.parametrize("op,count", [("revcat", 114), ("starcat", 69)])
+    def test_left_classes_are_the_left_languages(self, op, count):
+        alphabet = ("a", "b", "c")
+        gens = _letter_generators(3)
+        classes = _classes(2, alphabet, gens)
+        firsts, images, counts = _left_classes(op, 2, alphabet, classes)
+        blocks = {}  # the left NFA's minimal DFA -> its machines, in order
+        for i in range(dfa_count(2, 3)):
+            nfa = OPS[op].left(decode_dfa(i, 2, alphabet))
+            blocks.setdefault(minimize_hopcroft(determinize(nfa)[0]), []).append(i)
+        keys = list(blocks)
+        assert firsts == [block[0] for block in blocks.values()]
+        assert len(firsts) == count
+        assert counts == [(d.state_count, len(d.finals)) for d in keys]
+        # reversal is a bijection on languages, so revcat keeps the classes
+        assert ((firsts, images) == classes[:2]) == (op == "revcat")
+        for g, image in zip(gens, images, strict=True):
+            for x, y in enumerate(image):
+                d = keys[x]
+                renamed = dataclasses.replace(
+                    d, transitions=tuple(d.transitions[s] for s in g)
+                )
+                assert equivalent(renamed, keys[y]), (op, x, g)
 
     def test_generators_generate_every_permutation(self):
         assert [len(_letter_generators(k)) for k in (1, 2, 3, 26)] == [0, 1, 2, 2]
@@ -461,7 +569,7 @@ class TestLanguageClasses:
         # a generator sends a class to the class of its first machine
         # with the rows taken in the generator's order
         gens = _letter_generators(sigma)
-        firsts, images = _classes(size, alphabet, gens)
+        firsts, images, _ = _classes(size, alphabet, gens)
         for g, image in zip(gens, images, strict=True):
             for i, y in zip(firsts, image, strict=True):
                 d = decode_dfa(i, size, alphabet)
