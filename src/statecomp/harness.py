@@ -272,19 +272,28 @@ def verify_witness(op: str, m: int, n: int) -> BoundReport:
     direct construction and the oracle, and compare the oracle's minimal
     size with the closed form at (m, n).
 
-    The oracle builds at least the closed form's count of states, so a
-    cell whose count is over DEFAULT_BUDGET is refused (BudgetError)
-    before any machine or table is built.  Sizes below 1 are left to the
-    witness's own checks, so their messages name the witness family.
+    The oracle builds at least the closed form's count of states, each
+    keyed by a subset of the m + n + 1 NFA states, so a cell is refused
+    (BudgetError) before any machine or table is built when that count
+    is over DEFAULT_BUDGET, or when its keys are, counted in 64-bit
+    words (one word each up to m + n = 63).  Sizes below 1 are left to
+    the witness's own checks, so their messages name the witness family.
     """
     spec = operation(op, OPS)
-    if min(m, n) >= 1 and spec.sc(m, n) > DEFAULT_BUDGET:
+    if min(m, n) >= 1:
         # the count itself can run to more digits than int-to-string
-        # conversion allows, so the message does not print it
-        raise BudgetError(
-            f"the {op} witness cell ({m}, {n}) needs more states than "
-            f"the budget of {DEFAULT_BUDGET}"
-        )
+        # conversion allows, so the messages do not print it
+        count = spec.sc(m, n)
+        if count > DEFAULT_BUDGET:
+            raise BudgetError(
+                f"the {op} witness cell ({m}, {n}) needs more states than "
+                f"the budget of {DEFAULT_BUDGET}"
+            )
+        if count * -(-(m + n + 1) // 64) > DEFAULT_BUDGET:
+            raise BudgetError(
+                f"the {op} witness cell ({m}, {n}) needs more 64-bit words "
+                f"of subset keys than the budget of {DEFAULT_BUDGET}"
+            )
     a, b = spec.witness(m, n)
     return _report(op, spec, a, b, spec.sc(m, n))
 

@@ -142,8 +142,40 @@ def document_dict(a: Dfa | Nfa) -> dict:
     return doc
 
 
+def _dumps(value, indent: str) -> str:
+    """value as json's encoder writes it with an indent of 2, for the
+    values document_dict holds: strs, ints, and lists and str-keyed
+    dicts of them, each list all ints, all strs or all lists.
+
+    With an indent, json formats value by value in Python; here a list
+    of ints is one str.join.  Strs go through json.dumps without an
+    indent, so their escapes (quotes, backslashes, control and non-ASCII
+    characters) are json's own.
+    """
+    if isinstance(value, str):
+        return json.dumps(value)
+    if isinstance(value, int):
+        return str(value)
+    if not value:
+        return "{}" if isinstance(value, dict) else "[]"
+    inner = indent + "  "
+    sep = ",\n" + inner
+    if isinstance(value, dict):
+        body = sep.join(
+            f"{json.dumps(k)}: {_dumps(v, inner)}" for k, v in value.items()
+        )
+        return f"{{\n{inner}{body}\n{indent}}}"
+    if isinstance(value[0], int):
+        body = sep.join(map(str, value))
+    else:
+        body = sep.join([_dumps(v, inner) for v in value])
+    return f"[\n{inner}{body}\n{indent}]"
+
+
 def emit_document(a: Dfa | Nfa) -> str:
-    return json.dumps(document_dict(a), indent=2) + "\n"
+    """The JSON document of a: document_dict's keys and values, byte for
+    byte as json's encoder writes them with an indent of 2."""
+    return _dumps(document_dict(a), "") + "\n"
 
 
 def emit_dot(a: Dfa | Nfa) -> str:

@@ -329,6 +329,23 @@ class TestVerify:
             "than the budget of 20000000\n"
         )
 
+    def test_cell_past_the_budget_in_key_words_is_an_input_error(
+        self, capsys, monkeypatch
+    ):
+        def witness(m, n):
+            raise AssertionError("witness built")
+
+        op = "starcat-special"
+        monkeypatch.setitem(
+            harness.OPS, op, dataclasses.replace(OPS[op], witness=witness)
+        )
+        code, out, err = run(capsys, "verify", "--op", op, "--m", "1000000", "--n", "2")
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: --m/--n: the {op} witness cell (1000000, 2) needs more "
+            "64-bit words of subset keys than the budget of 20000000\n"
+        )
+
     def test_unsupported_corner_is_an_input_error(self, capsys):
         code, _, err = run(
             capsys, "verify", "--op", "revcat", "--m", "1", "--n", "2"

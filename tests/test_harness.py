@@ -238,6 +238,40 @@ class TestVerifyWitness:
         with pytest.raises(Reached):
             verify_witness(op, m, n)
 
+    @pytest.mark.parametrize("m", [1_000_000, 30_000, 20_641])
+    def test_cell_past_the_budget_in_key_words_is_refused(self, monkeypatch, m):
+        # starcat-special (m, 2) has 3m - 1 states, under the budget, but
+        # each subset key takes ceil((m + 3) / 64) words
+        def witness(m, n):
+            raise AssertionError("witness built")
+
+        op = "starcat-special"
+        monkeypatch.setitem(
+            harness.OPS, op, dataclasses.replace(OPS[op], witness=witness)
+        )
+        assert OPS[op].sc(m, 2) <= DEFAULT_BUDGET
+        with pytest.raises(
+            BudgetError, match=f"64-bit words of subset keys than the budget of {DEFAULT_BUDGET}$"
+        ):
+            verify_witness(op, m, 2)
+
+    @pytest.mark.parametrize("m", [15_000, 20_640])
+    def test_cells_within_the_budget_in_key_words_reach_their_witness(
+        self, monkeypatch, m
+    ):
+        class Reached(Exception):
+            pass
+
+        def witness(m, n):
+            raise Reached
+
+        op = "starcat-special"
+        monkeypatch.setitem(
+            harness.OPS, op, dataclasses.replace(OPS[op], witness=witness)
+        )
+        with pytest.raises(Reached):
+            verify_witness(op, m, 2)
+
     def test_bad_sizes_and_ops(self):
         with pytest.raises(ValueError):
             verify_witness("revcat", 3, 0)

@@ -1,10 +1,12 @@
 """JSON document round trips, field-path error messages, and DOT text."""
 
 import json
+import random
 
 import pytest
 
-from statecomp.automata import Nfa, nfa_from_dfa, reverse_nfa
+from statecomp.automata import Dfa, Nfa, nfa_from_dfa, reverse_nfa
+from statecomp.constructions import star_nfa
 from statecomp.serialize import (
     DocumentError,
     document_dict,
@@ -21,7 +23,7 @@ from statecomp.witnesses import (
     starcat_witness_A,
 )
 
-from helpers import catenation_nfa
+from helpers import catenation_nfa, random_complete_dfa
 
 
 def _doc(**overrides) -> str:
@@ -81,6 +83,67 @@ class TestRoundTrip:
 
     def test_emit_ends_with_newline(self):
         assert emit_document(revcat_witness_M(2)).endswith("}\n")
+
+
+# json escapes all but the first two: the quote, backslash, newline and
+# DEL as named or \u escapes, and the non-ASCII symbols as \u escapes
+SYMBOLS = ("a", "b", "\"", "\\", "\u00e9", "\u2603", "\n", "\x7f")
+
+
+def _reference(a) -> str:
+    """json's own indent-2 text of a's document: what emit_document must write."""
+    return json.dumps(document_dict(a), indent=2) + "\n"
+
+
+def _random_machines(seed: int):
+    """A seeded random Dfa over some of SYMBOLS and its three NFAs."""
+    rng = random.Random(seed)
+    alphabet = rng.sample(SYMBOLS, rng.randint(1, 4))
+    d = random_complete_dfa(rng, rng.randint(1, 6), alphabet)
+    return [d, reverse_nfa(d), star_nfa(d), nfa_from_dfa(d)]
+
+
+class TestWriter:
+    """emit_document writes exactly the bytes of json's indent-2 encoder."""
+
+    EDGE_CASES = [
+        Dfa(1, ("a",), ((0,),), 0, frozenset()),
+        Dfa(1, SYMBOLS, tuple((0,) for _ in SYMBOLS), 0, frozenset({0})),
+        Dfa(3, ("\"", "\\"), ((1, 2, 0), (0, 0, 2)), 2, frozenset()),
+        Nfa(
+            3, ("\u00e9", "\n"),
+            ((frozenset(), frozenset({0, 2}), frozenset()),
+             (frozenset(), frozenset(), frozenset({1}))),
+            frozenset({0}), frozenset({(0, 1), (2, 0)}), frozenset(),
+        ),
+        Nfa(
+            1, ("\x7f",), ((frozenset(),),), frozenset(), frozenset(),
+            frozenset({0}),
+        ),
+        empty_dfa(("\u2603", "\"", "\\")),
+        revcat_witness_M(4),
+        catenation_nfa(reverse_nfa(revcat_witness_M(2)), revcat_witness_N(2)),
+    ]
+
+    @pytest.mark.parametrize("machine", EDGE_CASES)
+    def test_edge_cases(self, machine):
+        text = emit_document(machine)
+        assert text == _reference(machine)
+        assert parse_document(text) == machine
+
+    @pytest.mark.parametrize("chunk", range(4))
+    def test_seeded_random_machines(self, chunk):
+        for seed in range(chunk * 250, (chunk + 1) * 250):
+            for machine in _random_machines(seed):
+                text = emit_document(machine)
+                assert text == _reference(machine), (seed, machine)
+                assert parse_document(text) == machine, (seed, machine)
+
+    def test_escapes_are_jsons(self):
+        text = emit_document(self.EDGE_CASES[1])
+        for escaped in ('"\\""', '"\\\\"', '"\\n"', '"\\u007f"', '"\\u00e9"', '"\\u2603"'):
+            assert escaped in text
+        assert text.isascii()
 
 
 class TestParseErrors:
