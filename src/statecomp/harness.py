@@ -289,7 +289,7 @@ def verify_witness(op: str, m: int, n: int) -> BoundReport:
                 f"the {op} witness cell ({m}, {n}) needs more states than "
                 f"the budget of {DEFAULT_BUDGET}"
             )
-        if count * -(-(m + n + 1) // 64) > DEFAULT_BUDGET:
+        if count * ((m + n + 64) // 64) > DEFAULT_BUDGET:
             raise BudgetError(
                 f"the {op} witness cell ({m}, {n}) needs more 64-bit words "
                 f"of subset keys than the budget of {DEFAULT_BUDGET}"

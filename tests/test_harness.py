@@ -250,9 +250,8 @@ class TestVerifyWitness:
             harness.OPS, op, dataclasses.replace(OPS[op], witness=witness)
         )
         assert OPS[op].sc(m, 2) <= DEFAULT_BUDGET
-        with pytest.raises(
-            BudgetError, match=f"64-bit words of subset keys than the budget of {DEFAULT_BUDGET}$"
-        ):
+        words = f"64-bit words of subset keys than the budget of {DEFAULT_BUDGET}$"
+        with pytest.raises(BudgetError, match=words):
             verify_witness(op, m, 2)
 
     @pytest.mark.parametrize("m", [15_000, 20_640])
