@@ -452,32 +452,41 @@ def minimize_hopcroft(d: Dfa) -> Dfa:
     )
 
 
-def reverse_nfa(d: Dfa) -> Nfa:
-    """Nfa for the reversed language: edges flipped, roles of initial and finals swapped."""
-    nsym = len(d.alphabet)
-    n = d.state_count
-    rows = []
-    for s in range(nsym):
-        row = d.transitions[s]
-        targets: list[list[int]] = [[] for _ in range(n)]
-        for q in range(n):
-            targets[row[q]].append(q)
-        rows.append(tuple(frozenset(t) for t in targets))
+def reverse_masks(d: Dfa) -> Masks:
+    """The masks of d's reversal: move[s][t] is the mask of d's states
+    that go to t on symbol s, the start set is d's finals and the final
+    mask d's initial state."""
+    move = []
+    for row in d.transitions:
+        pre = [0] * d.state_count
+        for q, t in enumerate(row):
+            pre[t] |= 1 << q
+        move.append(pre)
+    return move, state_mask(d.finals), 1 << d.initial
+
+
+def _masks_nfa(alphabet: tuple[str, ...], masks: Masks) -> Nfa:
+    """The Nfa without free moves whose masks these are."""
+    move, start, final_mask = masks
     return Nfa(
-        state_count=n,
-        alphabet=d.alphabet,
-        transitions=tuple(rows),
-        initials=frozenset(d.finals),
+        state_count=len(move[0]),
+        alphabet=alphabet,
+        transitions=tuple(tuple(frozenset(_mask_bits(t)) for t in row) for row in move),
+        initials=frozenset(_mask_bits(start)),
         epsilon_edges=frozenset(),
-        finals=frozenset((d.initial,)),
+        finals=frozenset(_mask_bits(final_mask)),
     )
+
+
+def reverse_nfa(d: Dfa) -> Nfa:
+    """Nfa for the reversed language: the Nfa of reverse_masks(d)."""
+    return _masks_nfa(d.alphabet, reverse_masks(d))
 
 
 def minimize_brzozowski(d: Dfa) -> Dfa:
     """Minimal Dfa by double reversal; slower than Hopcroft but independent of it."""
-    mid, _ = determinize(reverse_nfa(d))
-    out, _ = determinize(reverse_nfa(mid))
-    return out
+    mid = subset_dfa(d.alphabet, *reverse_masks(d))
+    return subset_dfa(d.alphabet, *reverse_masks(mid))
 
 
 def accepts(d: Dfa, word: str) -> bool:

@@ -22,6 +22,7 @@ from .automata import Dfa, minimal_size, minimize_hopcroft
 from .bounds import _check_sizes
 from .harness import (
     COMPOSE_OPS,
+    DEFAULT_BUDGET,
     OPS,
     _alphabet,
     combined,
@@ -67,6 +68,12 @@ def cmd_witness(args) -> int:
         size = getattr(args, kind)
         if size is None:
             raise ValueError(f"family {args.family} needs --{kind}")
+        # a family machine of this size has size states
+        if size > DEFAULT_BUDGET:
+            raise ValueError(
+                f"--{kind}: {args.family} at {size} needs more states than "
+                f"the budget of {DEFAULT_BUDGET}"
+            )
         machine = _option(f"--{kind}", generator, size)
     _emit(machine, args.format)
     return 0

@@ -1,13 +1,15 @@
-"""Operation constructions: reversal, star, the bitmask masks of a
-catenation, and the two direct DFAs for the two combined operations.
+"""Operation constructions: star, the bitmask masks of a catenation,
+and the two direct DFAs for the two combined operations.
 
-The catenation with the right operand is catenation_masks, on the
-bitmask move tables of automata.nfa_masks; it is the oracle's too.  Each
+The left operand's machine is its masks (automata.reverse_masks or
+star_masks), and catenation_masks catenates them with the right
+operand's Dfa; it is the oracle's catenation too.  Each
 catenation-based direct construction hands its masks to
 automata.subset_dfa, so every route shares one subset construction,
 numbered breadth-first in alphabet order, and no count exceeds the
 closed-form size bounds.  starcat's direct construction differs from
-the oracle only in the left table and the start set.
+the oracle only in the left table, the star's loop without its fresh
+state, and the start set.
 revcat_n1_direct is the one quotient: it merges every subset holding
 the left operand's initial state into one absorbing state.  Which
 construction fits which operand shape is decided in harness's op table.
@@ -20,10 +22,10 @@ from .automata import (
     Dfa,
     Masks,
     Nfa,
+    _masks_nfa,
     explore,
     mask_image,
-    nfa_masks,
-    reverse_nfa,
+    reverse_masks,
     state_mask,
     subset_dfa,
 )
@@ -31,9 +33,8 @@ from .witnesses import empty_dfa
 
 __all__ = [
     "ShapeError",
-    "reverse_nfa",
-    "dfa_masks",
     "catenation_masks",
+    "star_masks",
     "star_nfa",
     "revcat_n1_direct",
     "starcat_general_direct",
@@ -51,72 +52,66 @@ def _require_same_alphabet(a, b) -> None:
         )
 
 
-def star_nfa(a: Dfa) -> Nfa:
-    """Nfa for L(a)*.
-
-    A fresh state (index a.state_count) is both initial and final and
-    copies the initial state's outgoing moves; nothing enters it.  Every
-    move into a final state of a also targets a.initial, which re-enters
-    the loop without free moves.
-    """
-    n = a.state_count
-    init = a.initial
+def _loop_masks(a: Dfa) -> Masks:
+    """a's masks, with every move into a final state of a also entering
+    a.initial: the loop of L(a)*, which re-enters a without free moves.
+    Its start is a.initial and its finals are a's."""
+    init = 1 << a.initial
     fins = a.finals
-    rows = []
-    for s in range(len(a.alphabet)):
-        row = a.transitions[s]
-        new_row = [
-            frozenset((row[q], init)) if row[q] in fins else frozenset((row[q],))
-            for q in range(n)
-        ]
-        new_row.append(new_row[init])
-        rows.append(tuple(new_row))
-    return Nfa(
-        state_count=n + 1,
-        alphabet=a.alphabet,
-        transitions=tuple(rows),
-        initials=frozenset((n,)),
-        epsilon_edges=frozenset(),
-        finals=frozenset(fins) | frozenset((n,)),
-    )
+    move = [
+        [1 << t | init if t in fins else 1 << t for t in row] for row in a.transitions
+    ]
+    return move, init, state_mask(fins)
 
 
-def dfa_masks(d: Dfa, off: int) -> Masks:
-    """d's masks with d's state q renumbered off + q, as the right
-    operand of a catenation whose left machine has off states."""
-    move = [[1 << (off + t) for t in row] for row in d.transitions]
-    return move, 1 << (off + d.initial), state_mask(d.finals) << off
+def star_masks(a: Dfa) -> Masks:
+    """The masks of L(a)*: the loop, plus a fresh state (index
+    a.state_count) that is initial and final and copies a.initial's
+    moves; nothing enters it."""
+    move, _, final_mask = _loop_masks(a)
+    for row in move:
+        row.append(row[a.initial])
+    fresh = 1 << a.state_count
+    return move, fresh, final_mask | fresh
 
 
-def catenation_masks(left: Masks, right: Masks) -> Masks:
+def star_nfa(a: Dfa) -> Nfa:
+    """Nfa for L(a)*: the Nfa of star_masks(a)."""
+    return _masks_nfa(a.alphabet, star_masks(a))
+
+
+def catenation_masks(left: Masks, b: Dfa) -> Masks:
     """The masks of a left machine catenated with b, given the left
-    machine's masks and b's from dfa_masks, without building either.
+    machine's masks: b's state q is numbered after the left machine's
+    states, as off + q.
 
     The catenation's free moves, from the left finals to b's initial
     state, are folded in as nfa_masks folds epsilon closure: a left entry
     (or start set) that meets the left finals also gets b's initial bit.
     """
     lmove, lstart, lfinal = left
-    rmove, rinit, rfinal = right
+    off = len(lmove[0])
+    rinit = 1 << (off + b.initial)
     move = [
-        [t | rinit if t & lfinal else t for t in lrow] + rrow
-        for lrow, rrow in zip(lmove, rmove)
+        [t | rinit if t & lfinal else t for t in lrow] + [1 << (off + t) for t in brow]
+        for lrow, brow in zip(lmove, b.transitions)
     ]
-    return move, (lstart | rinit if lstart & lfinal else lstart), rfinal
+    start = lstart | rinit if lstart & lfinal else lstart
+    return move, start, state_mask(b.finals) << off
 
 
 def revcat_n1_direct(m: Dfa, n_accepting: bool) -> Dfa:
     """Direct DFA for L(m)^R L(n) when n is a one-state DFA.
 
     A rejecting n gives the empty language.  An accepting n gives
-    L(m)^R followed by anything: the subset walk of reverse_nfa(m), in
+    L(m)^R followed by anything: the subset walk of reverse_masks(m), in
     which every subset containing m's initial state collapses into one
     absorbing final state.  At most 2^(m-1) + 1 states are reachable.
     """
     if not n_accepting:
         return empty_dfa(m.alphabet)
     # the reversal's moves are m's preimages; its initial set is m's finals
-    pre, i0, _ = nfa_masks(reverse_nfa(m))
+    pre, i0, _ = reverse_masks(m)
     init_bit = 1 << m.initial
     SINK = -1  # the merged absorbing final state
 
@@ -137,13 +132,12 @@ def revcat_n1_direct(m: Dfa, n_accepting: bool) -> Dfa:
 def starcat_general_direct(a: Dfa, b: Dfa) -> Dfa:
     """Direct DFA for L(a)* L(b) when a has a final state.
 
-    The subset construction of star_nfa(a)'s masks without the fresh
-    state's column (start a.initial, finals a's), catenated with b's
-    and started in {a.initial, b.initial}, since the empty word is in
-    L(a)*.  A subset splits into p, a's states, and t, b's states:
-    whenever p meets a's finals, a's initial state joins p (star
-    re-entry) and b's initial state joins t.  Final when t meets b's
-    finals.  The reachable count never exceeds
+    The subset construction of star_masks(a)'s loop (without the fresh
+    state), catenated with b and started in {a.initial, b.initial},
+    since the empty word is in L(a)*.  A subset splits into p, a's
+    states, and t, b's states: whenever p meets a's finals, a's initial
+    state joins p (star re-entry) and b's initial state joins t.  Final
+    when t meets b's finals.  The reachable count never exceeds
     (3/4 * 2^m - 1)(2^n - 1) - (2^(m-1) - 2^(m-k1-1))(2^(n-1) - 1)
     with k1 the number of non-initial final states of a.  When a's only
     final state is its initial state, L(a)* = L(a) and p is always a
@@ -155,7 +149,6 @@ def starcat_general_direct(a: Dfa, b: Dfa) -> Dfa:
     if b.state_count < 2:
         raise ShapeError("starcat_general_direct needs a second operand with >= 2 states")
     m = a.state_count
-    move = nfa_masks(star_nfa(a))[0]
-    loop = [row[:m] for row in move], 1 << a.initial, state_mask(a.finals)
-    move, start, final_mask = catenation_masks(loop, dfa_masks(b, m))
+    move, start, final_mask = catenation_masks(_loop_masks(a), b)
+    # b's state q is bit m + q
     return subset_dfa(a.alphabet, move, start | 1 << (m + b.initial), final_mask)

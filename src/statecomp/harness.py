@@ -1,7 +1,7 @@
 """Verification oracles, searches, the op table and its routes.
 
-The oracle builds the operation's left NFA from reverse/star, takes its
-masks, catenates them with the right operand's through
+The oracle takes the masks of the left operand's reversal or star,
+catenates them with the right operand through
 constructions.catenation_masks, and counts the subset construction's
 Hopcroft blocks.  Each op's route picks the direct construction and
 its size bound by operand shape; revcat with n >= 2 has none of its own
@@ -24,11 +24,10 @@ from typing import Callable, Container
 from .automata import (
     Dfa,
     Masks,
-    Nfa,
     _pair_walk,
     hopcroft_refine,
     minimal_rows,
-    nfa_masks,
+    reverse_masks,
     state_mask,
     subset_construction,
     subset_dfa,
@@ -44,10 +43,8 @@ from .bounds import (
 from .constructions import (
     _require_same_alphabet,
     catenation_masks,
-    dfa_masks,
     revcat_n1_direct,
-    reverse_nfa,
-    star_nfa,
+    star_masks,
     starcat_general_direct,
 )
 from .witnesses import (
@@ -117,7 +114,7 @@ def _revcat_route(a: Dfa, b: Dfa) -> tuple[Dfa | None, int, int | None]:
     m, n = a.state_count, b.state_count
     if n == 1 and m >= 2:
         return revcat_n1_direct(a, bool(b.finals)), sc_revcat(m, 1), None
-    # none of its own: the paper's is the oracle's pipeline, reverse_nfa(a)
+    # none of its own: the paper's is the oracle's pipeline, a's reversal
     # with free moves from its finals to b's initial state, determinized
     return None, ub_revcat(m, n), None
 
@@ -171,8 +168,7 @@ def _starcat_special_pair(m: int, n: int) -> tuple[Dfa, Dfa]:
 class Operation:
     """One row of the op table."""
 
-    base: str  # the op whose constructions run; starcat-special runs starcat's
-    left: Callable[[Dfa], Nfa]  # the oracle's NFA for the left operand
+    left: Callable[[Dfa], Masks]  # the oracle's left machine: a's reversal or star
     # by operand shape: the direct construction (None where the oracle's
     # pipeline is the only one), its size bound, and k1
     route: Callable[[Dfa, Dfa], tuple[Dfa | None, int, int | None]]
@@ -182,12 +178,9 @@ class Operation:
 
 
 OPS = {
-    "revcat": Operation(
-        "revcat", reverse_nfa, _revcat_route, sc_revcat, None, _revcat_pair
-    ),
+    "revcat": Operation(reverse_masks, _revcat_route, sc_revcat, None, _revcat_pair),
     "starcat": Operation(
-        "starcat", star_nfa, _starcat_route, sc_starcat, ub_starcat_general,
-        _starcat_pair,
+        star_masks, _starcat_route, sc_starcat, ub_starcat_general, _starcat_pair
     ),
 }
 # star-catenation restricted to a first operand whose only final state
@@ -207,11 +200,10 @@ def operation(op: str, among: Container[str] = COMPOSE_OPS) -> Operation:
     return OPS[op]
 
 
-def _oracle_masks(op: str, a: Dfa, b: Dfa) -> Masks:
-    left = nfa_masks(operation(op).left(a))
+def _oracle_masks(left: Callable[[Dfa], Masks], a: Dfa, b: Dfa) -> Masks:
+    """The oracle's masks: the left machine left(a) catenated with b."""
     _require_same_alphabet(a, b)
-    # the left NFA's state count: one move-table entry per state
-    return catenation_masks(left, dfa_masks(b, len(left[0][0])))
+    return catenation_masks(left(a), b)
 
 
 def _masks_minimal_size(move, start: int, final_mask: int) -> int:
@@ -223,14 +215,14 @@ def _masks_minimal_size(move, start: int, final_mask: int) -> int:
 
 def oracle_pipeline(op: str, a: Dfa, b: Dfa) -> Dfa:
     """Determinized (not yet minimized) DFA for the operation, built only
-    from the generic constructions: the left NFA and b side by side, with
-    free moves from the left NFA's finals to b's initial state."""
-    return subset_dfa(a.alphabet, *_oracle_masks(op, a, b))
+    from the generic constructions: the left machine and b side by side,
+    with free moves from the left machine's finals to b's initial state."""
+    return subset_dfa(a.alphabet, *_oracle_masks(operation(op).left, a, b))
 
 
 def oracle_sc(op: str, a: Dfa, b: Dfa) -> int:
     """Minimal DFA size of the operation result, via the generic pipeline."""
-    return _masks_minimal_size(*_oracle_masks(op, a, b))
+    return _masks_minimal_size(*_oracle_masks(operation(op).left, a, b))
 
 
 def combined(op: str, a: Dfa, b: Dfa) -> Dfa:
@@ -251,7 +243,7 @@ def _report(
     formula or, formula None, the direct machine fits the route's bound;
     the report keeps the shortest word they disagree on, if any."""
     direct, bound, k1 = spec.route(a, b)
-    oracle = oracle_pipeline(spec.base, a, b)
+    oracle = subset_dfa(a.alphabet, *_oracle_masks(spec.left, a, b))
     # every subset the construction reaches is reachable, so the blocks
     # are the count
     minimal = len(hopcroft_refine(oracle.transitions, oracle.finals)[0])
@@ -353,15 +345,14 @@ def exhaustive_search(
     *,
     sample_count: int | None = None,
     seed: int = 0,
-    budget: int = DEFAULT_BUDGET,
 ) -> SearchResult:
     """Maximal oracle size over complete DFA pairs of the given shape.
 
     Full mode covers every pair (initial states fixed at 0, all
-    transition tables, all final sets) and refuses to start past the
-    budget; it runs the oracle once per letter-permutation orbit of
-    language-class pairs (see _orbit_pairs) whose catenation bound beats
-    the best size found before it.  Sampled mode draws
+    transition tables, all final sets) and refuses to start past
+    DEFAULT_BUDGET pairs; it runs the oracle once per letter-permutation
+    orbit of language-class pairs (see _orbit_pairs) whose catenation
+    bound beats the best size found before it.  Sampled mode draws
     sample_count index pairs from a seeded generator and runs the oracle
     on each.  The reported argmax is the first pair reaching the maximum
     in enumeration order.
@@ -369,12 +360,13 @@ def exhaustive_search(
     operation(op)
     _check_sizes(m, n)
     alphabet = _alphabet(alphabet_size)
-    if mode == "full" and m + n >= budget.bit_length():
+    if mode == "full" and m + n >= DEFAULT_BUDGET.bit_length():
         # each side has at least 2^size final sets, so the pair count is
         # over the budget; refused before its power, which can run to
         # more digits than int-to-string conversion allows, is formed
         raise BudgetError(
-            f"full search over at least 2^{m + n} pairs exceeds the budget of {budget}"
+            f"full search over at least 2^{m + n} pairs exceeds the budget of "
+            f"{DEFAULT_BUDGET}"
         )
     count_a = dfa_count(m, alphabet_size)
     count_b = dfa_count(n, alphabet_size)
@@ -383,9 +375,9 @@ def exhaustive_search(
 
     if mode == "full":
         examined = count_a * count_b
-        if examined > budget:
+        if examined > DEFAULT_BUDGET:
             raise BudgetError(
-                f"full search over {examined} pairs exceeds the budget of {budget}"
+                f"full search over {examined} pairs exceeds the budget of {DEFAULT_BUDGET}"
             )
         # a pair whose catenation bound is at most the best size so far
         # cannot be a new strict maximum, so its oracle run is skipped;
@@ -423,29 +415,26 @@ def _pair_sizes(op: str, m: int, n: int, alphabet: tuple[str, ...], pair_indices
     """(a, b, oracle_sc(op, a, b)) for each (ia, ib) in pair_indices, a
     and b the decoded machines of sizes m and n.
 
-    Each side keeps the machines and masks of its last 65,536 indices
-    (the right side's also keyed by its offset, the left NFA's state
-    count), so an index that comes again is not decoded again, and the
-    pair's own work is catenation_masks and _masks_minimal_size.
+    Each side keeps its last 65,536 indices' machines, and the left side
+    their left masks, so an index that comes again is not decoded again,
+    and the pair's own work is catenation_masks and _masks_minimal_size.
     """
-    left_nfa = operation(op).left
+    left = operation(op).left
 
     # bounded, as a side can hold millions of machines
     @functools.lru_cache(maxsize=1 << 16)
     def left_of(ia: int) -> tuple[Dfa, Masks]:
         a = decode_dfa(ia, m, alphabet)
-        return a, nfa_masks(left_nfa(a))
+        return a, left(a)
 
     @functools.lru_cache(maxsize=1 << 16)
-    def right_of(ib: int, off: int) -> tuple[Dfa, Masks]:
-        b = decode_dfa(ib, n, alphabet)
-        return b, dfa_masks(b, off)
+    def right_of(ib: int) -> Dfa:
+        return decode_dfa(ib, n, alphabet)
 
     for ia, ib in pair_indices:
-        a, left = left_of(ia)
-        # the left NFA's state count: one move-table entry per state
-        b, right = right_of(ib, len(left[0][0]))
-        yield a, b, _masks_minimal_size(*catenation_masks(left, right))
+        a, masks = left_of(ia)
+        b = right_of(ib)
+        yield a, b, _masks_minimal_size(*catenation_masks(masks, b))
 
 
 def _letter_generators(nsym: int) -> list[tuple[int, ...]]:
@@ -518,9 +507,9 @@ def _classes(
 def _left_classes(
     op: str, size: int, alphabet: tuple[str, ...], classes
 ) -> tuple[list[int], list[list[int]], list[tuple[int, int]]]:
-    """The left operand's classes by the language of its left NFA
+    """The left operand's classes by the language of its left machine
     (L(a)^R for revcat, L(a)* for starcat): _classes' classes, merged
-    where their first machines' left NFAs accept the same language.
+    where their first machines' left machines accept the same language.
 
     A merged class keeps the least first index among those it absorbs,
     and classes stay in that order.  Renaming letters commutes with
@@ -536,8 +525,7 @@ def _left_classes(
     heads: list[int] = []  # each merged class's first class
     counts: list[tuple[int, int]] = []
     for c, i in enumerate(firsts):
-        nfa = left(decode_dfa(i, size, alphabet))
-        rows, finals, _ = subset_construction(*nfa_masks(nfa))
+        rows, finals, _ = subset_construction(*left(decode_dfa(i, size, alphabet)))
         rows, finals = minimal_rows(rows, 0, finals)
         key = _language_key(rows, finals)
         x = index.get(key)
@@ -558,7 +546,7 @@ def _orbit_pairs(op: str, m: int, n: int, alphabet: tuple[str, ...]):
     maximal oracle size over all pairs and the first pair reaching it,
     each with its catenation bound.
 
-    The oracle's size depends only on the left NFA's language and b's,
+    The oracle's size depends only on the left machine's language and b's,
     and renaming letters on both operands together keeps it.  So the
     pairs of left classes (_left_classes) and right classes (_classes)
     are walked in lexicographic order, and a pair not yet seen is the

@@ -2,9 +2,9 @@
 
 Nothing here reuses the library's bitmask machinery: minimization is
 redone by naive signature refinement, operation membership is decided at
-the word level by trying every split, and the catenation and product
-constructions are rebuilt with plain frozensets straight from their
-definitions.  Tests compare the fast implementations against these.
+the word level by trying every split, and the reversal, star, catenation
+and product constructions are rebuilt with plain frozensets straight from
+their definitions.  Tests compare the fast implementations against these.
 """
 
 from __future__ import annotations
@@ -70,6 +70,64 @@ def moore_classes(rows, finals) -> list[int]:
         if len(ids) == size:
             return cls
         size = len(ids)
+
+
+def ref_reverse_nfa(d: Dfa) -> Nfa:
+    """Nfa for the reversed language, the reference for the library's
+    reverse_masks and reverse_nfa: edges flipped, roles of initial and
+    finals swapped."""
+    nsym = len(d.alphabet)
+    n = d.state_count
+    rows = []
+    for s in range(nsym):
+        row = d.transitions[s]
+        targets: list[list[int]] = [[] for _ in range(n)]
+        for q in range(n):
+            targets[row[q]].append(q)
+        rows.append(tuple(frozenset(t) for t in targets))
+    return Nfa(
+        state_count=n,
+        alphabet=d.alphabet,
+        transitions=tuple(rows),
+        initials=frozenset(d.finals),
+        epsilon_edges=frozenset(),
+        finals=frozenset((d.initial,)),
+    )
+
+
+def ref_star_nfa(a: Dfa) -> Nfa:
+    """Nfa for L(a)*, the reference for the library's star_masks and
+    star_nfa.
+
+    A fresh state (index a.state_count) is both initial and final and
+    copies the initial state's outgoing moves; nothing enters it.  Every
+    move into a final state of a also targets a.initial, which re-enters
+    the loop without free moves.
+    """
+    n = a.state_count
+    init = a.initial
+    fins = a.finals
+    rows = []
+    for s in range(len(a.alphabet)):
+        row = a.transitions[s]
+        new_row = [
+            frozenset((row[q], init)) if row[q] in fins else frozenset((row[q],))
+            for q in range(n)
+        ]
+        new_row.append(new_row[init])
+        rows.append(tuple(new_row))
+    return Nfa(
+        state_count=n + 1,
+        alphabet=a.alphabet,
+        transitions=tuple(rows),
+        initials=frozenset((n,)),
+        epsilon_edges=frozenset(),
+        finals=frozenset(fins) | frozenset((n,)),
+    )
+
+
+# each op's left operand as a reference Nfa: L(a)^R or L(a)*
+REF_LEFT = {"revcat": ref_reverse_nfa, "starcat": ref_star_nfa}
 
 
 def catenation_nfa(a: Nfa, b: Dfa) -> Nfa:

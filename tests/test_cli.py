@@ -10,9 +10,10 @@ import pytest
 from statecomp import Dfa, accepts, harness
 from statecomp.bounds import sc_revcat, sc_starcat
 from statecomp.cli import build_parser, main
-from statecomp.harness import OPS
+from statecomp.harness import DEFAULT_BUDGET, OPS
 from statecomp.serialize import emit_document, parse_document
 from statecomp.witnesses import (
+    FAMILIES,
     revcat_witness_M,
     revcat_witness_N,
     sigma_star_dfa,
@@ -118,6 +119,40 @@ class TestWitness:
     def test_missing_size_parameter(self, capsys):
         code, _, err = run(capsys, "witness", "--family", "revcat-M")
         assert code == 2 and "needs --m" in err
+
+    @pytest.mark.parametrize("family, kind", [("revcat-M", "m"), ("starcat-B", "n")])
+    def test_size_past_the_budget_is_refused_before_its_machine(
+        self, capsys, monkeypatch, family, kind
+    ):
+        def generator(size):
+            raise AssertionError("witness built")
+
+        monkeypatch.setitem(FAMILIES, family, (kind, generator))
+        size = DEFAULT_BUDGET + 1
+        code, out, err = run(
+            capsys, "witness", "--family", family, f"--{kind}", str(size)
+        )
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: --{kind}: {family} at {size} needs more states than the budget "
+            f"of {DEFAULT_BUDGET}\n"
+        )
+
+    def test_size_within_the_budget_reaches_its_machine(self, capsys, monkeypatch):
+        built = []
+
+        def generator(size):
+            built.append(size)
+            return revcat_witness_M(2)
+
+        monkeypatch.setitem(FAMILIES, "revcat-M", ("m", generator))
+        size = str(DEFAULT_BUDGET)
+        code, out, _ = run(capsys, "witness", "--family", "revcat-M", "--m", size)
+        assert (code, built) == (0, [DEFAULT_BUDGET])
+        assert parse_document(out) == revcat_witness_M(2)
+        monkeypatch.undo()
+        code, out, _ = run(capsys, "witness", "--family", "revcat-M", "--m", "3")
+        assert (code, parse_document(out)) == (0, revcat_witness_M(3))
 
     def test_unknown_family_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as e:

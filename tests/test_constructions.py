@@ -3,18 +3,22 @@ direct product DFAs checked against frozenset reimplementations and
 against split-enumeration membership oracles."""
 
 import random
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from statecomp.automata import (
     AlphabetMismatch,
+    Dfa,
     accepts,
     determinize,
     equivalent,
     minimize_hopcroft,
     nfa_accepts,
     nfa_from_dfa,
+    nfa_masks,
+    reverse_masks,
     reverse_nfa,
 )
 from statecomp.bounds import (
@@ -27,6 +31,7 @@ from statecomp.bounds import (
 from statecomp.constructions import (
     ShapeError,
     revcat_n1_direct,
+    star_masks,
     star_nfa,
     starcat_general_direct,
 )
@@ -48,9 +53,11 @@ from helpers import (
     all_words,
     catenation_nfa,
     random_complete_dfa,
+    ref_reverse_nfa,
     ref_revcat,
     ref_starcat_general,
     ref_starcat_special,
+    ref_star_nfa,
     revcat_member,
     run_word,
     star_member,
@@ -154,6 +161,42 @@ class TestStarNfa:
             st = star_nfa(a)
             for w in all_words(("a", "b"), 5):
                 assert nfa_accepts(st, w) == star_member(a, w)
+
+
+def _left_operands() -> list[Dfa]:
+    """Seeded random DFAs over one to three letters, each also with no
+    finals, with every state final and with its initial state final, and
+    one-state machines with and without a final state."""
+    rng = random.Random(34)
+    out = []
+    for _ in range(40):
+        d = random_complete_dfa(rng, rng.randint(1, 6), "abc"[: rng.randint(1, 3)])
+        out += [
+            d,
+            replace(d, finals=frozenset()),
+            replace(d, finals=frozenset(range(d.state_count))),
+            replace(d, finals=d.finals | {d.initial}),
+        ]
+    for alphabet in (("a",), ("a", "b"), ("a", "b", "c")):
+        loops = tuple((0,) for _ in alphabet)
+        out += [Dfa(1, alphabet, loops, 0, frozenset(f)) for f in ((), (0,))]
+    return out
+
+
+class TestLeftMasks:
+    # the library states each left construction once, as masks; its Nfa
+    # and its masks must be the frozenset references' own
+    def test_reversal_is_the_reference(self):
+        for d in _left_operands():
+            ref = ref_reverse_nfa(d)
+            assert reverse_nfa(d) == ref, d
+            assert nfa_masks(reverse_nfa(d)) == reverse_masks(d) == nfa_masks(ref), d
+
+    def test_star_is_the_reference(self):
+        for d in _left_operands():
+            ref = ref_star_nfa(d)
+            assert star_nfa(d) == ref, d
+            assert nfa_masks(star_nfa(d)) == star_masks(d) == nfa_masks(ref), d
 
 
 class TestRevcatDirect:

@@ -10,6 +10,7 @@ import string
 import pytest
 
 from helpers import (
+    REF_LEFT,
     all_words,
     catenation_nfa,
     moore_minimal_size,
@@ -112,8 +113,8 @@ class TestOracle:
             b = random_complete_dfa(rng, trial % 4 + 1, alphabet)
             if trial % 3 == 0:
                 a = dataclasses.replace(a, finals=frozenset())
-            cat = catenation_nfa(OPS[op].left(a), b)
-            move, start, final_mask = _oracle_masks(op, a, b)
+            cat = catenation_nfa(REF_LEFT[op](a), b)
+            move, start, final_mask = _oracle_masks(OPS[op].left, a, b)
             assert (move, start, final_mask) == nfa_masks(cat), (op, a, b)
             assert final_mask == state_mask(cat.finals)
             assert oracle_pipeline(op, a, b) == determinize(cat)[0]
@@ -381,7 +382,7 @@ class TestExhaustiveSearch:
         sizes = _pair_sizes(op, m, n, alphabet, iter(pairs))
         for (ia, ib), (a, b, size) in zip(pairs, sizes, strict=True):
             assert (a, b) == (decode_dfa(ia, m, alphabet), decode_dfa(ib, n, alphabet))
-            nfa = catenation_nfa(OPS[op].left(a), b)
+            nfa = catenation_nfa(REF_LEFT[op](a), b)
             assert size == moore_minimal_size(determinize(nfa)[0]), (op, ia, ib)
 
     # argmax pairs as decode_dfa indices, recorded from the Nfa/Dfa
@@ -453,7 +454,7 @@ class TestExhaustiveSearch:
         gens = _letter_generators(sigma)
 
         def left_key(i):
-            nfa = OPS[op].left(decode_dfa(i, m, alphabet))
+            nfa = REF_LEFT[op](decode_dfa(i, m, alphabet))
             return minimize_hopcroft(determinize(nfa)[0])
 
         def right_key(i):
@@ -481,11 +482,12 @@ class TestExhaustiveSearch:
         for (ia, ib), (_, _, size) in zip(pairs, sizes, strict=True):
             assert size <= bound_of[lefts[ia], rights[ib]], (op, ia, ib)
 
-    def test_budget_refusal(self):
+    def test_budget_refusal(self, monkeypatch):
         with pytest.raises(BudgetError):
             exhaustive_search("revcat", 3, 3, 4, "full")
+        monkeypatch.setattr(harness, "DEFAULT_BUDGET", 3)
         with pytest.raises(BudgetError):
-            exhaustive_search("revcat", 1, 1, 1, "full", budget=3)
+            exhaustive_search("revcat", 1, 1, 1, "full")
 
     def test_budget_error_is_a_value_error(self):
         assert issubclass(BudgetError, ValueError)
@@ -564,7 +566,7 @@ class TestLanguageClasses:
         firsts, images, counts = _left_classes(op, 2, alphabet, classes)
         blocks = {}  # the left NFA's minimal DFA -> its machines, in order
         for i in range(dfa_count(2, 3)):
-            nfa = OPS[op].left(decode_dfa(i, 2, alphabet))
+            nfa = REF_LEFT[op](decode_dfa(i, 2, alphabet))
             blocks.setdefault(minimize_hopcroft(determinize(nfa)[0]), []).append(i)
         keys = list(blocks)
         assert firsts == [block[0] for block in blocks.values()]
