@@ -14,10 +14,8 @@ of OPS.
 
 from __future__ import annotations
 
-import functools
 import random
 import string
-from array import array
 from dataclasses import dataclass, replace
 from typing import Callable, Container
 
@@ -25,6 +23,7 @@ from .automata import (
     Dfa,
     Masks,
     _pair_walk,
+    _reachable,
     hopcroft_refine,
     minimal_rows,
     reverse_masks,
@@ -137,7 +136,9 @@ def _starcat_route(a: Dfa, b: Dfa) -> tuple[Dfa | None, int, int | None]:
 
 
 def _revcat_pair(m: int, n: int) -> tuple[Dfa, Dfa]:
-    if m < 2:
+    if m < 1:
+        raise ValueError("m must be at least 1")
+    if m == 1:
         raise ValueError(
             "no stored reversal-catenation family covers m = 1; "
             "use exhaustive_search"
@@ -352,10 +353,10 @@ def exhaustive_search(
     transition tables, all final sets) and refuses to start past
     DEFAULT_BUDGET pairs; it runs the oracle once per letter-permutation
     orbit of language-class pairs (see _orbit_pairs) whose catenation
-    bound beats the best size found before it.  Sampled mode draws
-    sample_count index pairs from a seeded generator and runs the oracle
-    on each.  The reported argmax is the first pair reaching the maximum
-    in enumeration order.
+    bound beats the best size found before it, on the two classes'
+    minimal machines.  Sampled mode draws sample_count index pairs from
+    a seeded generator and runs the oracle on each.  The reported argmax
+    is the first pair reaching the maximum in enumeration order.
     """
     operation(op)
     _check_sizes(m, n)
@@ -371,7 +372,6 @@ def exhaustive_search(
     count_a = dfa_count(m, alphabet_size)
     count_b = dfa_count(n, alphabet_size)
     best = -1
-    best_pair: tuple[Dfa, Dfa] | None = None
 
     if mode == "full":
         examined = count_a * count_b
@@ -379,62 +379,40 @@ def exhaustive_search(
             raise BudgetError(
                 f"full search over {examined} pairs exceeds the budget of {DEFAULT_BUDGET}"
             )
+        gens = _letter_generators(alphabet_size)
+        classes_a = _classes(m, alphabet, gens)
+        left = _left_classes(op, classes_a)
+        right = classes_a if n == m else _classes(n, alphabet, gens)
+        firsts_a, _, _, lefts = left
+        firsts_b, _, rights = right
+        evaluated = 0
         # a pair whose catenation bound is at most the best size so far
-        # cannot be a new strict maximum, so its oracle run is skipped;
-        # the filter reads best as the loop below raises it.  Only this
-        # bound, which predates the paper, prunes: the search is the
-        # machine check that no pair beats sc_revcat and sc_starcat, and
-        # a walk pruned by those could never find a pair that does.
-        pair_indices = (
-            (ia, ib) for ia, ib, bound in _orbit_pairs(op, m, n, alphabet)
-            if bound > best
-        )
+        # cannot be a new strict maximum, so its oracle run is skipped.
+        # Only this bound, which predates the paper, prunes: the search is
+        # the machine check that no pair beats sc_revcat and sc_starcat,
+        # and a walk pruned by those could never find a pair that does.
+        for x, y, bound in _orbit_pairs(left, right):
+            if bound > best:
+                evaluated += 1
+                size = _masks_minimal_size(*catenation_masks(lefts[x], rights[y]))
+                if size > best:
+                    best, argmax = size, (x, y)
+        x, y = argmax
+        best_pair = decode_dfa(firsts_a[x], m, alphabet), decode_dfa(firsts_b[y], n, alphabet)
     elif mode == "sampled":
         if sample_count is None or sample_count < 1:
             raise ValueError("sampled mode needs a positive sample_count")
         rng = random.Random(seed)
-        pair_indices = (
-            (rng.randrange(count_a), rng.randrange(count_b))
-            for _ in range(sample_count)
-        )
-        examined = sample_count
+        for _ in range(sample_count):
+            a = decode_dfa(rng.randrange(count_a), m, alphabet)
+            b = decode_dfa(rng.randrange(count_b), n, alphabet)
+            size = oracle_sc(op, a, b)
+            if size > best:
+                best, best_pair = size, (a, b)
+        examined = evaluated = sample_count
     else:
         raise ValueError(f"unknown mode {mode!r}")
-
-    evaluated = 0
-    for a, b, size in _pair_sizes(op, m, n, alphabet, pair_indices):
-        evaluated += 1
-        if size > best:
-            best = size
-            best_pair = (a, b)
-    assert best_pair is not None
     return SearchResult(op, m, n, alphabet_size, best, best_pair, examined, evaluated)
-
-
-def _pair_sizes(op: str, m: int, n: int, alphabet: tuple[str, ...], pair_indices):
-    """(a, b, oracle_sc(op, a, b)) for each (ia, ib) in pair_indices, a
-    and b the decoded machines of sizes m and n.
-
-    Each side keeps its last 65,536 indices' machines, and the left side
-    their left masks, so an index that comes again is not decoded again,
-    and the pair's own work is catenation_masks and _masks_minimal_size.
-    """
-    left = operation(op).left
-
-    # bounded, as a side can hold millions of machines
-    @functools.lru_cache(maxsize=1 << 16)
-    def left_of(ia: int) -> tuple[Dfa, Masks]:
-        a = decode_dfa(ia, m, alphabet)
-        return a, left(a)
-
-    @functools.lru_cache(maxsize=1 << 16)
-    def right_of(ib: int) -> Dfa:
-        return decode_dfa(ib, n, alphabet)
-
-    for ia, ib in pair_indices:
-        a, masks = left_of(ia)
-        b = right_of(ib)
-        yield a, b, _masks_minimal_size(*catenation_masks(masks, b))
 
 
 def _letter_generators(nsym: int) -> list[tuple[int, ...]]:
@@ -470,62 +448,65 @@ def _language_key(rows, finals) -> tuple[int, int]:
 
 def _classes(
     size: int, alphabet: tuple[str, ...], gens
-) -> tuple[list[int], list[list[int]], list[int]]:
+) -> tuple[list[int], list[list[int]], list[Dfa]]:
     """The languages of the complete DFAs of this size, as classes.
 
     Every machine is keyed by its minimal_rows.  Returns each class's
     first enumeration index, classes in that order; for each generator
-    the class it maps each class to; and each class's minimal size.
-    Only indices are kept: a side can hold millions of machines and
-    classes.
+    the class it maps each class to; and each class's minimal machine,
+    minimize_hopcroft's of any of its machines.  Only classes are kept:
+    a side can hold millions of machines.
     """
     index: dict[tuple[int, int], int] = {}  # key -> class
     firsts: list[int] = []
-    sizes: list[int] = []
-    class_of = array("q")
+    minimal: list[Dfa] = []
     nsym = len(alphabet)
     for i in range(dfa_count(size, nsym)):
         rows, finals = _decode(i, size, nsym)
         rows, finals = minimal_rows(rows, 0, finals)
         key = _language_key(rows, finals)
-        c = index.get(key)
-        if c is None:
-            c = index[key] = len(firsts)
+        if key not in index:
+            index[key] = len(firsts)
             firsts.append(i)
-            sizes.append(len(rows[0]))
-        class_of.append(c)
-    # a generator's image of a class is the class of its first machine
-    # with its rows taken in the generator's order
-    images: list[list[int]] = [[] for _ in gens]
-    for i in firsts:
-        rows, finals = _decode(i, size, nsym)
-        for g, image in zip(gens, images):
-            image.append(class_of[_index_of([rows[s] for s in g], finals)])
-    return firsts, images, sizes
+            minimal.append(Dfa(len(rows[0]), alphabet, rows, 0, finals))
+    # renaming letters keeps a machine minimal, so a generator's image of
+    # a class is keyed by its minimal machine with the rows taken in the
+    # generator's order, renumbered breadth-first
+    images = [
+        [
+            index[_language_key(*_reachable([d.transitions[s] for s in g], 0, d.finals))]
+            for d in minimal
+        ]
+        for g in gens
+    ]
+    return firsts, images, minimal
 
 
 def _left_classes(
-    op: str, size: int, alphabet: tuple[str, ...], classes
-) -> tuple[list[int], list[list[int]], list[tuple[int, int]]]:
+    op: str, classes
+) -> tuple[list[int], list[list[int]], list[tuple[int, int]], list[Masks]]:
     """The left operand's classes by the language of its left machine
     (L(a)^R for revcat, L(a)* for starcat): _classes' classes, merged
-    where their first machines' left machines accept the same language.
+    where their minimal machines' left machines accept the same language.
 
     A merged class keeps the least first index among those it absorbs,
     and classes stay in that order.  Renaming letters commutes with
     reversal and with star, so a generator still sends a merged class to
     the class of its renamed first machine.  Returns firsts and images
-    as _classes does, and for each class (r, k): the state and final
-    counts of its left language's minimal DFA.
+    as _classes does; for each class (r, k), the state and final counts
+    of its left language's minimal DFA; and the left masks of its first
+    class's minimal machine.
     """
     left = operation(op).left
-    firsts, images, _ = classes
+    firsts, images, minimal = classes
     index: dict[tuple[int, int], int] = {}  # key -> merged class
     merged_of: list[int] = []  # class -> merged class
     heads: list[int] = []  # each merged class's first class
     counts: list[tuple[int, int]] = []
-    for c, i in enumerate(firsts):
-        rows, finals, _ = subset_construction(*left(decode_dfa(i, size, alphabet)))
+    lefts: list[Masks] = []
+    for c, d in enumerate(minimal):
+        masks = left(d)
+        rows, finals, _ = subset_construction(*masks)
         rows, finals = minimal_rows(rows, 0, finals)
         key = _language_key(rows, finals)
         x = index.get(key)
@@ -533,43 +514,42 @@ def _left_classes(
             x = index[key] = len(heads)
             heads.append(c)
             counts.append((len(rows[0]), len(finals)))
+            lefts.append(masks)
         merged_of.append(x)
     return (
         [firsts[c] for c in heads],
         [[merged_of[image[c]] for c in heads] for image in images],
         counts,
+        lefts,
     )
 
 
-def _orbit_pairs(op: str, m: int, n: int, alphabet: tuple[str, ...]):
-    """One index pair per orbit of class pairs, enough to find the
-    maximal oracle size over all pairs and the first pair reaching it,
-    each with its catenation bound.
+def _orbit_pairs(left, right):
+    """One class pair (x, y) per orbit of class pairs, enough to find
+    the maximal oracle size over all pairs and the first pair reaching
+    it, each with its catenation bound; left is _left_classes' classes
+    and right _classes'.
 
     The oracle's size depends only on the left machine's language and b's,
     and renaming letters on both operands together keeps it.  So the
-    pairs of left classes (_left_classes) and right classes (_classes)
-    are walked in lexicographic order, and a pair not yet seen is the
-    least of its orbit under the letter permutations: its orbit is
-    marked seen and the pair of the two classes' first indices is
-    yielded.  The first strict maximum over these is at the least
-    maximizing (first index of x, first index of y), which is the first
-    maximizing pair in enumeration order.
+    class pairs are walked in lexicographic order, and a pair not yet
+    seen is the least of its orbit under the letter permutations: its
+    orbit is marked seen and the pair is yielded.  The first strict
+    maximum over these is at the least maximizing (first index of x,
+    first index of y), which is the first maximizing pair in enumeration
+    order.
 
     The bound is Yu, Zhuang & Salomaa's (1994) for catenation,
     r * 2^s - k * 2^(s - 1): r and k the state and final counts of the
     left language's minimal DFA, s the right class's minimal size.
     """
-    gens = _letter_generators(len(alphabet))
-    classes_a = _classes(m, alphabet, gens)
-    firsts_a, img_a, counts_a = _left_classes(op, m, alphabet, classes_a)
-    firsts_b, img_b, sizes_b = classes_a if n == m else _classes(n, alphabet, gens)
+    _, img_a, counts_a, _ = left
+    _, img_b, minimal_b = right
     gen_pairs = list(zip(img_a, img_b))
-    ny = len(firsts_b)
-    seen = bytearray(len(firsts_a) * ny)
-    for x, ia in enumerate(firsts_a):
-        r, k = counts_a[x]
-        for y, ib in enumerate(firsts_b):
+    ny = len(minimal_b)
+    seen = bytearray(len(counts_a) * ny)
+    for x, (r, k) in enumerate(counts_a):
+        for y, b in enumerate(minimal_b):
             if seen[x * ny + y]:
                 continue
             seen[x * ny + y] = 1
@@ -581,8 +561,8 @@ def _orbit_pairs(op: str, m: int, n: int, alphabet: tuple[str, ...]):
                     if not seen[j]:
                         seen[j] = 1
                         stack.append((ga[u], gb[v]))
-            s = sizes_b[y]
-            yield ia, ib, r * 2 ** s - k * 2 ** (s - 1)
+            s = b.state_count
+            yield x, y, r * 2 ** s - k * 2 ** (s - 1)
 
 
 def random_dfa(rng: random.Random, size: int, alphabet: tuple[str, ...]) -> Dfa:

@@ -490,6 +490,8 @@ class TestUsage:
          "revcat_witness_M needs m >= 2"),
         (["verify", "--op", "revcat", "--m", "1", "--n", "2"], "--m/--n",
          "no stored reversal-catenation family covers m = 1; use exhaustive_search"),
+        (["verify", "--op", "revcat", "--m", "0", "--n", "2"], "--m/--n",
+         "m must be at least 1"),
         (["verify", "--op", "starcat", "--m", "3", "--n", "0"], "--m/--n",
          "starcat witnesses need m >= 2 and n >= 1"),
         (["compose", "--op", "revcat", "--lhs", "a.json", "--rhs", "b.json",

@@ -25,8 +25,10 @@ from statecomp.automata import (
     minimize_hopcroft,
     nfa_masks,
     state_mask,
+    subset_dfa,
 )
 from statecomp.bounds import sc_revcat, sc_starcat, sc_starcat_special
+from statecomp.constructions import catenation_masks
 from statecomp.harness import (
     DEFAULT_BUDGET,
     OPS,
@@ -39,7 +41,6 @@ from statecomp.harness import (
     _letter_generators,
     _oracle_masks,
     _orbit_pairs,
-    _pair_sizes,
     combined,
     decode_dfa,
     dfa_count,
@@ -61,6 +62,26 @@ from statecomp.witnesses import (
     starcat_witness_A,
     starcat_witness_B,
 )
+
+
+def _raw_sizes(op, m, n, alphabet):
+    """(ia, ib, a, b, oracle_sc(op, a, b)) for every index pair in
+    enumeration order, a and b the decoded machines: the search's
+    reference, one oracle run a pair."""
+    sigma = len(alphabet)
+    rights = [decode_dfa(ib, n, alphabet) for ib in range(dfa_count(n, sigma))]
+    for ia in range(dfa_count(m, sigma)):
+        a = decode_dfa(ia, m, alphabet)
+        for ib, b in enumerate(rights):
+            yield ia, ib, a, b, oracle_sc(op, a, b)
+
+
+def _search_classes(op, m, n, alphabet):
+    """The full search's left and right classes, built as it builds them."""
+    gens = _letter_generators(len(alphabet))
+    classes_a = _classes(m, alphabet, gens)
+    left = _left_classes(op, classes_a)
+    return left, classes_a if n == m else _classes(n, alphabet, gens)
 
 
 class TestOracle:
@@ -376,12 +397,7 @@ class TestExhaustiveSearch:
     @pytest.mark.parametrize("m,n", [(2, 2), (1, 2), (2, 1)])
     def test_every_pair_size_is_the_nfa_route_size(self, op, m, n):
         alphabet = ("a", "b")
-        pairs = [
-            (ia, ib) for ia in range(dfa_count(m, 2)) for ib in range(dfa_count(n, 2))
-        ]
-        sizes = _pair_sizes(op, m, n, alphabet, iter(pairs))
-        for (ia, ib), (a, b, size) in zip(pairs, sizes, strict=True):
-            assert (a, b) == (decode_dfa(ia, m, alphabet), decode_dfa(ib, n, alphabet))
+        for ia, ib, a, b, size in _raw_sizes(op, m, n, alphabet):
             nfa = catenation_nfa(REF_LEFT[op](a), b)
             assert size == moore_minimal_size(determinize(nfa)[0]), (op, ia, ib)
 
@@ -420,13 +436,8 @@ class TestExhaustiveSearch:
     )
     def test_full_search_is_the_first_strict_max_of_the_raw_search(self, op, m, n, sigma):
         alphabet = tuple(string.ascii_lowercase[:sigma])
-        pairs = (
-            (ia, ib)
-            for ia in range(dfa_count(m, sigma))
-            for ib in range(dfa_count(n, sigma))
-        )
         best, best_pair = -1, None
-        for a, b, size in _pair_sizes(op, m, n, alphabet, pairs):
+        for _, _, a, b, size in _raw_sizes(op, m, n, alphabet):
             if size > best:
                 best, best_pair = size, (a, b)
         r = exhaustive_search(op, m, n, sigma, "full")
@@ -469,7 +480,9 @@ class TestExhaustiveSearch:
         lefts = [left_key(i) for i in range(dfa_count(m, sigma))]
         rights = [right_key(i) for i in range(dfa_count(n, sigma))]
         bound_of = {}
-        for ia, ib, bound in _orbit_pairs(op, m, n, alphabet):
+        left, right = _search_classes(op, m, n, alphabet)
+        for x, y, bound in _orbit_pairs(left, right):
+            ia, ib = left[0][x], right[0][y]
             stack = [(lefts[ia], rights[ib])]
             while stack:
                 key = stack.pop()
@@ -477,10 +490,27 @@ class TestExhaustiveSearch:
                     bound_of[key] = bound
                     stack.extend((renamed(key[0], g), renamed(key[1], g)) for g in gens)
                 assert bound_of[key] == bound
-        pairs = [(ia, ib) for ia in range(len(lefts)) for ib in range(len(rights))]
-        sizes = _pair_sizes(op, m, n, alphabet, iter(pairs))
-        for (ia, ib), (_, _, size) in zip(pairs, sizes, strict=True):
+        for ia, ib, _, _, size in _raw_sizes(op, m, n, alphabet):
             assert size <= bound_of[lefts[ia], rights[ib]], (op, ia, ib)
+
+    # the search runs the oracle on the classes' minimal machines (for a
+    # merged left class, its first class's), never on decoded machines;
+    # every pair it can evaluate, one per orbit, must size as the two
+    # classes' first machines do
+    @pytest.mark.parametrize("op", ["revcat", "starcat"])
+    @pytest.mark.parametrize(
+        "m,n,sigma",
+        [(2, 2, 2), (1, 2, 2), (2, 1, 2), (1, 3, 2), (3, 1, 2), (2, 2, 3), (1, 1, 26)],
+    )
+    def test_class_machines_size_as_their_first_machines(self, op, m, n, sigma):
+        alphabet = tuple(string.ascii_lowercase[:sigma])
+        left, right = _search_classes(op, m, n, alphabet)
+        (firsts_a, _, _, lefts), (firsts_b, _, minimal_b) = left, right
+        for x, y, _ in _orbit_pairs(left, right):
+            size = harness._masks_minimal_size(*catenation_masks(lefts[x], minimal_b[y]))
+            a = decode_dfa(firsts_a[x], m, alphabet)
+            b = decode_dfa(firsts_b[y], n, alphabet)
+            assert size == oracle_sc(op, a, b), (op, x, y)
 
     def test_budget_refusal(self, monkeypatch):
         with pytest.raises(BudgetError):
@@ -542,9 +572,9 @@ class TestLanguageClasses:
             by_key.setdefault(minimize_hopcroft(d), []).append(i)
             by_words.setdefault(_words(d, 3), []).append(i)
         assert sorted(by_key.values()) == sorted(by_words.values())
-        firsts, _, sizes = _classes(2, alphabet, [])
+        firsts, _, minimal = _classes(2, alphabet, [])
         assert firsts == [block[0] for block in by_words.values()]
-        assert sizes == [minimize_hopcroft(machines[i]).state_count for i in firsts]
+        assert minimal == [minimize_hopcroft(machines[i]) for i in firsts]
 
     @pytest.mark.parametrize("sigma", [2, 3])
     def test_images_are_the_renamed_languages(self, sigma):
@@ -563,7 +593,7 @@ class TestLanguageClasses:
         alphabet = ("a", "b", "c")
         gens = _letter_generators(3)
         classes = _classes(2, alphabet, gens)
-        firsts, images, counts = _left_classes(op, 2, alphabet, classes)
+        firsts, images, counts, lefts = _left_classes(op, classes)
         blocks = {}  # the left NFA's minimal DFA -> its machines, in order
         for i in range(dfa_count(2, 3)):
             nfa = REF_LEFT[op](decode_dfa(i, 2, alphabet))
@@ -572,6 +602,8 @@ class TestLanguageClasses:
         assert firsts == [block[0] for block in blocks.values()]
         assert len(firsts) == count
         assert counts == [(d.state_count, len(d.finals)) for d in keys]
+        # each class's left masks accept its left language
+        assert [minimize_hopcroft(subset_dfa(alphabet, *masks)) for masks in lefts] == keys
         # reversal is a bijection on languages, so revcat keeps the classes
         assert ((firsts, images) == classes[:2]) == (op == "revcat")
         for g, image in zip(gens, images, strict=True):
@@ -595,23 +627,29 @@ class TestLanguageClasses:
                     frontier.append(q)
         assert len(group) == 24
 
-    @pytest.mark.parametrize("size,sigma", [(1, 3), (2, 2), (2, 3), (3, 1)])
+    # at (3, 2) many of the 5,832 machines have smaller minimal machines,
+    # whose renamings _classes keys without decoding any machine
+    @pytest.mark.parametrize("size,sigma", [(1, 3), (2, 2), (2, 3), (3, 1), (3, 2)])
     def test_index_arithmetic(self, size, sigma):
         alphabet = tuple("abc"[:sigma])
-        for i in range(dfa_count(size, sigma)):
-            d = decode_dfa(i, size, alphabet)
+        machines = [decode_dfa(i, size, alphabet) for i in range(dfa_count(size, sigma))]
+        for i, d in enumerate(machines):
             assert _index_of(d.transitions, d.finals) == i
+        # every machine's class, numbered in order of first index
+        ids = {}
+        class_of = [ids.setdefault(minimize_hopcroft(d), len(ids)) for d in machines]
         # a generator sends a class to the class of its first machine
         # with the rows taken in the generator's order
         gens = _letter_generators(sigma)
         firsts, images, _ = _classes(size, alphabet, gens)
+        assert len(firsts) == len(ids)
         for g, image in zip(gens, images, strict=True):
             for i, y in zip(firsts, image, strict=True):
-                d = decode_dfa(i, size, alphabet)
-                renamed = dataclasses.replace(
-                    d, transitions=tuple(d.transitions[s] for s in g)
-                )
-                assert equivalent(renamed, decode_dfa(firsts[y], size, alphabet)), (i, g)
+                d = machines[i]
+                rows = tuple(d.transitions[s] for s in g)
+                assert y == class_of[_index_of(rows, d.finals)], (i, g)
+                renamed = dataclasses.replace(d, transitions=rows)
+                assert equivalent(renamed, machines[firsts[y]]), (i, g)
 
     @pytest.mark.parametrize("op", ["revcat", "starcat"])
     def test_renaming_letters_keeps_the_oracle_size(self, op):
