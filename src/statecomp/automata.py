@@ -4,8 +4,8 @@ States are integers 0..state_count-1 and symbols are single characters.
 A Dfa is always complete: every (state, symbol) pair has exactly one
 target.  Subsets of states are integer bitmasks, fast enough for
 exhaustive searches over millions of machines; minimization keeps its
-partition as ranges of one permutation of the states, which scales to
-hundreds of thousands.
+partition as ranges of one permutation of the states, and its preimages
+as chains through flat lists, which scales to hundreds of thousands.
 """
 
 from __future__ import annotations
@@ -315,11 +315,12 @@ def hopcroft_refine(rows, finals) -> tuple[list[int], list[int]]:
 
     The partition lives in flat arrays: elems is a permutation of the
     states, loc its inverse, and block b is the range
-    elems[first[b]:end[b]].  A splitter's preimage on one symbol is
-    swapped to the front of each block it meets, up to mid[b]; the
-    smaller of the marked and unmarked parts becomes a new block.  A
-    split costs the size of the splitter's preimage, and the refinement
-    runs in O(k n log n).
+    elems[first[b]:end[b]].  Each symbol's preimages are chains through
+    two lists of n entries.  A splitter's
+    preimage on one symbol is swapped to the front of each block it
+    meets, up to mid[b]; the smaller of the marked and unmarked parts
+    becomes a new block.  A split costs the size of the splitter's
+    preimage, and the refinement runs in O(k n log n).
     """
     n = len(rows[0])
     nf = len(finals)
@@ -337,17 +338,16 @@ def hopcroft_refine(rows, finals) -> tuple[list[int], list[int]]:
     loc = sorted(states, key=elems.__getitem__)
     first, end, mid = [0, nf], [nf, n], [0, nf]
     worklist = [0 if nf <= n - nf else 1]
-    # pre[s][q] lists the states that rows[s] sends to q
+    # per symbol, the states that rows[s] sends to t form a chain:
+    # head[t] is its first state, nxt[q] the one after q, and -1 ends it
     pre = []
     for row in rows:
-        ps: list = [()] * n  # a list once q has a preimage
+        head = [-1] * n
+        nxt = [-1] * n
         for q, t in zip(states, row):
-            x = ps[t]
-            if x:
-                x.append(q)
-            else:
-                ps[t] = [q]
-        pre.append(ps)
+            nxt[q] = head[t]
+            head[t] = q
+        pre.append((head, nxt))
 
     while worklist:
         w = worklist.pop()
@@ -355,11 +355,12 @@ def hopcroft_refine(rows, finals) -> tuple[list[int], list[int]]:
         # included, and every symbol refines by the whole block even after
         # the block itself splits
         splitter = elems[first[w] : end[w]]
-        for ps in pre:
+        for head, nxt in pre:
             touched = []
             for q in splitter:
                 # rows[s] is a function, so each p turns up once per symbol
-                for p in ps[q]:
+                p = head[q]
+                while p >= 0:
                     b = block_of[p]
                     m = mid[b]
                     if m == first[b]:
@@ -373,6 +374,7 @@ def hopcroft_refine(rows, finals) -> tuple[list[int], list[int]]:
                         elems[i] = r
                         loc[r] = i
                     mid[b] = m + 1
+                    p = nxt[p]
             for b in touched:
                 f, m, e = first[b], mid[b], end[b]
                 if m == e:

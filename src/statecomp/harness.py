@@ -243,11 +243,12 @@ def _report(
     when both give the same language and the oracle's minimal size equals
     formula or, formula None, the direct machine fits the route's bound;
     the report keeps the shortest word they disagree on, if any."""
-    direct, bound, k1 = spec.route(a, b)
     oracle = subset_dfa(a.alphabet, *_oracle_masks(spec.left, a, b))
     # every subset the construction reaches is reachable, so the blocks
-    # are the count
+    # are the count; counted before the route runs, so the refinement's
+    # tables are gone before the direct machine is built
     minimal = len(hopcroft_refine(oracle.transitions, oracle.finals)[0])
+    direct, bound, k1 = spec.route(a, b)
     if direct is None:
         direct, word = oracle, None
     else:

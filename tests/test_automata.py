@@ -2,6 +2,8 @@
 equivalence, and distinguishability."""
 
 import random
+import tracemalloc
+from itertools import product
 
 import pytest
 
@@ -27,6 +29,7 @@ from statecomp import (
 )
 from statecomp import automata
 from statecomp.automata import BIT_LOOP_MAX_STATES, TABLE_MAX_STATES, _pair_walk
+from statecomp.constructions import catenation_masks
 
 from helpers import (
     _bfs_build,
@@ -430,6 +433,71 @@ class TestHopcroftRefine:
         # copy taken at the pop gives the wrong partition here
         rows = ((5, 0, 1, 0, 5, 3), (5, 1, 4, 2, 4, 0))
         self.check(rows, frozenset((0, 1, 3)))
+
+    def test_one_target_takes_most_preimages(self):
+        # on the first letter most states go to one target and no state
+        # goes to the upper half, so one preimage chain runs through most
+        # of the table and half the chains are empty
+        rng = random.Random(21)
+        for _ in range(100):
+            n = rng.randint(2, 80)
+            hub = rng.randrange(n // 2)
+            crowd = [hub if rng.random() < 0.8 else rng.randrange(n // 2) for _ in range(n)]
+            rows = [crowd] + [
+                [rng.randrange(n) for _ in range(n)] for _ in range(rng.randint(0, 2))
+            ]
+            self.check(rows, frozenset(q for q in range(n) if rng.random() < 0.5))
+
+    def test_one_chain_through_every_state(self):
+        # every state goes to state 0 on the first letter, a chain of all
+        # 500 states; the second letter peels one state off per split
+        n = 500
+        rows = [[0] * n, [min(q + 1, n - 1) for q in range(n)]]
+        assert self.check(rows, frozenset((n - 1,))) == n
+
+    def test_permutation_letters(self):
+        # every letter a permutation, so every chain holds one state
+        rng = random.Random(22)
+        for _ in range(100):
+            n = rng.randint(1, 60)
+            rows = [rng.sample(range(n), n) for _ in range(rng.randint(1, 3))]
+            self.check(rows, frozenset(q for q in range(n) if rng.random() < 0.3))
+
+    def test_unary_alphabet(self):
+        rng = random.Random(23)
+        for _ in range(200):
+            n = rng.randint(1, 40)
+            rows = [[rng.randrange(n) for _ in range(n)]]
+            self.check(rows, frozenset(q for q in range(n) if rng.random() < 0.5))
+
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("nsym", [1, 2])
+    def test_every_table_of_one_or_two_states(self, n, nsym):
+        for flat in product(range(n), repeat=n * nsym):
+            rows = [flat[s * n : (s + 1) * n] for s in range(nsym)]
+            for bits in range(1 << n):
+                self.check(rows, frozenset(q for q in range(n) if bits >> q & 1))
+
+    def test_peak_memory_per_state(self):
+        # tracemalloc's peak inside the refinement of revcat's (7, 7)
+        # oracle table (12,288 states, four letters): about 390 bytes per
+        # state (4.8 MB) with one preimage list per (symbol, state), about
+        # 225 (2.8 MB) with each symbol's preimages as chains in two flat
+        # lists
+        left = automata.reverse_masks(revcat_witness_M(7))
+        rows, finals, _ = automata.subset_construction(
+            *catenation_masks(left, revcat_witness_N(7))
+        )
+        n = len(rows[0])
+        assert n == 12288
+        tracemalloc.start()
+        try:
+            reps, _ = automata.hopcroft_refine(rows, finals)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(reps) == n
+        assert peak < 300 * n
 
 
 class TestEquivalent:

@@ -349,6 +349,16 @@ class TestVerifyConstruction:
         r = verify_construction("starcat", a, sigma_star_dfa(a.alphabet))
         assert r.formula == 1 and r.constructed == 1 and r.passed
 
+    @pytest.mark.parametrize("op", ["revcat", "starcat"])
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_alphabet_mismatch(self, op, n):
+        # one message on every route shape, the one-state right operand's
+        # included, whose revcat route never compares the alphabets
+        a = revcat_n1_witness(3)  # over a, b, c
+        b = sigma_star_dfa(("a", "b")) if n == 1 else starcat_witness_B(n)
+        with pytest.raises(ValueError, match="operands use different alphabets"):
+            verify_construction(op, a, b)
+
 
 class TestEnumeration:
     def test_dfa_count(self):
