@@ -311,7 +311,8 @@ def hopcroft_refine(rows, finals) -> tuple[list[int], list[int]]:
     one state of each block, and block_of, the index of each state's
     block, so block_of[reps[b]] == b.  When every state is reachable, as
     explore's tables are, the number of blocks is the minimal Dfa's
-    state count; an unreachable state could add a block of its own.
+    state count; an unreachable state could add a block of its own
+    (minimal_rows numbers only the blocks reachable from the initial one).
 
     The partition lives in flat arrays: elems is a permutation of the
     states, loc its inverse, and block b is the range
@@ -423,20 +424,22 @@ def minimal_size(d: Dfa) -> int:
 
 def minimal_rows(transitions, initial: int, finals):
     """Transition rows and finals of the minimal machine of a complete
-    table, given as _reachable takes it.
+    table (transitions[s][q] the target of q on symbol s, finals a
+    frozenset of states).
 
-    Blocks are numbered breadth-first from the initial block in
-    alphabet order, so the initial block is 0 and two tables with the
-    same language give equal rows and finals.
+    The whole table is refined, and only the blocks reachable from the
+    initial block are numbered: exactly the blocks of the reachable
+    states.  They are numbered breadth-first in alphabet order, so the
+    initial block is 0 and two tables with the same language give equal
+    rows and finals.
     """
-    rows, finals = _reachable(transitions, initial, finals)
-    reps, block_of = hopcroft_refine(rows, finals)
-    # every block is reachable, and any of its states stands for it
-    succ = list(zip(*rows))
+    reps, block_of = hopcroft_refine(transitions, finals)
+    # any state of a block stands for it
+    succ = list(zip(*transitions))
     block_succ = [[block_of[t] for t in succ[q]] for q in reps]
     block_final = [q in finals for q in reps]
     rows, finals, _ = explore(
-        len(rows), block_of[0], block_succ.__getitem__, block_final.__getitem__
+        len(transitions), block_of[initial], block_succ.__getitem__, block_final.__getitem__
     )
     return rows, finals
 

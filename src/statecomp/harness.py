@@ -27,7 +27,6 @@ from .automata import (
     hopcroft_refine,
     minimal_rows,
     reverse_masks,
-    state_mask,
     subset_construction,
     subset_dfa,
 )
@@ -321,7 +320,11 @@ def _decode(index: int, size: int, nsym: int):
 def decode_dfa(index: int, size: int, alphabet: tuple[str, ...]) -> Dfa:
     """The index-th DFA in the enumeration of all complete machines of
     the given size, initial state 0.  The low bits pick the final set,
-    the rest spell the transition table in base size."""
+    the rest spell the transition table in base size.  ValueError for an
+    index outside 0..dfa_count(size, len(alphabet)) - 1."""
+    if not 0 <= index < dfa_count(size, len(alphabet)):
+        # named, not printed: the bound can pass int-to-string's digit limit
+        raise ValueError(f"decode index outside 0..dfa_count({size}, {len(alphabet)}) - 1")
     rows, finals = _decode(index, size, len(alphabet))
     return Dfa(
         state_count=size,
@@ -429,53 +432,36 @@ def _letter_generators(nsym: int) -> list[tuple[int, ...]]:
     return [swap, (*range(1, nsym), 0)]
 
 
-def _index_of(rows, finals) -> int:
-    """decode_dfa's index of the machine with these transition rows and
-    finals, initial state 0."""
-    size = len(rows[0])
-    t = 0
-    for row in reversed(rows):
-        for q in reversed(row):
-            t = t * size + q
-    return t << size | state_mask(finals)
-
-
-def _language_key(rows, finals) -> tuple[int, int]:
-    """A key for the language of minimal_rows' machine, which is
-    canonical since blocks are numbered breadth-first: its state count
-    and its own decode index."""
-    return len(rows[0]), _index_of(rows, finals)
-
-
 def _classes(
     size: int, alphabet: tuple[str, ...], gens
 ) -> tuple[list[int], list[list[int]], list[Dfa]]:
     """The languages of the complete DFAs of this size, as classes.
 
-    Every machine is keyed by its minimal_rows.  Returns each class's
-    first enumeration index, classes in that order; for each generator
-    the class it maps each class to; and each class's minimal machine,
-    minimize_hopcroft's of any of its machines.  Only classes are kept:
-    a side can hold millions of machines.
+    Every machine is keyed by its minimal_rows, which are canonical: two
+    machines share a key exactly when they accept the same language.
+    Returns each class's first enumeration index, classes in that order;
+    for each generator the class it maps each class to; and each class's
+    minimal machine, minimize_hopcroft's of any of its machines.  Only
+    classes are kept: a side can hold millions of machines.
     """
-    index: dict[tuple[int, int], int] = {}  # key -> class
+    index = {}  # minimal_rows' (rows, finals) -> class
     firsts: list[int] = []
     minimal: list[Dfa] = []
     nsym = len(alphabet)
     for i in range(dfa_count(size, nsym)):
         rows, finals = _decode(i, size, nsym)
-        rows, finals = minimal_rows(rows, 0, finals)
-        key = _language_key(rows, finals)
+        key = minimal_rows(rows, 0, finals)
         if key not in index:
             index[key] = len(firsts)
             firsts.append(i)
+            rows, finals = key
             minimal.append(Dfa(len(rows[0]), alphabet, rows, 0, finals))
     # renaming letters keeps a machine minimal, so a generator's image of
     # a class is keyed by its minimal machine with the rows taken in the
     # generator's order, renumbered breadth-first
     images = [
         [
-            index[_language_key(*_reachable([d.transitions[s] for s in g], 0, d.finals))]
+            index[_reachable([d.transitions[s] for s in g], 0, d.finals)]
             for d in minimal
         ]
         for g in gens
@@ -500,7 +486,7 @@ def _left_classes(
     """
     left = operation(op).left
     firsts, images, minimal = classes
-    index: dict[tuple[int, int], int] = {}  # key -> merged class
+    index = {}  # minimal_rows' (rows, finals) of the left language -> merged class
     merged_of: list[int] = []  # class -> merged class
     heads: list[int] = []  # each merged class's first class
     counts: list[tuple[int, int]] = []
@@ -508,12 +494,12 @@ def _left_classes(
     for c, d in enumerate(minimal):
         masks = left(d)
         rows, finals, _ = subset_construction(*masks)
-        rows, finals = minimal_rows(rows, 0, finals)
-        key = _language_key(rows, finals)
+        key = minimal_rows(rows, 0, finals)
         x = index.get(key)
         if x is None:
             x = index[key] = len(heads)
             heads.append(c)
+            rows, finals = key
             counts.append((len(rows[0]), len(finals)))
             lefts.append(masks)
         merged_of.append(x)

@@ -346,6 +346,22 @@ class TestMinimize:
             d = Dfa(total, alphabet, rows, core.initial, finals)
             assert minimal_size(d) == minimize_hopcroft(d).state_count
             assert minimal_size(d) == moore_minimal_size(d)
+            # the canonical table is that of the reachable part, numbered
+            # breadth-first from the initial state
+            order, number = [d.initial], {d.initial: 0}
+            for q in order:
+                for row in rows:
+                    if row[q] not in number:
+                        number[row[q]] = len(order)
+                        order.append(row[q])
+            part = Dfa(
+                len(order),
+                alphabet,
+                tuple(tuple(number[row[q]] for q in order) for row in rows),
+                0,
+                frozenset(number[q] for q in finals if q in number),
+            )
+            assert minimize_hopcroft(d) == minimize_hopcroft(part)
 
     def test_idempotent(self):
         rng = random.Random(5)

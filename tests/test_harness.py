@@ -36,7 +36,6 @@ from statecomp.harness import (
     BudgetError,
     SearchResult,
     _classes,
-    _index_of,
     _left_classes,
     _letter_generators,
     _oracle_masks,
@@ -384,6 +383,11 @@ class TestEnumeration:
         for d in seen:
             assert d.state_count == size and d.initial == 0
 
+    @pytest.mark.parametrize("index", [-1, 64, 65, 2 ** 70])
+    def test_decode_refuses_indices_outside_the_range(self, index):
+        with pytest.raises(ValueError, match=r"outside 0\.\.dfa_count\(2, 2\) - 1$"):
+            decode_dfa(index, 2, ("a", "b"))
+
 
 class TestExhaustiveSearch:
     def test_full_search_tiny_revcat(self):
@@ -643,8 +647,8 @@ class TestLanguageClasses:
     def test_index_arithmetic(self, size, sigma):
         alphabet = tuple("abc"[:sigma])
         machines = [decode_dfa(i, size, alphabet) for i in range(dfa_count(size, sigma))]
-        for i, d in enumerate(machines):
-            assert _index_of(d.transitions, d.finals) == i
+        # each machine's decode index, by its table
+        index_of = {(d.transitions, d.finals): i for i, d in enumerate(machines)}
         # every machine's class, numbered in order of first index
         ids = {}
         class_of = [ids.setdefault(minimize_hopcroft(d), len(ids)) for d in machines]
@@ -657,7 +661,7 @@ class TestLanguageClasses:
             for i, y in zip(firsts, image, strict=True):
                 d = machines[i]
                 rows = tuple(d.transitions[s] for s in g)
-                assert y == class_of[_index_of(rows, d.finals)], (i, g)
+                assert y == class_of[index_of[rows, d.finals]], (i, g)
                 renamed = dataclasses.replace(d, transitions=rows)
                 assert equivalent(renamed, machines[firsts[y]]), (i, g)
 
