@@ -236,11 +236,11 @@ def _image_tables(move, n: int) -> list[list[int]]:
             packed[q] |= t << shift
     tables = []
     for base in range(0, n, 8):
-        table = [0] * 256
-        for j in range(1, 256):
-            low = j & -j
-            # the entry with j's lowest bit cleared, plus that bit's state
-            table[j] = table[j ^ low] | packed[base + low.bit_length() - 1]
+        # after bit i's state, the table covers the values below 2^(i + 1):
+        # the second half is the first with that state's images added
+        table = [0]
+        for p in packed[base : base + 8]:
+            table += [p | x for x in table]
         tables.append(table)
     return tables
 
@@ -312,7 +312,8 @@ def hopcroft_refine(rows, finals) -> tuple[list[int], list[int]]:
     block, so block_of[reps[b]] == b.  When every state is reachable, as
     explore's tables are, the number of blocks is the minimal Dfa's
     state count; an unreachable state could add a block of its own
-    (minimal_rows numbers only the blocks reachable from the initial one).
+    (minimal_rows and minimal_size take only the blocks reachable from
+    the initial one).
 
     The partition lives in flat arrays: elems is a permutation of the
     states, loc its inverse, and block b is the range
@@ -322,6 +323,12 @@ def hopcroft_refine(rows, finals) -> tuple[list[int], list[int]]:
     meets, up to mid[b]; the smaller of the marked and unmarked parts
     becomes a new block.  A split costs the size of the splitter's
     preimage, and the refinement runs in O(k n log n).
+
+    A block down to one state can never split again, so it is settled:
+    block_of holds ~b for its state while the refinement runs, and the
+    marking loop passes such a state by, as Valmari's minimization (2012)
+    does no work on blocks that cannot split.  The ids are restored
+    before returning, so every block_of entry is a block index.
     """
     n = len(rows[0])
     nf = len(finals)
@@ -338,6 +345,11 @@ def hopcroft_refine(rows, finals) -> tuple[list[int], list[int]]:
     elems = sorted(states, key=block_of.__getitem__)
     loc = sorted(states, key=elems.__getitem__)
     first, end, mid = [0, nf], [nf, n], [0, nf]
+    # a block of one state is settled from the start
+    if nf == 1:
+        block_of[elems[0]] = ~0
+    if n - nf == 1:
+        block_of[elems[nf]] = ~1
     worklist = [0 if nf <= n - nf else 1]
     # per symbol, the states that rows[s] sends to t form a chain:
     # head[t] is its first state, nxt[q] the one after q, and -1 ends it
@@ -363,18 +375,20 @@ def hopcroft_refine(rows, finals) -> tuple[list[int], list[int]]:
                 p = head[q]
                 while p >= 0:
                     b = block_of[p]
-                    m = mid[b]
-                    if m == first[b]:
-                        touched.append(b)
-                    # swap p into the marked front of its block
-                    i = loc[p]
-                    if i != m:
-                        r = elems[m]
-                        elems[m] = p
-                        loc[p] = m
-                        elems[i] = r
-                        loc[r] = i
-                    mid[b] = m + 1
+                    # a settled block (b < 0) cannot split: pass p by
+                    if b >= 0:
+                        m = mid[b]
+                        if m == first[b]:
+                            touched.append(b)
+                        # swap p into the marked front of its block
+                        i = loc[p]
+                        if i != m:
+                            r = elems[m]
+                            elems[m] = p
+                            loc[p] = m
+                            elems[i] = r
+                            loc[r] = i
+                        mid[b] = m + 1
                     p = nxt[p]
             for b in touched:
                 f, m, e = first[b], mid[b], end[b]
@@ -391,6 +405,9 @@ def hopcroft_refine(rows, finals) -> tuple[list[int], list[int]]:
                     mid.append(f)
                     first[b] = mid[b] = m
                     lo, hi = f, m
+                    if e - m == 1:
+                        # b kept one state, and so did the new block
+                        block_of[elems[m]] = ~b
                 else:
                     first.append(m)
                     end.append(e)
@@ -398,9 +415,16 @@ def hopcroft_refine(rows, finals) -> tuple[list[int], list[int]]:
                     end[b] = m
                     mid[b] = f
                     lo, hi = m, e
-                for q in elems[lo:hi]:
-                    block_of[q] = ni
+                if hi - lo == 1:
+                    block_of[elems[lo]] = ~ni
+                else:
+                    for q in elems[lo:hi]:
+                        block_of[q] = ni
                 worklist.append(ni)
+    # unflag the settled blocks
+    for b, f in enumerate(first):
+        if end[b] - f == 1:
+            block_of[elems[f]] = b
     return [elems[f] for f in first], block_of
 
 
@@ -417,9 +441,28 @@ def _reachable(transitions, initial: int, finals):
 
 
 def minimal_size(d: Dfa) -> int:
-    """State count of d's minimal Dfa, without building it: the number
-    of Hopcroft blocks of d's reachable states."""
-    return len(hopcroft_refine(*_reachable(d.transitions, d.initial, d.finals))[0])
+    """State count of d's minimal Dfa, without building it.
+
+    d's whole table is refined, and the count is the number of blocks
+    reachable from the initial state's block: exactly the blocks of d's
+    reachable states, so no pass over the states finds those first.
+    """
+    rows = d.transitions
+    reps, block_of = hopcroft_refine(rows, d.finals)
+    start = block_of[d.initial]
+    seen = [False] * len(reps)
+    seen[start] = True
+    order = [start]
+    # any state of a block stands for it; the loop also visits the
+    # blocks appended while it runs
+    for b in order:
+        q = reps[b]
+        for row in rows:
+            c = block_of[row[q]]
+            if not seen[c]:
+                seen[c] = True
+                order.append(c)
+    return len(order)
 
 
 def minimal_rows(transitions, initial: int, finals):

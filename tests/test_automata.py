@@ -346,6 +346,8 @@ class TestMinimize:
             d = Dfa(total, alphabet, rows, core.initial, finals)
             assert minimal_size(d) == minimize_hopcroft(d).state_count
             assert minimal_size(d) == moore_minimal_size(d)
+            # Brzozowski's count shares no code with Hopcroft's
+            assert minimal_size(d) == minimize_brzozowski(d).state_count
             # the canonical table is that of the reachable part, numbered
             # breadth-first from the initial state
             order, number = [d.initial], {d.initial: 0}
@@ -362,6 +364,18 @@ class TestMinimize:
                 frozenset(number[q] for q in finals if q in number),
             )
             assert minimize_hopcroft(d) == minimize_hopcroft(part)
+
+    def test_minimal_size_of_an_unreachable_only_final(self):
+        # state 2, the only final state, is unreachable: the language is
+        # empty, though refining the whole table gives two blocks
+        d = Dfa(3, ("a", "b"), ((1, 0, 0), (0, 1, 2)), 0, frozenset((2,)))
+        assert minimal_size(d) == minimize_brzozowski(d).state_count == 1
+
+    def test_minimal_size_with_an_unreachable_twin(self):
+        # unreachable state 2 shares state 1's block, so that block is
+        # reached and counted once
+        d = Dfa(3, ("a",), ((1, 0, 0),), 0, frozenset((1, 2)))
+        assert minimal_size(d) == minimize_brzozowski(d).state_count == 2
 
     def test_idempotent(self):
         rng = random.Random(5)
@@ -393,6 +407,8 @@ class TestHopcroftRefine:
     @staticmethod
     def check(rows, finals) -> int:
         reps, block_of = automata.hopcroft_refine(rows, finals)
+        # no settled block's flag is left in block_of
+        assert all(0 <= b < len(reps) for b in block_of)
         assert len(set(block_of)) == len(reps)
         assert all(block_of[q] == b for b, q in enumerate(reps))
         # the same partition up to renaming: number blocks by first occurrence
@@ -485,6 +501,48 @@ class TestHopcroftRefine:
             n = rng.randint(1, 40)
             rows = [[rng.randrange(n) for _ in range(n)]]
             self.check(rows, frozenset(q for q in range(n) if rng.random() < 0.5))
+
+    @pytest.mark.parametrize("n", [3, 4, 7, 30])
+    def test_one_final_state_is_settled_from_the_start(self, n):
+        rng = random.Random(30 + n)
+        for _ in range(60):
+            rows = [[rng.randrange(n) for _ in range(n)] for _ in range(rng.randint(1, 3))]
+            self.check(rows, frozenset((rng.randrange(n),)))
+        # every state goes to the final state: the others all stay together
+        assert self.check([[n - 1] * n], frozenset((0,))) == 2
+
+    @pytest.mark.parametrize("n", [3, 4, 7, 30])
+    def test_one_nonfinal_state_is_settled_from_the_start(self, n):
+        rng = random.Random(40 + n)
+        for _ in range(60):
+            rows = [[rng.randrange(n) for _ in range(n)] for _ in range(rng.randint(1, 3))]
+            self.check(rows, frozenset(range(n)) - {rng.randrange(n)})
+        assert self.check([[n - 1] * n], frozenset(range(1, n))) == 2
+
+    def test_two_state_blocks_split_into_settled_halves(self):
+        # the non-finals {0, 1} and the finals {2, 3}: the finals' preimage
+        # {0, 2} cuts each block into two settled states
+        assert self.check([[2, 0, 2, 0]], frozenset((2, 3))) == 4
+
+    @pytest.mark.parametrize("j", range(2, 9))
+    def test_halving_blocks(self, j):
+        # q -> 2q mod 2^j, final when the top bit is set: after i letters
+        # the top bit is bit j - 1 - i, so each state's bits tell it apart
+        # and Moore's rounds halve every block; Hopcroft's splits cut
+        # pairs into two settled states (66 of them at j = 8).  The
+        # relabelled copies with a random second letter split in other
+        # orders
+        n = 1 << j
+        rows = [[2 * q % n for q in range(n)]]
+        finals = frozenset(range(n // 2, n))
+        assert self.check(rows, finals) == n
+        rng = random.Random(j)
+        for _ in range(20):
+            name = rng.sample(range(n), n)
+            back = sorted(range(n), key=name.__getitem__)
+            shift = [name[rows[0][back[q]]] for q in range(n)]
+            other = [rng.randrange(n) for _ in range(n)]
+            self.check([shift, other], frozenset(name[q] for q in finals))
 
     @pytest.mark.parametrize("n", [1, 2])
     @pytest.mark.parametrize("nsym", [1, 2])

@@ -2,12 +2,13 @@
 
 import dataclasses
 import json
+import random
 import shutil
 import subprocess
 
 import pytest
 
-from statecomp import Dfa, accepts, harness
+from statecomp import Dfa, accepts, harness, minimize_brzozowski
 from statecomp.bounds import sc_revcat, sc_starcat
 from statecomp.cli import build_parser, main
 from statecomp.harness import DEFAULT_BUDGET, OPS
@@ -234,6 +235,31 @@ class TestCompose:
         )
         assert code == 0
         assert out.rstrip().splitlines()[-1] == summary
+
+    @pytest.mark.parametrize("method", ["direct", "oracle"])
+    def test_minimal_of_a_right_operand_with_unreachable_states(
+        self, capsys, tmp_path, method
+    ):
+        # a left operand with no finals routes starcat to the right
+        # operand itself; each right operand has a random table with its
+        # last state unreachable, so minimal= is Brzozowski's count of it
+        lhs, rhs = tmp_path / "lhs.json", tmp_path / "rhs.json"
+        lhs.write_text(emit_document(Dfa(2, ("a", "b"), ((1, 0), (0, 0)), 0, frozenset())))
+        rng = random.Random(17)
+        for _ in range(20):
+            n = rng.randint(3, 6)
+            rows = tuple(
+                tuple(rng.randrange(n - 1) for _ in range(n)) for _ in range(2)
+            )
+            b = Dfa(n, ("a", "b"), rows, 0, frozenset(q for q in range(n) if rng.random() < 0.5))
+            rhs.write_text(emit_document(b))
+            code, out, _ = run(
+                capsys, "compose", "--op", "starcat", "--lhs", str(lhs), "--rhs", str(rhs),
+                "--method", method,
+            )
+            assert code == 0
+            minimal = out.rstrip().splitlines()[-1].split()[-1]
+            assert minimal == f"minimal={minimize_brzozowski(b).state_count}"
 
     def test_dot_format(self, capsys, pair):
         lhs, rhs = pair
