@@ -3,13 +3,14 @@
 The oracle takes the masks of the left operand's reversal or star,
 catenates them with the right operand through
 constructions.catenation_masks, and counts the subset construction's
-Hopcroft blocks.  Each op's route picks the direct construction and
-its size bound by operand shape; revcat with n >= 2 has none of its own
-(the paper's is the oracle's pipeline), so there verify checks the one
-machine against the closed form only.  Agreement between the routes,
-plus the closed-form bounds, is what the verify and search entry points
-check.  Everything that differs from one operation to the next is a row
-of OPS.
+Hopcroft blocks; the full search walks the same subsets over cached
+per-class image tables instead (_table_walk).  Each op's route picks
+the direct construction and its size bound by operand shape; revcat
+with n >= 2 has none of its own (the paper's is the oracle's
+pipeline), so there verify checks the one machine against the closed
+form only.  Agreement between the routes, plus the closed-form bounds,
+is what the verify and search entry points check.  Everything that
+differs from one operation to the next is a row of OPS.
 """
 
 from __future__ import annotations
@@ -24,9 +25,11 @@ from .automata import (
     Masks,
     _pair_walk,
     _reachable,
+    explore,
     hopcroft_refine,
     minimal_rows,
     reverse_masks,
+    state_mask,
     subset_construction,
     subset_dfa,
 )
@@ -358,11 +361,14 @@ def exhaustive_search(
     DEFAULT_BUDGET pairs; it runs the oracle once per letter-permutation
     orbit of language-class pairs (see _orbit_pairs) whose catenation
     bound beats the best size found before it, on the two classes'
-    minimal machines.  Sampled mode draws sample_count index pairs from
-    a seeded generator and runs the oracle on each.  The reported argmax
-    is the first pair reaching the maximum in enumeration order.
+    minimal machines, as a _table_walk over each class's cached image
+    table.  Sampled mode draws sample_count index pairs from a seeded
+    generator and runs the oracle's subset construction on each.  A
+    minimal size is at most the subset count, so either mode refines
+    only a table whose count beats the best size so far.  The reported
+    argmax is the first pair reaching the maximum in enumeration order.
     """
-    operation(op)
+    spec = operation(op)
     _check_sizes(m, n)
     alphabet = _alphabet(alphabet_size)
     if mode == "full" and m + n >= DEFAULT_BUDGET.bit_length():
@@ -389,18 +395,36 @@ def exhaustive_search(
         right = classes_a if n == m else _classes(n, alphabet, gens)
         firsts_a, _, _, lefts = left
         firsts_b, _, rights = right
+        width = _image_width(m, n)
+        left_tables: list = [None] * len(lefts)
+        # a right table depends only on the class's rows, which classes
+        # differing only in their finals share
+        right_tables: dict = {}
         evaluated = 0
-        # a pair whose catenation bound is at most the best size so far
-        # cannot be a new strict maximum, so its oracle run is skipped.
-        # Only this bound, which predates the paper, prunes: the search is
-        # the machine check that no pair beats sc_revcat and sc_starcat,
-        # and a walk pruned by those could never find a pair that does.
-        for x, y, bound in _orbit_pairs(left, right):
-            if bound > best:
-                evaluated += 1
-                size = _masks_minimal_size(*catenation_masks(lefts[x], rights[y]))
-                if size > best:
-                    best, argmax = size, (x, y)
+        # the best size so far, read by _orbit_pairs: a pair whose
+        # catenation bound is at most it cannot be a new strict maximum,
+        # so the walk passes it by.  Only this bound, which predates the
+        # paper, prunes: the search is the machine check that no pair
+        # beats sc_revcat and sc_starcat, and a walk pruned by those could
+        # never find a pair that does.
+        floor = [best]
+        for x, y, _ in _orbit_pairs(left, right, floor):
+            evaluated += 1
+            lt = left_tables[x]
+            if lt is None:
+                lt = left_tables[x] = _left_table(lefts[x], n, width)
+            b = rights[y]
+            rt = right_tables.get(b.transitions)
+            if rt is None:
+                rt = right_tables[b.transitions] = _right_table(b.transitions, width)
+            rows, finals, keys = _table_walk(
+                *lt, rt, state_mask(b.finals), n, alphabet_size, width
+            )
+            if len(keys) > floor[0]:
+                size = len(hopcroft_refine(rows, finals)[0])
+                if size > floor[0]:
+                    floor[0], argmax = size, (x, y)
+        best = floor[0]
         x, y = argmax
         best_pair = decode_dfa(firsts_a[x], m, alphabet), decode_dfa(firsts_b[y], n, alphabet)
     elif mode == "sampled":
@@ -410,9 +434,11 @@ def exhaustive_search(
         for _ in range(sample_count):
             a = decode_dfa(rng.randrange(count_a), m, alphabet)
             b = decode_dfa(rng.randrange(count_b), n, alphabet)
-            size = oracle_sc(op, a, b)
-            if size > best:
-                best, best_pair = size, (a, b)
+            rows, finals, keys = subset_construction(*_oracle_masks(spec.left, a, b))
+            if len(keys) > best:
+                size = len(hopcroft_refine(rows, finals)[0])
+                if size > best:
+                    best, best_pair = size, (a, b)
         examined = evaluated = sample_count
     else:
         raise ValueError(f"unknown mode {mode!r}")
@@ -511,11 +537,87 @@ def _left_classes(
     )
 
 
-def _orbit_pairs(left, right):
-    """One class pair (x, y) per orbit of class pairs, enough to find
-    the maximal oracle size over all pairs and the first pair reaching
-    it, each with its catenation bound; left is _left_classes' classes
-    and right _classes'.
+def _subset_table(packed: list[int]) -> list[int]:
+    """Entry j is the union of packed[q] over the bits q of j."""
+    # after state q, the table covers the values below 2^(q + 1): the
+    # second half is the first with q's entry added
+    table = [0]
+    for p in packed:
+        table += [p | x for x in table]
+    return table
+
+
+def _image_width(m: int, n: int) -> int:
+    """Bits per symbol of a _table_walk image at a search's (m, n): the
+    right machine's n, then the left machine's at most m + 1 (the star's
+    fresh state), so one right table serves every left class."""
+    return m + 1 + n
+
+
+def _left_table(masks: Masks, n: int, width: int) -> tuple[list[int], int]:
+    """A left machine's image table for _table_walk, and its start key.
+
+    Left state q is bit n + q of a key, after the n bits of the right
+    machine, whose initial state is bit 0.  Entry j of the table holds,
+    width bits apart in symbol order, the image of the left states in j,
+    with bit 0 added where that image meets the left finals: the
+    catenation's free move, folded in as catenation_masks folds it.
+    """
+    move, start, final_mask = masks
+
+    def key(t: int) -> int:
+        """The left states in t as key bits, with the free move's bit."""
+        return t << n | 1 if t & final_mask else t << n
+
+    packed = [0] * len(move[0])
+    for s, row in enumerate(move):
+        for q, t in enumerate(row):
+            packed[q] |= key(t) << s * width
+    return _subset_table(packed), key(start)
+
+
+def _right_table(transitions, width: int) -> list[int]:
+    """A right machine's image table for _table_walk, from its complete
+    table (transitions[s][q] the target of q on symbol s): state q is
+    bit q, and each symbol's images are width bits apart."""
+    packed = [0] * len(transitions[0])
+    for s, row in enumerate(transitions):
+        for q, t in enumerate(row):
+            packed[q] |= 1 << (s * width + t)
+    return _subset_table(packed)
+
+
+def _table_walk(
+    left_table, start: int, right_table, final_mask: int, n: int, nsym: int, width: int
+):
+    """explore's rows, finals and keys for a left machine catenated with
+    a right one of at most n states whose initial state is 0: the left
+    machine's _left_table and start key, the right one's _right_table
+    and final mask, built at this n and width.
+
+    A key's low n bits are the right machine's states and the rest the
+    left machine's, so a step ORs one entry of each table and cuts the
+    union into one image per symbol.  The keys are those of
+    subset_construction(*catenation_masks(left masks, b)) with the two
+    blocks of bits swapped, found in the same order, so the rows and
+    finals are that construction's.
+    """
+    low = (1 << n) - 1
+    full = (1 << width) - 1
+    shifts = range(0, nsym * width, width)
+
+    def step(key: int) -> list[int]:
+        union = left_table[key >> n] | right_table[key & low]
+        return [union >> sh & full for sh in shifts]
+
+    return explore(nsym, start, step, final_mask.__and__)
+
+
+def _orbit_pairs(left, right, floor=(-1,)):
+    """One class pair (x, y) per orbit of class pairs whose catenation
+    bound beats floor[0], enough to find the maximal oracle size over
+    all pairs and the first pair reaching it, each with its bound; left
+    is _left_classes' classes and right _classes'.
 
     The oracle's size depends only on the left machine's language and b's,
     and renaming letters on both operands together keeps it.  So the
@@ -528,16 +630,28 @@ def _orbit_pairs(left, right):
 
     The bound is Yu, Zhuang & Salomaa's (1994) for catenation,
     r * 2^s - k * 2^(s - 1): r and k the state and final counts of the
-    left language's minimal DFA, s the right class's minimal size.
+    left language's minimal DFA, s the right class's minimal size.  It
+    is tested before the seen mark, and floor[0] is read again at each
+    pair, so a caller may raise it as the walk runs.  Renaming letters
+    keeps r, k and s, so every pair of an orbit has the same bound: an
+    orbit whose least pair is passed by, left unmarked, has each later
+    pair passed by too as long as floor[0] never falls.  The default
+    floor is beaten by every bound, so then every orbit is yielded.
     """
     _, img_a, counts_a, _ = left
     _, img_b, minimal_b = right
     gen_pairs = list(zip(img_a, img_b))
     ny = len(minimal_b)
     seen = bytearray(len(counts_a) * ny)
+    # the bound is (2r - k) * 2^(s - 1)
+    halves = [2 ** (b.state_count - 1) for b in minimal_b]
     for x, (r, k) in enumerate(counts_a):
-        for y, b in enumerate(minimal_b):
+        twice = 2 * r - k
+        for y, half in enumerate(halves):
             if seen[x * ny + y]:
+                continue
+            bound = twice * half
+            if bound <= floor[0]:
                 continue
             seen[x * ny + y] = 1
             stack = [(x, y)]
@@ -548,8 +662,7 @@ def _orbit_pairs(left, right):
                     if not seen[j]:
                         seen[j] = 1
                         stack.append((ga[u], gb[v]))
-            s = b.state_count
-            yield x, y, r * 2 ** s - k * 2 ** (s - 1)
+            yield x, y, bound
 
 
 def random_dfa(rng: random.Random, size: int, alphabet: tuple[str, ...]) -> Dfa:

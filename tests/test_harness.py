@@ -37,9 +37,12 @@ from statecomp.harness import (
     SearchResult,
     _classes,
     _left_classes,
+    _left_table,
     _letter_generators,
     _oracle_masks,
     _orbit_pairs,
+    _right_table,
+    _table_walk,
     combined,
     decode_dfa,
     dfa_count,
@@ -467,6 +470,59 @@ class TestExhaustiveSearch:
         r = exhaustive_search(op, 2, 3, 3, "sampled", sample_count=50, seed=1)
         assert r.pairs_evaluated == r.pairs_examined == 50
 
+    # of those runs, only the pairs whose subset count beats the best size
+    # so far are refined; the others cannot be a new strict maximum
+    @pytest.mark.parametrize(
+        "op,runs,refinements", [("revcat", 328, 23), ("starcat", 1444, 654)]
+    )
+    def test_refines_only_counts_that_beat_the_best(self, monkeypatch, op, runs, refinements):
+        calls = []
+
+        def counted(rows, finals):
+            calls.append(1)
+            return automata.hopcroft_refine(rows, finals)
+
+        monkeypatch.setattr(harness, "hopcroft_refine", counted)
+        r = exhaustive_search(op, 2, 2, 3, "full")
+        assert (r.pairs_evaluated, len(calls)) == (runs, refinements)
+
+    @pytest.mark.parametrize("op", ["revcat", "starcat"])
+    @pytest.mark.parametrize("m,n,sigma,count", [(2, 2, 2, 300), (2, 3, 3, 50)])
+    def test_sampled_is_the_first_strict_max_of_its_draws(self, op, m, n, sigma, count):
+        # the draws replayed, one oracle run each, against the search that
+        # refines only the counts beating the best
+        alphabet = tuple("abc"[:sigma])
+        rng = random.Random(7)
+        best, best_pair = -1, None
+        for _ in range(count):
+            a = decode_dfa(rng.randrange(dfa_count(m, sigma)), m, alphabet)
+            b = decode_dfa(rng.randrange(dfa_count(n, sigma)), n, alphabet)
+            size = oracle_sc(op, a, b)
+            if size > best:
+                best, best_pair = size, (a, b)
+        r = exhaustive_search(op, m, n, sigma, "sampled", sample_count=count, seed=7)
+        assert (r.max_minimal, r.argmax, r.pairs_evaluated) == (best, best_pair, count)
+
+    @pytest.mark.parametrize("op", ["revcat", "starcat"])
+    @pytest.mark.parametrize("floor", [-1, 5, 12])
+    def test_floored_walk_is_the_walk_above_the_floor(self, op, floor):
+        left, right = _search_classes(op, 2, 2, ("a", "b", "c"))
+        walk = list(_orbit_pairs(left, right))
+        floored = list(_orbit_pairs(left, right, [floor]))
+        assert floored == [p for p in walk if p[2] > floor]
+        assert len(walk) == {"revcat": 2516, "starcat": 1512}[op]
+
+    def test_floor_raised_during_the_walk_is_read_at_each_pair(self):
+        # raising the floor to a yielded pair's bound passes every later
+        # pair with that bound or less by, as a fresh walk at that floor does
+        left, right = _search_classes("starcat", 2, 2, ("a", "b", "c"))
+        floor = [-1]
+        pairs = _orbit_pairs(left, right, floor)
+        first = next(pairs)
+        floor[0] = first[2]
+        rest = [p for p in _orbit_pairs(left, right) if p[2] > first[2]]
+        assert list(pairs) == [p for p in rest if p[:2] > first[:2]]
+
     @pytest.mark.parametrize("op", ["revcat", "starcat"])
     @pytest.mark.parametrize(
         "m,n,sigma", [(2, 2, 2), (1, 2, 2), (2, 1, 2), (1, 3, 2), (3, 1, 2), (1, 1, 26)]
@@ -525,6 +581,55 @@ class TestExhaustiveSearch:
             a = decode_dfa(firsts_a[x], m, alphabet)
             b = decode_dfa(firsts_b[y], n, alphabet)
             assert size == oracle_sc(op, a, b), (op, x, y)
+
+    # the search's walk on cached class tables, at the shapes above: at
+    # (1, 1, 26) a packed image is 26 * 3 = 78 bits wide
+    @pytest.mark.parametrize("op", ["revcat", "starcat"])
+    @pytest.mark.parametrize(
+        "m,n,sigma",
+        [(2, 2, 2), (1, 2, 2), (2, 1, 2), (1, 3, 2), (3, 1, 2), (2, 2, 3), (1, 1, 26)],
+    )
+    def test_table_walk_is_the_catenations_subset_construction(self, op, m, n, sigma):
+        alphabet = tuple(string.ascii_lowercase[:sigma])
+        left, right = _search_classes(op, m, n, alphabet)
+        (firsts_a, _, _, lefts), (firsts_b, _, minimal_b) = left, right
+        width = harness._image_width(m, n)
+        for x, y, _ in _orbit_pairs(left, right):
+            b = minimal_b[y]
+            rows, finals, keys = _table_walk(
+                *_left_table(lefts[x], n, width), _right_table(b.transitions, width),
+                state_mask(b.finals), n, sigma, width,
+            )
+            ref_rows, ref_finals, ref_keys = automata.subset_construction(
+                *catenation_masks(lefts[x], b)
+            )
+            assert (rows, finals, len(keys)) == (ref_rows, ref_finals, len(ref_keys))
+            first_a = decode_dfa(firsts_a[x], m, alphabet)
+            first_b = decode_dfa(firsts_b[y], n, alphabet)
+            size = len(automata.hopcroft_refine(rows, finals)[0])
+            assert size == oracle_sc(op, first_a, first_b), (op, x, y)
+
+    # left machines of m + 1 states that every state can be entered in,
+    # unlike a star's fresh state, and right machines of 1..n states
+    @pytest.mark.parametrize("m,n,sigma", [(1, 1, 26), (2, 2, 3), (3, 2, 2), (2, 4, 2)])
+    def test_table_walk_on_random_machines(self, m, n, sigma):
+        rng = random.Random(m * 100 + n * 10 + sigma)
+        alphabet = tuple(string.ascii_lowercase[:sigma])
+        width = harness._image_width(m, n)
+        full = (1 << (m + 1)) - 1
+        for _ in range(60):
+            move = [[rng.randrange(full + 1) for _ in range(m + 1)] for _ in alphabet]
+            masks = (move, rng.randrange(full + 1), rng.randrange(full + 1))
+            b = random_complete_dfa(rng, rng.randint(1, n), alphabet)
+            b = dataclasses.replace(b, initial=0)
+            rows, finals, keys = _table_walk(
+                *_left_table(masks, n, width), _right_table(b.transitions, width),
+                state_mask(b.finals), n, sigma, width,
+            )
+            ref_rows, ref_finals, ref_keys = automata.subset_construction(
+                *catenation_masks(masks, b)
+            )
+            assert (rows, finals, len(keys)) == (ref_rows, ref_finals, len(ref_keys))
 
     def test_budget_refusal(self, monkeypatch):
         with pytest.raises(BudgetError):
