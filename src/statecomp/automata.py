@@ -3,9 +3,13 @@
 States are integers 0..state_count-1 and symbols are single characters.
 A Dfa is always complete: every (state, symbol) pair has exactly one
 target.  Subsets of states are integer bitmasks, fast enough for
-exhaustive searches over millions of machines; minimization keeps its
-partition as ranges of one permutation of the states, and its preimages
-as chains through flat lists, which scales to hundreds of thousands.
+exhaustive searches over millions of machines.  One walker,
+_table_walk, numbers the subsets of every table-driven subset
+construction (subset_construction's and the search's): it looks a
+subset's images up in three tables of packed images, one per chunk of
+its bits.  Minimization keeps its partition as ranges of one
+permutation of the states, and its preimages as chains through flat
+lists, which scales to hundreds of thousands.
 """
 
 from __future__ import annotations
@@ -162,6 +166,12 @@ def explore(nsym: int, start, step, is_final):
                 k = index[nxt] = len(order)
                 order.append(nxt)
             flat.append(k)
+    return _numbered(flat, nsym, order, is_final)
+
+
+def _numbered(flat: list[int], nsym: int, order: list, is_final):
+    """explore's rows, finals and keys from its successor numbers, key
+    by key with symbols in order, and its keys in discovery order."""
     rows = tuple(tuple(flat[s::nsym]) for s in range(nsym))
     finals = frozenset(compress(range(len(order)), map(is_final, order)))
     return rows, finals, order
@@ -213,36 +223,55 @@ def nfa_masks(nfa: Nfa) -> Masks:
     return move, start, state_mask(nfa.finals)
 
 
-# Subset constructions on more than BIT_LOOP_MAX_STATES and at most
-# TABLE_MAX_STATES NFA states step through image tables; the others OR
-# the move entries of a subset's states one by one.  On fewer states the
-# tables cost more to build than they save.  On more, the tables, built
-# before the first step, grow as n^2 however few subsets are reached;
-# at TABLE_MAX_STATES they are at most 1,024 entries.
-BIT_LOOP_MAX_STATES = 8
-TABLE_MAX_STATES = 32
+# Subset constructions on at most TABLE_MAX_STATES NFA states look a
+# subset's images up in three tables, one per third of its bits, so a
+# table has at most 2^11 entries, however few subsets are reached.  On
+# more states the tables would grow as 2^(n/3), so a step ORs the move
+# entries of the subset's states one by one.
+TABLE_MAX_STATES = 33
 
 
-def _image_tables(move, n: int) -> list[list[int]]:
-    """For each byte of an n-state subset, the packed image of every
-    value of that byte: entry j of table c holds, n bits apart in symbol
-    order, the union of move[s][q] over the states q = 8c + i with bit i
-    of j set."""
-    # state q's images on every symbol, padded to whole bytes
-    packed = [0] * (-(-n // 8) * 8)
-    for s, row in enumerate(move):
-        shift = s * n
-        for q, t in enumerate(row):
-            packed[q] |= t << shift
-    tables = []
-    for base in range(0, n, 8):
-        # after bit i's state, the table covers the values below 2^(i + 1):
-        # the second half is the first with that state's images added
-        table = [0]
-        for p in packed[base : base + 8]:
-            table += [p | x for x in table]
-        tables.append(table)
-    return tables
+def _subset_table(packed: list[int]) -> list[int]:
+    """Entry j is the union of packed[q] over the bits q of j."""
+    # after state q, the table covers the values below 2^(q + 1): the
+    # second half is the first with q's entry added
+    table = [0]
+    for p in packed:
+        table += [p | x for x in table]
+    return table
+
+
+def _table_walk(tables, cuts, width: int, nsym: int, start: int, final_mask: int):
+    """explore's rows, finals and keys from start, with no step function.
+
+    A key is cut at the bits cuts = (c1, c2) into three chunks, and entry
+    j of tables[i] holds the images of the states in j, chunk i's value,
+    packed width bits apart in symbol order.  The first two tables'
+    lengths are powers of two that mask their chunks, as _subset_table
+    builds them; the third is indexed by all of a key's bits from c2 up.
+    A key's successors are the OR of one entry per table, cut width bits
+    at a time, and each new one is numbered inline in explore's order.
+    The finals are the keys meeting final_mask.
+    """
+    t0, t1, t2 = tables
+    c1, c2 = cuts
+    m0, m1 = len(t0) - 1, len(t1) - 1
+    full = (1 << width) - 1
+    shifts = range(0, nsym * width, width)
+    index = {start: 0}
+    order = [start]
+    flat: list[int] = []  # successor numbers, key by key, symbols in order
+    # the loop also visits the keys appended while it runs
+    for key in order:
+        union = t0[key & m0] | t1[key >> c1 & m1] | t2[key >> c2]
+        for sh in shifts:
+            nxt = union >> sh & full
+            k = index.get(nxt)
+            if k is None:
+                k = index[nxt] = len(order)
+                order.append(nxt)
+            flat.append(k)
+    return _numbered(flat, nsym, order, final_mask.__and__)
 
 
 def subset_construction(move, start: int, final_mask: int):
@@ -256,37 +285,37 @@ def subset_construction(move, start: int, final_mask: int):
     ordinary dead state when reached.  Returns explore's rows, finals
     (the subsets meeting final_mask) and subsets in that order.
 
-    On more than BIT_LOOP_MAX_STATES and at most TABLE_MAX_STATES
-    states, a step looks each byte of the subset up in _image_tables and
-    cuts the packed union into one image per symbol; otherwise it ORs
-    the subset's states' entries one by one.
+    On at most TABLE_MAX_STATES states, a _table_walk cuts each subset
+    into chunks of a third of the states, rounded up (the last one can
+    be shorter, or empty with the table [0]); otherwise a step ORs the
+    subset's states' entries one by one.
     """
     n = len(move[0])
-    if BIT_LOOP_MAX_STATES < n <= TABLE_MAX_STATES:
-        tables = _image_tables(move, n)
-        nbytes = len(tables)
-        full = (1 << n) - 1
-        shifts = range(0, len(move) * n, n)
+    nsym = len(move)
+    if n <= TABLE_MAX_STATES:
+        # state q's images on every symbol, n bits apart
+        packed = [0] * n
+        for s, row in enumerate(move):
+            shift = s * n
+            for q, t in enumerate(row):
+                packed[q] |= t << shift
+        # thirds, not fixed 11-bit chunks: the tables are built whole,
+        # and small ones cost little where few subsets are reached
+        chunk = -(-n // 3)
+        tables = [_subset_table(packed[c : c + chunk]) for c in (0, chunk, 2 * chunk)]
+        return _table_walk(tables, (chunk, 2 * chunk), n, nsym, start, final_mask)
 
-        def step(cur: int) -> list[int]:
-            acc = 0
-            for table, piece in zip(tables, cur.to_bytes(nbytes, "little")):
-                acc |= table[piece]
-            return [acc >> sh & full for sh in shifts]
+    def step(cur: int) -> list[int]:
+        qs = _mask_bits(cur)
+        out = []
+        for mv in move:
+            t = 0
+            for q in qs:
+                t |= mv[q]
+            out.append(t)
+        return out
 
-    else:
-
-        def step(cur: int) -> list[int]:
-            qs = _mask_bits(cur)
-            out = []
-            for mv in move:
-                t = 0
-                for q in qs:
-                    t |= mv[q]
-                out.append(t)
-            return out
-
-    return explore(len(move), start, step, final_mask.__and__)
+    return explore(nsym, start, step, final_mask.__and__)
 
 
 def subset_dfa(alphabet: tuple[str, ...], move, start: int, final_mask: int) -> Dfa:

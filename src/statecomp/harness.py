@@ -4,7 +4,8 @@ The oracle takes the masks of the left operand's reversal or star,
 catenates them with the right operand through
 constructions.catenation_masks, and counts the subset construction's
 Hopcroft blocks; the full search walks the same subsets over cached
-per-class image tables instead (_table_walk).  Each op's route picks
+per-class image tables instead, handing them to automata._table_walk as
+two of its chunks.  Each op's route picks
 the direct construction and its size bound by operand shape; revcat
 with n >= 2 has none of its own (the paper's is the oracle's
 pipeline), so there verify checks the one machine against the closed
@@ -25,7 +26,8 @@ from .automata import (
     Masks,
     _pair_walk,
     _reachable,
-    explore,
+    _subset_table,
+    _table_walk,
     hopcroft_refine,
     minimal_rows,
     reverse_masks,
@@ -361,12 +363,13 @@ def exhaustive_search(
     DEFAULT_BUDGET pairs; it runs the oracle once per letter-permutation
     orbit of language-class pairs (see _orbit_pairs) whose catenation
     bound beats the best size found before it, on the two classes'
-    minimal machines, as a _table_walk over each class's cached image
-    table.  Sampled mode draws sample_count index pairs from a seeded
-    generator and runs the oracle's subset construction on each.  A
-    minimal size is at most the subset count, so either mode refines
-    only a table whose count beats the best size so far.  The reported
-    argmax is the first pair reaching the maximum in enumeration order.
+    minimal machines, as an automata._table_walk over the two classes'
+    cached image tables.  Sampled mode draws sample_count index pairs
+    from a seeded generator and runs the oracle's subset construction on
+    each.  A minimal size is at most the subset count, so either mode
+    refines only a table whose count beats the best size so far.  The
+    reported argmax is the first pair reaching the maximum in
+    enumeration order.
     """
     spec = operation(op)
     _check_sizes(m, n)
@@ -393,10 +396,11 @@ def exhaustive_search(
         classes_a = _classes(m, alphabet, gens)
         left = _left_classes(op, classes_a)
         right = classes_a if n == m else _classes(n, alphabet, gens)
-        firsts_a, _, _, lefts = left
+        firsts_a, _, _, heads = left
+        minimal_a = classes_a[2]
         firsts_b, _, rights = right
         width = _image_width(m, n)
-        left_tables: list = [None] * len(lefts)
+        left_tables: list = [None] * len(heads)
         # a right table depends only on the class's rows, which classes
         # differing only in their finals share
         right_tables: dict = {}
@@ -412,13 +416,16 @@ def exhaustive_search(
             evaluated += 1
             lt = left_tables[x]
             if lt is None:
-                lt = left_tables[x] = _left_table(lefts[x], n, width)
+                lt = left_tables[x] = _left_table(spec.left(minimal_a[heads[x]]), n, width)
             b = rights[y]
             rt = right_tables.get(b.transitions)
             if rt is None:
                 rt = right_tables[b.transitions] = _right_table(b.transitions, width)
+            # b's states are the low n bits of a key, the left machine's
+            # the rest: no third chunk
             rows, finals, keys = _table_walk(
-                *lt, rt, state_mask(b.finals), n, alphabet_size, width
+                (rt, lt[0], [0]), (n, width), width, alphabet_size, lt[1],
+                state_mask(b.finals),
             )
             if len(keys) > floor[0]:
                 size = len(hopcroft_refine(rows, finals)[0])
@@ -497,7 +504,7 @@ def _classes(
 
 def _left_classes(
     op: str, classes
-) -> tuple[list[int], list[list[int]], list[tuple[int, int]], list[Masks]]:
+) -> tuple[list[int], list[list[int]], list[tuple[int, int]], list[int]]:
     """The left operand's classes by the language of its left machine
     (L(a)^R for revcat, L(a)* for starcat): _classes' classes, merged
     where their minimal machines' left machines accept the same language.
@@ -507,8 +514,10 @@ def _left_classes(
     reversal and with star, so a generator still sends a merged class to
     the class of its renamed first machine.  Returns firsts and images
     as _classes does; for each class (r, k), the state and final counts
-    of its left language's minimal DFA; and the left masks of its first
-    class's minimal machine.
+    of its left language's minimal DFA; and its first class, whose
+    minimal machine's left masks stand for it.  The masks are not kept:
+    a side can hold tens of thousands of classes, and the search builds
+    a class's masks again only for its left table.
     """
     left = operation(op).left
     firsts, images, minimal = classes
@@ -516,10 +525,8 @@ def _left_classes(
     merged_of: list[int] = []  # class -> merged class
     heads: list[int] = []  # each merged class's first class
     counts: list[tuple[int, int]] = []
-    lefts: list[Masks] = []
     for c, d in enumerate(minimal):
-        masks = left(d)
-        rows, finals, _ = subset_construction(*masks)
+        rows, finals, _ = subset_construction(*left(d))
         key = minimal_rows(rows, 0, finals)
         x = index.get(key)
         if x is None:
@@ -527,24 +534,13 @@ def _left_classes(
             heads.append(c)
             rows, finals = key
             counts.append((len(rows[0]), len(finals)))
-            lefts.append(masks)
         merged_of.append(x)
     return (
         [firsts[c] for c in heads],
         [[merged_of[image[c]] for c in heads] for image in images],
         counts,
-        lefts,
+        heads,
     )
-
-
-def _subset_table(packed: list[int]) -> list[int]:
-    """Entry j is the union of packed[q] over the bits q of j."""
-    # after state q, the table covers the values below 2^(q + 1): the
-    # second half is the first with q's entry added
-    table = [0]
-    for p in packed:
-        table += [p | x for x in table]
-    return table
 
 
 def _image_width(m: int, n: int) -> int:
@@ -585,32 +581,6 @@ def _right_table(transitions, width: int) -> list[int]:
         for q, t in enumerate(row):
             packed[q] |= 1 << (s * width + t)
     return _subset_table(packed)
-
-
-def _table_walk(
-    left_table, start: int, right_table, final_mask: int, n: int, nsym: int, width: int
-):
-    """explore's rows, finals and keys for a left machine catenated with
-    a right one of at most n states whose initial state is 0: the left
-    machine's _left_table and start key, the right one's _right_table
-    and final mask, built at this n and width.
-
-    A key's low n bits are the right machine's states and the rest the
-    left machine's, so a step ORs one entry of each table and cuts the
-    union into one image per symbol.  The keys are those of
-    subset_construction(*catenation_masks(left masks, b)) with the two
-    blocks of bits swapped, found in the same order, so the rows and
-    finals are that construction's.
-    """
-    low = (1 << n) - 1
-    full = (1 << width) - 1
-    shifts = range(0, nsym * width, width)
-
-    def step(key: int) -> list[int]:
-        union = left_table[key >> n] | right_table[key & low]
-        return [union >> sh & full for sh in shifts]
-
-    return explore(nsym, start, step, final_mask.__and__)
 
 
 def _orbit_pairs(left, right, floor=(-1,)):

@@ -28,7 +28,7 @@ from statecomp import (
     sigma_star_dfa,
 )
 from statecomp import automata
-from statecomp.automata import BIT_LOOP_MAX_STATES, TABLE_MAX_STATES, _pair_walk
+from statecomp.automata import TABLE_MAX_STATES, _pair_walk
 from statecomp.constructions import catenation_masks
 
 from helpers import (
@@ -223,22 +223,47 @@ def _random_nfa(rng: random.Random, n: int, nsym: int, epsilon: bool) -> Nfa:
     return Nfa(n, tuple("abcd"[:nsym]), rows, initials, eps, finals)
 
 
-class TestSubsetTables:
-    # past BIT_LOOP_MAX_STATES states, up to TABLE_MAX_STATES, a step
-    # reads byte-indexed image tables; sizes 1..20 cross the switch (8 to
-    # 9) and the byte boundaries (8 to 9, 16 to 17)
+def _sparse_nfa(rng: random.Random, n: int, nsym: int, epsilon: bool) -> Nfa:
+    """At most one target per state and symbol, three initial draws and,
+    with epsilon, two random free moves: few subsets however many states."""
+    rows = tuple(
+        tuple(frozenset(rng.randrange(n) for _ in range(rng.choice((0, 1, 1, 1)))) for _ in range(n))
+        for _ in range(nsym)
+    )
+    eps = frozenset((rng.randrange(n), rng.randrange(n)) for _ in range(2 if epsilon else 0))
+    initials = frozenset(rng.randrange(n) for _ in range(3))
+    finals = frozenset(q for q in range(n) if rng.random() < 0.3)
+    return Nfa(n, tuple("abcd"[:nsym]), rows, initials, eps, finals)
 
-    def test_tables_only_between_the_bounds(self, monkeypatch):
+
+class TestSubsetTables:
+    # up to TABLE_MAX_STATES states a step reads three image tables, one
+    # per chunk of a third of the states, rounded up
+
+    def test_tables_only_up_to_the_bound(self, monkeypatch):
         built = []
-        real = automata._image_tables
+        real = automata._subset_table
         monkeypatch.setattr(
-            automata, "_image_tables", lambda move, n: built.append(n) or real(move, n)
+            automata, "_subset_table", lambda packed: built.append(len(packed)) or real(packed)
         )
-        low, high = BIT_LOOP_MAX_STATES, TABLE_MAX_STATES
-        for n in (low, low + 1, high, high + 1):
+        for n in (TABLE_MAX_STATES, TABLE_MAX_STATES + 1):
             nfa = _random_nfa(random.Random(n), n, 1, epsilon=False)
             assert determinize(nfa) == _frozenset_subsets(nfa), n
-        assert built == [low + 1, high]
+        # three chunks of 11 states at 33 states, none at 34
+        assert built == [11, 11, 11]
+
+    # the chunks' widths change with every third size, so every size up
+    # to the table bound, one past it and 40; one-letter and sparse
+    # machines keep the subset counts small
+    @pytest.mark.parametrize("n", [*range(1, TABLE_MAX_STATES + 2), 40])
+    def test_chunk_bounds(self, n):
+        rng = random.Random(2000 + n)
+        for k in range(8):
+            if k < 4:
+                nfa = _random_nfa(rng, n, 1, epsilon=k % 2 == 1)
+            else:
+                nfa = _sparse_nfa(rng, n, k % 3 + 2, epsilon=k >= 6)
+            assert determinize(nfa) == _frozenset_subsets(nfa), (n, k)
 
     @pytest.mark.parametrize("n", range(1, 21))
     def test_same_rows_finals_and_order_as_frozensets(self, n):

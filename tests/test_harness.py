@@ -20,6 +20,7 @@ from helpers import (
 from statecomp import automata, harness
 from statecomp.automata import (
     Dfa,
+    _table_walk,
     determinize,
     equivalent,
     minimize_hopcroft,
@@ -42,7 +43,6 @@ from statecomp.harness import (
     _oracle_masks,
     _orbit_pairs,
     _right_table,
-    _table_walk,
     combined,
     decode_dfa,
     dfa_count,
@@ -76,6 +76,30 @@ def _raw_sizes(op, m, n, alphabet):
         a = decode_dfa(ia, m, alphabet)
         for ib, b in enumerate(rights):
             yield ia, ib, a, b, oracle_sc(op, a, b)
+
+
+def _head_masks(op, m, alphabet, heads):
+    """Each merged left class's masks, as the full search builds them:
+    the left machine of its first class's minimal machine."""
+    minimal = _classes(m, alphabet, _letter_generators(len(alphabet)))[2]
+    return [OPS[op].left(minimal[c]) for c in heads]
+
+
+def _class_walk(masks, b, n, sigma, width):
+    """The full search's walk of a left machine (its masks) catenated
+    with b, over the two class tables, called as the search calls it."""
+    left_table, start = _left_table(masks, n, width)
+    return _table_walk(
+        (_right_table(b.transitions, width), left_table, [0]), (n, width), width, sigma,
+        start, state_mask(b.finals),
+    )
+
+
+def _blocks_swapped(keys, n, off):
+    """A class walk's keys as catenation_masks numbers the states: its
+    low n bits (b's states) moved above the off left states."""
+    low = (1 << n) - 1
+    return [key >> n | (key & low) << off for key in keys]
 
 
 def _search_classes(op, m, n, alphabet):
@@ -575,7 +599,8 @@ class TestExhaustiveSearch:
     def test_class_machines_size_as_their_first_machines(self, op, m, n, sigma):
         alphabet = tuple(string.ascii_lowercase[:sigma])
         left, right = _search_classes(op, m, n, alphabet)
-        (firsts_a, _, _, lefts), (firsts_b, _, minimal_b) = left, right
+        (firsts_a, _, _, heads), (firsts_b, _, minimal_b) = left, right
+        lefts = _head_masks(op, m, alphabet, heads)
         for x, y, _ in _orbit_pairs(left, right):
             size = harness._masks_minimal_size(*catenation_masks(lefts[x], minimal_b[y]))
             a = decode_dfa(firsts_a[x], m, alphabet)
@@ -592,18 +617,15 @@ class TestExhaustiveSearch:
     def test_table_walk_is_the_catenations_subset_construction(self, op, m, n, sigma):
         alphabet = tuple(string.ascii_lowercase[:sigma])
         left, right = _search_classes(op, m, n, alphabet)
-        (firsts_a, _, _, lefts), (firsts_b, _, minimal_b) = left, right
+        (firsts_a, _, _, heads), (firsts_b, _, minimal_b) = left, right
+        lefts = _head_masks(op, m, alphabet, heads)
         width = harness._image_width(m, n)
         for x, y, _ in _orbit_pairs(left, right):
             b = minimal_b[y]
-            rows, finals, keys = _table_walk(
-                *_left_table(lefts[x], n, width), _right_table(b.transitions, width),
-                state_mask(b.finals), n, sigma, width,
-            )
-            ref_rows, ref_finals, ref_keys = automata.subset_construction(
-                *catenation_masks(lefts[x], b)
-            )
-            assert (rows, finals, len(keys)) == (ref_rows, ref_finals, len(ref_keys))
+            rows, finals, keys = _class_walk(lefts[x], b, n, sigma, width)
+            ref = automata.subset_construction(*catenation_masks(lefts[x], b))
+            off = len(lefts[x][0][0])
+            assert (rows, finals, _blocks_swapped(keys, n, off)) == ref, (op, x, y)
             first_a = decode_dfa(firsts_a[x], m, alphabet)
             first_b = decode_dfa(firsts_b[y], n, alphabet)
             size = len(automata.hopcroft_refine(rows, finals)[0])
@@ -622,14 +644,9 @@ class TestExhaustiveSearch:
             masks = (move, rng.randrange(full + 1), rng.randrange(full + 1))
             b = random_complete_dfa(rng, rng.randint(1, n), alphabet)
             b = dataclasses.replace(b, initial=0)
-            rows, finals, keys = _table_walk(
-                *_left_table(masks, n, width), _right_table(b.transitions, width),
-                state_mask(b.finals), n, sigma, width,
-            )
-            ref_rows, ref_finals, ref_keys = automata.subset_construction(
-                *catenation_masks(masks, b)
-            )
-            assert (rows, finals, len(keys)) == (ref_rows, ref_finals, len(ref_keys))
+            rows, finals, keys = _class_walk(masks, b, n, sigma, width)
+            ref = automata.subset_construction(*catenation_masks(masks, b))
+            assert (rows, finals, _blocks_swapped(keys, n, m + 1)) == ref
 
     def test_budget_refusal(self, monkeypatch):
         with pytest.raises(BudgetError):
@@ -712,7 +729,7 @@ class TestLanguageClasses:
         alphabet = ("a", "b", "c")
         gens = _letter_generators(3)
         classes = _classes(2, alphabet, gens)
-        firsts, images, counts, lefts = _left_classes(op, classes)
+        firsts, images, counts, heads = _left_classes(op, classes)
         blocks = {}  # the left NFA's minimal DFA -> its machines, in order
         for i in range(dfa_count(2, 3)):
             nfa = REF_LEFT[op](decode_dfa(i, 2, alphabet))
@@ -721,7 +738,8 @@ class TestLanguageClasses:
         assert firsts == [block[0] for block in blocks.values()]
         assert len(firsts) == count
         assert counts == [(d.state_count, len(d.finals)) for d in keys]
-        # each class's left masks accept its left language
+        # each class's first class's left masks accept its left language
+        lefts = _head_masks(op, 2, alphabet, heads)
         assert [minimize_hopcroft(subset_dfa(alphabet, *masks)) for masks in lefts] == keys
         # reversal is a bijection on languages, so revcat keeps the classes
         assert ((firsts, images) == classes[:2]) == (op == "revcat")
