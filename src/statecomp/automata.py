@@ -4,12 +4,11 @@ States are integers 0..state_count-1 and symbols are single characters.
 A Dfa is always complete: every (state, symbol) pair has exactly one
 target.  Subsets of states are integer bitmasks, fast enough for
 exhaustive searches over millions of machines.  One walker,
-_table_walk, numbers the subsets of every table-driven subset
-construction (subset_construction's and the search's): it looks a
-subset's images up in three tables of packed images, one per chunk of
-its bits.  Minimization keeps its partition as ranges of one
-permutation of the states, and its preimages as chains through flat
-lists, which scales to hundreds of thousands.
+_table_walk, numbers the subsets of subset_construction and of the
+search: it looks a subset's images up in three tables of packed
+images, one per chunk of its bits.  Minimization keeps its partition
+as ranges of one permutation of the states, and its preimages as
+chains through flat lists, which scales to hundreds of thousands.
 """
 
 from __future__ import annotations
@@ -170,8 +169,7 @@ def explore(nsym: int, start, step, is_final):
 
 
 def _numbered(flat: list[int], nsym: int, order: list, is_final):
-    """explore's rows, finals and keys from its successor numbers, key
-    by key with symbols in order, and its keys in discovery order."""
+    """explore's rows, finals and keys from its flat successor numbers."""
     rows = tuple(tuple(flat[s::nsym]) for s in range(nsym))
     finals = frozenset(compress(range(len(order)), map(is_final, order)))
     return rows, finals, order
@@ -299,8 +297,8 @@ def subset_construction(move, start: int, final_mask: int):
             shift = s * n
             for q, t in enumerate(row):
                 packed[q] |= t << shift
-        # thirds, not fixed 11-bit chunks: the tables are built whole,
-        # and small ones cost little where few subsets are reached
+        # thirds, not fixed 11-bit chunks: tables are built whole, and
+        # small ones cost little where few subsets are reached
         chunk = -(-n // 3)
         tables = [_subset_table(packed[c : c + chunk]) for c in (0, chunk, 2 * chunk)]
         return _table_walk(tables, (chunk, 2 * chunk), n, nsym, start, final_mask)

@@ -421,8 +421,10 @@ def exhaustive_search(
             rt = right_tables.get(b.transitions)
             if rt is None:
                 rt = right_tables[b.transitions] = _right_table(b.transitions, width)
-            # b's states are the low n bits of a key, the left machine's
-            # the rest: no third chunk
+            # b's states are the low n bits of a key and the left
+            # machine's the rest, with no third chunk: catenation_masks'
+            # subsets with the two blocks swapped, found in the same
+            # order, so the rows and finals are the oracle's
             rows, finals, keys = _table_walk(
                 (rt, lt[0], [0]), (n, width), width, alphabet_size, lt[1],
                 state_mask(b.finals),

@@ -227,7 +227,10 @@ def _sparse_nfa(rng: random.Random, n: int, nsym: int, epsilon: bool) -> Nfa:
     """At most one target per state and symbol, three initial draws and,
     with epsilon, two random free moves: few subsets however many states."""
     rows = tuple(
-        tuple(frozenset(rng.randrange(n) for _ in range(rng.choice((0, 1, 1, 1)))) for _ in range(n))
+        tuple(
+            frozenset(rng.randrange(n) for _ in range(rng.choice((0, 1, 1, 1))))
+            for _ in range(n)
+        )
         for _ in range(nsym)
     )
     eps = frozenset((rng.randrange(n), rng.randrange(n)) for _ in range(2 if epsilon else 0))
