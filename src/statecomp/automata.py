@@ -239,8 +239,9 @@ def _subset_table(packed: list[int]) -> list[int]:
     return table
 
 
-def _table_walk(tables, cuts, width: int, nsym: int, start: int, final_mask: int):
-    """explore's rows, finals and keys from start, with no step function.
+def _table_walk(tables, cuts, width: int, nsym: int, start: int):
+    """explore's flat successor numbers and keys from start, with no
+    step function; _numbered turns them into rows and finals.
 
     A key is cut at the bits cuts = (c1, c2) into three chunks, and entry
     j of tables[i] holds the images of the states in j, chunk i's value,
@@ -249,7 +250,7 @@ def _table_walk(tables, cuts, width: int, nsym: int, start: int, final_mask: int
     builds them; the third is indexed by all of a key's bits from c2 up.
     A key's successors are the OR of one entry per table, cut width bits
     at a time, and each new one is numbered inline in explore's order.
-    The finals are the keys meeting final_mask.
+    flat holds the successor numbers key by key, symbols in order.
     """
     t0, t1, t2 = tables
     c1, c2 = cuts
@@ -269,7 +270,7 @@ def _table_walk(tables, cuts, width: int, nsym: int, start: int, final_mask: int
                 k = index[nxt] = len(order)
                 order.append(nxt)
             flat.append(k)
-    return _numbered(flat, nsym, order, final_mask.__and__)
+    return flat, order
 
 
 def subset_construction(move, start: int, final_mask: int):
@@ -301,7 +302,8 @@ def subset_construction(move, start: int, final_mask: int):
         # small ones cost little where few subsets are reached
         chunk = -(-n // 3)
         tables = [_subset_table(packed[c : c + chunk]) for c in (0, chunk, 2 * chunk)]
-        return _table_walk(tables, (chunk, 2 * chunk), n, nsym, start, final_mask)
+        flat, order = _table_walk(tables, (chunk, 2 * chunk), n, nsym, start)
+        return _numbered(flat, nsym, order, final_mask.__and__)
 
     def step(cur: int) -> list[int]:
         qs = _mask_bits(cur)

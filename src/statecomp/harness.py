@@ -24,6 +24,7 @@ from typing import Callable, Container
 from .automata import (
     Dfa,
     Masks,
+    _numbered,
     _pair_walk,
     _reachable,
     _subset_table,
@@ -364,12 +365,14 @@ def exhaustive_search(
     orbit of language-class pairs (see _orbit_pairs) whose catenation
     bound beats the best size found before it, on the two classes'
     minimal machines, as an automata._table_walk over the two classes'
-    cached image tables.  Sampled mode draws sample_count index pairs
-    from a seeded generator and runs the oracle's subset construction on
-    each.  A minimal size is at most the subset count, so either mode
-    refines only a table whose count beats the best size so far.  The
-    reported argmax is the first pair reaching the maximum in
-    enumeration order.
+    cached image tables, and numbers its rows and finals only when its
+    subset count beats the best size found before it.  Sampled mode draws
+    sample_count index pairs from a seeded generator and runs the
+    oracle's subset construction on each.  A minimal size is at most the
+    subset count and at most the count of distinct (final, successors)
+    rows, so either mode refines only a table whose two counts both beat
+    the best size so far (_size_over).  The reported argmax is the first
+    pair reaching the maximum in enumeration order.
     """
     spec = operation(op)
     _check_sizes(m, n)
@@ -401,9 +404,12 @@ def exhaustive_search(
         firsts_b, _, rights = right
         width = _image_width(m, n)
         left_tables: list = [None] * len(heads)
-        # a right table depends only on the class's rows, which classes
-        # differing only in their finals share
-        right_tables: dict = {}
+        # each right class's table, found once per class; a table depends
+        # only on the class's rows, which classes differing only in their
+        # finals share
+        right_tables: list = [None] * len(rights)
+        by_rows: dict = {}
+        right_finals = [state_mask(b.finals) for b in rights]
         evaluated = 0
         # the best size so far, read by _orbit_pairs: a pair whose
         # catenation bound is at most it cannot be a new strict maximum,
@@ -417,21 +423,26 @@ def exhaustive_search(
             lt = left_tables[x]
             if lt is None:
                 lt = left_tables[x] = _left_table(spec.left(minimal_a[heads[x]]), n, width)
-            b = rights[y]
-            rt = right_tables.get(b.transitions)
+            rt = right_tables[y]
             if rt is None:
-                rt = right_tables[b.transitions] = _right_table(b.transitions, width)
+                trans = rights[y].transitions
+                rt = by_rows.get(trans)
+                if rt is None:
+                    rt = by_rows[trans] = _right_table(trans, width)
+                right_tables[y] = rt
             # b's states are the low n bits of a key and the left
             # machine's the rest, with no third chunk: catenation_masks'
             # subsets with the two blocks swapped, found in the same
             # order, so the rows and finals are the oracle's
-            rows, finals, keys = _table_walk(
-                (rt, lt[0], [0]), (n, width), width, alphabet_size, lt[1],
-                state_mask(b.finals),
+            flat, keys = _table_walk(
+                (rt, lt[0], [0]), (n, width), width, alphabet_size, lt[1]
             )
             if len(keys) > floor[0]:
-                size = len(hopcroft_refine(rows, finals)[0])
-                if size > floor[0]:
+                rows, finals, _ = _numbered(
+                    flat, alphabet_size, keys, right_finals[y].__and__
+                )
+                size = _size_over(rows, finals, floor[0])
+                if size is not None:
                     floor[0], argmax = size, (x, y)
         best = floor[0]
         x, y = argmax
@@ -445,13 +456,29 @@ def exhaustive_search(
             b = decode_dfa(rng.randrange(count_b), n, alphabet)
             rows, finals, keys = subset_construction(*_oracle_masks(spec.left, a, b))
             if len(keys) > best:
-                size = len(hopcroft_refine(rows, finals)[0])
-                if size > best:
+                size = _size_over(rows, finals, best)
+                if size is not None:
                     best, best_pair = size, (a, b)
         examined = evaluated = sample_count
     else:
         raise ValueError(f"unknown mode {mode!r}")
     return SearchResult(op, m, n, alphabet_size, best, best_pair, examined, evaluated)
+
+
+def _size_over(rows, finals, floor: int) -> int | None:
+    """The minimal size of a subset construction's table (rows, finals),
+    every state reachable, when it is over floor; None otherwise.
+
+    States with the same finality and the same successor on every symbol
+    accept the same language, so the number of distinct (final,
+    successors) rows bounds the minimal size from above: the table is
+    refined only when that bound is over floor too.
+    """
+    flags = map(finals.__contains__, range(len(rows[0])))
+    if len(set(zip(flags, *rows))) <= floor:
+        return None
+    size = len(hopcroft_refine(rows, finals)[0])
+    return size if size > floor else None
 
 
 def _letter_generators(nsym: int) -> list[tuple[int, ...]]:
@@ -520,9 +547,21 @@ def _left_classes(
     minimal machine's left masks stand for it.  The masks are not kept:
     a side can hold tens of thousands of classes, and the search builds
     a class's masks again only for its left table.
+
+    Reversal is a bijection on languages, so revcat merges nothing: its
+    classes are _classes' own, each its own first class, and no key is
+    built.  Every state of a class's minimal machine is reachable, so the
+    subset construction of its reversal is already minimal (Brzozowski,
+    1962): r and k are its subset and final counts, with no refinement.
     """
     left = operation(op).left
     firsts, images, minimal = classes
+    if left is reverse_masks:
+        counts = []
+        for d in minimal:
+            _, finals, keys = subset_construction(*reverse_masks(d))
+            counts.append((len(keys), len(finals)))
+        return firsts, images, counts, list(range(len(minimal)))
     index = {}  # minimal_rows' (rows, finals) of the left language -> merged class
     merged_of: list[int] = []  # class -> merged class
     heads: list[int] = []  # each merged class's first class

@@ -20,9 +20,11 @@ from helpers import (
 from statecomp import automata, harness
 from statecomp.automata import (
     Dfa,
+    _numbered,
     _table_walk,
     determinize,
     equivalent,
+    minimal_rows,
     minimize_hopcroft,
     nfa_masks,
     state_mask,
@@ -87,12 +89,20 @@ def _head_masks(op, m, alphabet, heads):
 
 def _class_walk(masks, b, n, sigma, width):
     """The full search's walk of a left machine (its masks) catenated
-    with b, over the two class tables, called as the search calls it."""
+    with b, over the two class tables, called as the search calls it:
+    its flat successor numbers and keys."""
     left_table, start = _left_table(masks, n, width)
     return _table_walk(
         (_right_table(b.transitions, width), left_table, [0]), (n, width), width, sigma,
-        start, state_mask(b.finals),
+        start,
     )
+
+
+def _class_rows(masks, b, n, sigma, width):
+    """_numbered's rows, finals and keys of _class_walk's output, with
+    b's finals as the search numbers them."""
+    flat, keys = _class_walk(masks, b, n, sigma, width)
+    return _numbered(flat, sigma, keys, state_mask(b.finals).__and__)
 
 
 def _blocks_swapped(keys, n, off):
@@ -100,6 +110,28 @@ def _blocks_swapped(keys, n, off):
     low n bits (b's states) moved above the off left states."""
     low = (1 << n) - 1
     return [key >> n | (key & low) << off for key in keys]
+
+
+def _keyed_left_classes(op, classes):
+    """_left_classes by keys alone: each class's left language keyed by
+    minimal_rows of its left masks' subset construction, classes with
+    equal keys merged into the first."""
+    firsts, images, minimal = classes
+    index, merged_of, heads, counts = {}, [], [], []
+    for c, d in enumerate(minimal):
+        rows, finals, _ = automata.subset_construction(*OPS[op].left(d))
+        key = minimal_rows(rows, 0, finals)
+        if key not in index:
+            index[key] = len(heads)
+            heads.append(c)
+            counts.append((len(key[0][0]), len(key[1])))
+        merged_of.append(index[key])
+    return (
+        [firsts[c] for c in heads],
+        [[merged_of[image[c]] for c in heads] for image in images],
+        counts,
+        heads,
+    )
 
 
 def _search_classes(op, m, n, alphabet):
@@ -494,10 +526,13 @@ class TestExhaustiveSearch:
         r = exhaustive_search(op, 2, 3, 3, "sampled", sample_count=50, seed=1)
         assert r.pairs_evaluated == r.pairs_examined == 50
 
-    # of those runs, only the pairs whose subset count beats the best size
-    # so far are refined; the others cannot be a new strict maximum
+    # of those runs, only the pairs whose subset count and count of
+    # distinct (final, successors) rows both beat the best size so far are
+    # refined; the others cannot be a new strict maximum.  The spy counts
+    # the pair loop's refinements only: revcat's left classes refine
+    # nothing, and starcat's refine inside minimal_rows
     @pytest.mark.parametrize(
-        "op,runs,refinements", [("revcat", 328, 23), ("starcat", 1444, 654)]
+        "op,runs,refinements", [("revcat", 328, 14), ("starcat", 1444, 38)]
     )
     def test_refines_only_counts_that_beat_the_best(self, monkeypatch, op, runs, refinements):
         calls = []
@@ -622,7 +657,7 @@ class TestExhaustiveSearch:
         width = harness._image_width(m, n)
         for x, y, _ in _orbit_pairs(left, right):
             b = minimal_b[y]
-            rows, finals, keys = _class_walk(lefts[x], b, n, sigma, width)
+            rows, finals, keys = _class_rows(lefts[x], b, n, sigma, width)
             ref = automata.subset_construction(*catenation_masks(lefts[x], b))
             off = len(lefts[x][0][0])
             assert (rows, finals, _blocks_swapped(keys, n, off)) == ref, (op, x, y)
@@ -644,9 +679,31 @@ class TestExhaustiveSearch:
             masks = (move, rng.randrange(full + 1), rng.randrange(full + 1))
             b = random_complete_dfa(rng, rng.randint(1, n), alphabet)
             b = dataclasses.replace(b, initial=0)
-            rows, finals, keys = _class_walk(masks, b, n, sigma, width)
+            rows, finals, keys = _class_rows(masks, b, n, sigma, width)
             ref = automata.subset_construction(*catenation_masks(masks, b))
             assert (rows, finals, _blocks_swapped(keys, n, m + 1)) == ref
+
+    # subset constructions of random NFAs of 1..8 states, free moves
+    # folded in: the distinct (final, successors) rows lie between the
+    # minimal size and the subset count, so the refinement is skipped only
+    # where it could not beat the floor
+    @pytest.mark.parametrize("sigma", [1, 2, 3])
+    def test_distinct_rows_bound_the_minimal_size(self, sigma):
+        rng = random.Random(sigma)
+        for _ in range(150):
+            k = rng.randint(1, 8)
+            full = (1 << k) - 1
+            move = [[rng.randrange(full + 1) for _ in range(k)] for _ in range(sigma)]
+            rows, finals, keys = automata.subset_construction(
+                move, rng.randrange(full + 1), rng.randrange(full + 1)
+            )
+            size = len(automata.hopcroft_refine(rows, finals)[0])
+            flags = [q in finals for q in range(len(keys))]
+            distinct = len(set(zip(flags, *rows)))
+            assert size <= distinct <= len(keys)
+            for floor in range(-1, len(keys) + 1):
+                expected = size if size > floor else None
+                assert harness._size_over(rows, finals, floor) == expected
 
     def test_budget_refusal(self, monkeypatch):
         with pytest.raises(BudgetError):
@@ -750,6 +807,18 @@ class TestLanguageClasses:
                     d, transitions=tuple(d.transitions[s] for s in g)
                 )
                 assert equivalent(renamed, keys[y]), (op, x, g)
+
+    # revcat's classes, with their (r, k) read off the reversal's subset
+    # construction, against the keyed merge starcat uses
+    @pytest.mark.parametrize("size,alphabet", [(2, "abc"), (3, "ab"), (1, "abcd")])
+    def test_revcat_left_classes_are_the_keyed_merge(self, size, alphabet):
+        alphabet = tuple(alphabet)
+        classes = _classes(size, alphabet, _letter_generators(len(alphabet)))
+        firsts, images, counts, heads = _left_classes("revcat", classes)
+        assert (firsts, images, counts) == _keyed_left_classes("revcat", classes)[:3]
+        assert heads == list(range(len(classes[0])))
+        # the reference is starcat's own merge
+        assert _left_classes("starcat", classes) == _keyed_left_classes("starcat", classes)
 
     def test_generators_generate_every_permutation(self):
         assert [len(_letter_generators(k)) for k in (1, 2, 3, 26)] == [0, 1, 2, 2]
