@@ -89,19 +89,14 @@ def _head_masks(op, m, alphabet, heads):
 
 def _class_walk(masks, b, n, sigma, width):
     """The full search's walk of a left machine (its masks) catenated
-    with b, over the two class tables, called as the search calls it:
-    its flat successor numbers and keys."""
+    with b, over the two class tables, called as the search calls it,
+    and its flat output numbered by _numbered with b's finals: rows,
+    finals and keys."""
     left_table, start = _left_table(masks, n, width)
-    return _table_walk(
+    flat, keys = _table_walk(
         (_right_table(b.transitions, width), left_table, [0]), (n, width), width, sigma,
         start,
     )
-
-
-def _class_rows(masks, b, n, sigma, width):
-    """_numbered's rows, finals and keys of _class_walk's output, with
-    b's finals as the search numbers them."""
-    flat, keys = _class_walk(masks, b, n, sigma, width)
     return _numbered(flat, sigma, keys, state_mask(b.finals).__and__)
 
 
@@ -657,7 +652,7 @@ class TestExhaustiveSearch:
         width = harness._image_width(m, n)
         for x, y, _ in _orbit_pairs(left, right):
             b = minimal_b[y]
-            rows, finals, keys = _class_rows(lefts[x], b, n, sigma, width)
+            rows, finals, keys = _class_walk(lefts[x], b, n, sigma, width)
             ref = automata.subset_construction(*catenation_masks(lefts[x], b))
             off = len(lefts[x][0][0])
             assert (rows, finals, _blocks_swapped(keys, n, off)) == ref, (op, x, y)
@@ -679,7 +674,7 @@ class TestExhaustiveSearch:
             masks = (move, rng.randrange(full + 1), rng.randrange(full + 1))
             b = random_complete_dfa(rng, rng.randint(1, n), alphabet)
             b = dataclasses.replace(b, initial=0)
-            rows, finals, keys = _class_rows(masks, b, n, sigma, width)
+            rows, finals, keys = _class_walk(masks, b, n, sigma, width)
             ref = automata.subset_construction(*catenation_masks(masks, b))
             assert (rows, finals, _blocks_swapped(keys, n, m + 1)) == ref
 
