@@ -229,6 +229,17 @@ def nfa_masks(nfa: Nfa) -> Masks:
 TABLE_MAX_STATES = 33
 
 
+def _packed(move, width: int) -> list[int]:
+    """Entry q holds state q's images on every symbol, width bits apart
+    in symbol order: _subset_table's input."""
+    packed = [0] * len(move[0])
+    for s, row in enumerate(move):
+        shift = s * width
+        for q, t in enumerate(row):
+            packed[q] |= t << shift
+    return packed
+
+
 def _subset_table(packed: list[int]) -> list[int]:
     """Entry j is the union of packed[q] over the bits q of j."""
     # after state q, the table covers the values below 2^(q + 1): the
@@ -292,12 +303,7 @@ def subset_construction(move, start: int, final_mask: int):
     n = len(move[0])
     nsym = len(move)
     if n <= TABLE_MAX_STATES:
-        # state q's images on every symbol, n bits apart
-        packed = [0] * n
-        for s, row in enumerate(move):
-            shift = s * n
-            for q, t in enumerate(row):
-                packed[q] |= t << shift
+        packed = _packed(move, n)
         # thirds, not fixed 11-bit chunks: tables are built whole, and
         # small ones cost little where few subsets are reached
         chunk = -(-n // 3)

@@ -3,9 +3,12 @@ and the two direct DFAs for the two combined operations.
 
 The left operand's machine is its masks (automata.reverse_masks or
 star_masks), and catenation_masks catenates them with the right
-operand's Dfa; it is the oracle's catenation too.  Each
-catenation-based direct construction hands its masks to
-automata.subset_dfa, so every route shares one subset construction,
+operand's Dfa; it is the oracle's catenation too.  A catenation keeps
+the right operand's states in the low bits and the left machine's above
+them, and _catenation_left, which shifts the left machine there and
+folds in the free move, also builds the full search's left class tables
+in harness.  Each catenation-based direct construction hands its masks
+to automata.subset_dfa, so every route shares one subset construction,
 numbered breadth-first in alphabet order, and no count exceeds the
 closed-form size bounds.  starcat's direct construction differs from
 the oracle only in the left table, the star's loop without its fresh
@@ -80,24 +83,30 @@ def star_nfa(a: Dfa) -> Nfa:
     return _masks_nfa(a.alphabet, star_masks(a))
 
 
-def catenation_masks(left: Masks, b: Dfa) -> Masks:
-    """The masks of a left machine catenated with b, given the left
-    machine's masks: b's state q is numbered after the left machine's
-    states, as off + q.
+def _catenation_left(left: Masks, n: int, initial: int) -> tuple[list[list[int]], int]:
+    """The left machine's move table and start set in a catenation with
+    a right machine of n states whose initial state is bit initial: left
+    state q is bit n + q.
 
-    The catenation's free moves, from the left finals to b's initial
-    state, are folded in as nfa_masks folds epsilon closure: a left entry
-    (or start set) that meets the left finals also gets b's initial bit.
+    The catenation's free moves, from the left finals to the right
+    initial state, are folded in as nfa_masks folds epsilon closure: a
+    left entry (or start set) that meets the left finals also gets bit
+    initial.
     """
     lmove, lstart, lfinal = left
-    off = len(lmove[0])
-    rinit = 1 << (off + b.initial)
-    move = [
-        [t | rinit if t & lfinal else t for t in lrow] + [1 << (off + t) for t in brow]
-        for lrow, brow in zip(lmove, b.transitions)
-    ]
-    start = lstart | rinit if lstart & lfinal else lstart
-    return move, start, state_mask(b.finals) << off
+    rinit = 1 << initial
+    move = [[t << n | rinit if t & lfinal else t << n for t in row] for row in lmove]
+    start = lstart << n | rinit if lstart & lfinal else lstart << n
+    return move, start
+
+
+def catenation_masks(left: Masks, b: Dfa) -> Masks:
+    """The masks of a left machine catenated with b, given the left
+    machine's masks: b's state q is bit q, and the left machine's states
+    follow b's (_catenation_left)."""
+    lmove, start = _catenation_left(left, b.state_count, b.initial)
+    move = [[1 << t for t in brow] + lrow for lrow, brow in zip(lmove, b.transitions)]
+    return move, start, state_mask(b.finals)
 
 
 def revcat_n1_direct(m: Dfa, n_accepting: bool) -> Dfa:
@@ -148,7 +157,5 @@ def starcat_general_direct(a: Dfa, b: Dfa) -> Dfa:
         raise ShapeError("starcat_general_direct needs at least one final state")
     if b.state_count < 2:
         raise ShapeError("starcat_general_direct needs a second operand with >= 2 states")
-    m = a.state_count
     move, start, final_mask = catenation_masks(_loop_masks(a), b)
-    # b's state q is bit m + q
-    return subset_dfa(a.alphabet, move, start | 1 << (m + b.initial), final_mask)
+    return subset_dfa(a.alphabet, move, start | 1 << b.initial, final_mask)

@@ -3,15 +3,18 @@
 The oracle takes the masks of the left operand's reversal or star,
 catenates them with the right operand through
 constructions.catenation_masks, and counts the subset construction's
-Hopcroft blocks; the full search walks the same subsets over cached
+Hopcroft blocks.  The full search walks the same subsets over cached
 per-class image tables instead, handing them to automata._table_walk as
-two of its chunks.  Each op's route picks
-the direct construction and its size bound by operand shape; revcat
-with n >= 2 has none of its own (the paper's is the oracle's
-pipeline), so there verify checks the one machine against the closed
-form only.  Agreement between the routes, plus the closed-form bounds,
-is what the verify and search entry points check.  Everything that
-differs from one operation to the next is a row of OPS.
+two of its chunks: a right class's table packs catenation_masks' right
+part and a left class's its left part, built by
+constructions._catenation_left, so the walk's keys are the oracle's
+own.  Each op's route picks the direct construction and its size
+bound by operand shape; revcat with n >= 2 has none of its own (the
+paper's is the oracle's pipeline), so there verify checks the one
+machine against the closed form only.  Agreement between the routes,
+plus the closed-form bounds, is what the verify and search entry points
+check.  Everything that differs from one operation to the next is a row
+of OPS.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from .automata import (
     Dfa,
     Masks,
     _numbered,
+    _packed,
     _pair_walk,
     _reachable,
     _subset_table,
@@ -45,6 +49,7 @@ from .bounds import (
     ub_starcat_general,
 )
 from .constructions import (
+    _catenation_left,
     _require_same_alphabet,
     catenation_masks,
     revcat_n1_direct,
@@ -212,13 +217,6 @@ def _oracle_masks(left: Callable[[Dfa], Masks], a: Dfa, b: Dfa) -> Masks:
     return catenation_masks(left(a), b)
 
 
-def _masks_minimal_size(move, start: int, final_mask: int) -> int:
-    """Minimal DFA size of the machine with these masks: every subset
-    the construction reaches is reachable, so the blocks are the count."""
-    rows, finals, _ = subset_construction(move, start, final_mask)
-    return len(hopcroft_refine(rows, finals)[0])
-
-
 def oracle_pipeline(op: str, a: Dfa, b: Dfa) -> Dfa:
     """Determinized (not yet minimized) DFA for the operation, built only
     from the generic constructions: the left machine and b side by side,
@@ -227,8 +225,11 @@ def oracle_pipeline(op: str, a: Dfa, b: Dfa) -> Dfa:
 
 
 def oracle_sc(op: str, a: Dfa, b: Dfa) -> int:
-    """Minimal DFA size of the operation result, via the generic pipeline."""
-    return _masks_minimal_size(*_oracle_masks(operation(op).left, a, b))
+    """Minimal DFA size of the operation result, via the generic pipeline:
+    every subset the construction reaches is reachable, so the blocks are
+    the count."""
+    rows, finals, _ = subset_construction(*_oracle_masks(operation(op).left, a, b))
+    return len(hopcroft_refine(rows, finals)[0])
 
 
 def combined(op: str, a: Dfa, b: Dfa) -> Dfa:
@@ -400,7 +401,6 @@ def exhaustive_search(
         left = _left_classes(op, classes_a)
         right = classes_a if n == m else _classes(n, alphabet, gens)
         firsts_a, _, _, heads = left
-        minimal_a = classes_a[2]
         firsts_b, _, rights = right
         width = _image_width(m, n)
         left_tables: list = [None] * len(heads)
@@ -422,7 +422,7 @@ def exhaustive_search(
             evaluated += 1
             lt = left_tables[x]
             if lt is None:
-                lt = left_tables[x] = _left_table(spec.left(minimal_a[heads[x]]), n, width)
+                lt = left_tables[x] = _left_table(spec.left(heads[x]), n, width)
             rt = right_tables[y]
             if rt is None:
                 trans = rights[y].transitions
@@ -430,10 +430,8 @@ def exhaustive_search(
                 if rt is None:
                     rt = by_rows[trans] = _right_table(trans, width)
                 right_tables[y] = rt
-            # b's states are the low n bits of a key and the left
-            # machine's the rest, with no third chunk: catenation_masks'
-            # subsets with the two blocks swapped, found in the same
-            # order, so the rows and finals are the oracle's
+            # catenation_masks' subsets, found in the oracle's order, with
+            # the left block at bit n and no third chunk
             flat, keys = _table_walk(
                 (rt, lt[0], [0]), (n, width), width, alphabet_size, lt[1]
             )
@@ -533,7 +531,7 @@ def _classes(
 
 def _left_classes(
     op: str, classes
-) -> tuple[list[int], list[list[int]], list[tuple[int, int]], list[int]]:
+) -> tuple[list[int], list[list[int]], list[tuple[int, int]], list[Dfa]]:
     """The left operand's classes by the language of its left machine
     (L(a)^R for revcat, L(a)* for starcat): _classes' classes, merged
     where their minimal machines' left machines accept the same language.
@@ -543,16 +541,16 @@ def _left_classes(
     reversal and with star, so a generator still sends a merged class to
     the class of its renamed first machine.  Returns firsts and images
     as _classes does; for each class (r, k), the state and final counts
-    of its left language's minimal DFA; and its first class, whose
-    minimal machine's left masks stand for it.  The masks are not kept:
-    a side can hold tens of thousands of classes, and the search builds
-    a class's masks again only for its left table.
+    of its left language's minimal DFA; and its head, the minimal machine
+    of its first class, whose left masks stand for it.  The masks are not
+    kept: a side can hold tens of thousands of classes, and the search
+    builds a class's masks again only for its left table.
 
     Reversal is a bijection on languages, so revcat merges nothing: its
-    classes are _classes' own, each its own first class, and no key is
-    built.  Every state of a class's minimal machine is reachable, so the
-    subset construction of its reversal is already minimal (Brzozowski,
-    1962): r and k are its subset and final counts, with no refinement.
+    classes and heads are _classes' own, and no key is built.  Every
+    state of a class's minimal machine is reachable, so the subset
+    construction of its reversal is already minimal (Brzozowski, 1962):
+    r and k are its subset and final counts, with no refinement.
     """
     left = operation(op).left
     firsts, images, minimal = classes
@@ -561,26 +559,26 @@ def _left_classes(
         for d in minimal:
             _, finals, keys = subset_construction(*reverse_masks(d))
             counts.append((len(keys), len(finals)))
-        return firsts, images, counts, list(range(len(minimal)))
+        return firsts, images, counts, minimal
     index = {}  # minimal_rows' (rows, finals) of the left language -> merged class
     merged_of: list[int] = []  # class -> merged class
-    heads: list[int] = []  # each merged class's first class
+    first_of: list[int] = []  # each merged class's first class
     counts: list[tuple[int, int]] = []
     for c, d in enumerate(minimal):
         rows, finals, _ = subset_construction(*left(d))
         key = minimal_rows(rows, 0, finals)
         x = index.get(key)
         if x is None:
-            x = index[key] = len(heads)
-            heads.append(c)
+            x = index[key] = len(first_of)
+            first_of.append(c)
             rows, finals = key
             counts.append((len(rows[0]), len(finals)))
         merged_of.append(x)
     return (
-        [firsts[c] for c in heads],
-        [[merged_of[image[c]] for c in heads] for image in images],
+        [firsts[c] for c in first_of],
+        [[merged_of[image[c]] for c in first_of] for image in images],
         counts,
-        heads,
+        [minimal[c] for c in first_of],
     )
 
 
@@ -592,36 +590,18 @@ def _image_width(m: int, n: int) -> int:
 
 
 def _left_table(masks: Masks, n: int, width: int) -> tuple[list[int], int]:
-    """A left machine's image table for _table_walk, and its start key.
-
-    Left state q is bit n + q of a key, after the n bits of the right
-    machine, whose initial state is bit 0.  Entry j of the table holds,
-    width bits apart in symbol order, the image of the left states in j,
-    with bit 0 added where that image meets the left finals: the
-    catenation's free move, folded in as catenation_masks folds it.
-    """
-    move, start, final_mask = masks
-
-    def key(t: int) -> int:
-        """The left states in t as key bits, with the free move's bit."""
-        return t << n | 1 if t & final_mask else t << n
-
-    packed = [0] * len(move[0])
-    for s, row in enumerate(move):
-        for q, t in enumerate(row):
-            packed[q] |= key(t) << s * width
-    return _subset_table(packed), key(start)
+    """A left machine's image table for _table_walk, and its start key:
+    the left part of its catenation with a right machine of n states,
+    initial state 0 (constructions._catenation_left)."""
+    move, start = _catenation_left(masks, n, 0)
+    return _subset_table(_packed(move, width)), start
 
 
 def _right_table(transitions, width: int) -> list[int]:
     """A right machine's image table for _table_walk, from its complete
-    table (transitions[s][q] the target of q on symbol s): state q is
-    bit q, and each symbol's images are width bits apart."""
-    packed = [0] * len(transitions[0])
-    for s, row in enumerate(transitions):
-        for q, t in enumerate(row):
-            packed[q] |= 1 << (s * width + t)
-    return _subset_table(packed)
+    table (transitions[s][q] the target of q on symbol s):
+    catenation_masks' right part, state q as bit q."""
+    return _subset_table(_packed([[1 << t for t in row] for row in transitions], width))
 
 
 def _orbit_pairs(left, right, floor=(-1,)):

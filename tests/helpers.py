@@ -133,23 +133,27 @@ REF_LEFT = {"revcat": ref_reverse_nfa, "starcat": ref_star_nfa}
 def catenation_nfa(a: Nfa, b: Dfa) -> Nfa:
     """Catenation of an Nfa with a Dfa, the reference for the library's
     catenation_masks: disjoint union with free moves from every final
-    state of a to b's initial state; finals are b's."""
+    state of a to b's initial state; finals are b's.  States are
+    numbered as catenation_masks numbers them: b's state q is q, and a's
+    state q is b.state_count + q."""
     if a.alphabet != b.alphabet:
         raise AlphabetMismatch(
             f"operands use different alphabets {a.alphabet!r} and {b.alphabet!r}"
         )
-    off = a.state_count
+    off = b.state_count
     rows = tuple(
-        arow + tuple(frozenset((t + off,)) for t in brow)
+        tuple(frozenset((t,)) for t in brow)
+        + tuple(frozenset(off + t for t in targets) for targets in arow)
         for arow, brow in zip(a.transitions, b.transitions)
     )
     return Nfa(
-        state_count=off + b.state_count,
+        state_count=off + a.state_count,
         alphabet=a.alphabet,
         transitions=rows,
-        initials=a.initials,
-        epsilon_edges=a.epsilon_edges | {(f, off + b.initial) for f in a.finals},
-        finals=frozenset(off + q for q in b.finals),
+        initials=frozenset(off + q for q in a.initials),
+        epsilon_edges=frozenset((off + u, off + v) for u, v in a.epsilon_edges)
+        | {(off + f, b.initial) for f in a.finals},
+        finals=b.finals,
     )
 
 
@@ -205,6 +209,30 @@ def _bfs_build(alphabet, start, step, is_final) -> tuple[Dfa, list]:
     finals = frozenset(i for i, key in enumerate(order) if is_final(key))
     dfa = Dfa(len(order), tuple(alphabet), tuple(tuple(r) for r in rows), 0, finals)
     return dfa, order
+
+
+def ref_determinize(nfa: Nfa) -> tuple[Dfa, list]:
+    """Subset construction with epsilon closure over frozensets, the
+    reference for the library's determinize: the Dfa and its subsets in
+    state order."""
+
+    def closure(states) -> frozenset[int]:
+        out = set(states)
+        stack = list(out)
+        while stack:
+            u = stack.pop()
+            for x, y in nfa.epsilon_edges:
+                if x == u and y not in out:
+                    out.add(y)
+                    stack.append(y)
+        return frozenset(out)
+
+    def step(key, s):
+        return closure(t for q in key for t in nfa.transitions[s][q])
+
+    return _bfs_build(
+        nfa.alphabet, closure(nfa.initials), step, lambda key: bool(key & nfa.finals)
+    )
 
 
 def ref_revcat(m: Dfa, n: Dfa) -> tuple[Dfa, list]:

@@ -101,9 +101,9 @@ class TestCatenationNfa:
         b = revcat_witness_N(2)
         cat = catenation_nfa(a, b)
         assert cat.state_count == 4
-        assert cat.initials == a.initials
-        assert cat.finals == frozenset((2 + q for q in b.finals))
-        assert (1, 2) in cat.epsilon_edges  # a's final 1 -> b's initial shifted
+        assert cat.initials == frozenset((2 + q for q in a.initials))
+        assert cat.finals == b.finals
+        assert (3, 0) in cat.epsilon_edges  # a's final 1, shifted -> b's initial
 
     def test_word_level(self):
         rng = random.Random(32)

@@ -2,6 +2,7 @@
 construction reports, the enumeration-based search, and the seeded
 random checker."""
 
+import collections
 import dataclasses
 import functools
 import random
@@ -15,6 +16,7 @@ from helpers import (
     catenation_nfa,
     moore_minimal_size,
     random_complete_dfa,
+    ref_determinize,
     run_word,
 )
 from statecomp import automata, harness
@@ -80,31 +82,30 @@ def _raw_sizes(op, m, n, alphabet):
             yield ia, ib, a, b, oracle_sc(op, a, b)
 
 
-def _head_masks(op, m, alphabet, heads):
-    """Each merged left class's masks, as the full search builds them:
-    the left machine of its first class's minimal machine."""
-    minimal = _classes(m, alphabet, _letter_generators(len(alphabet)))[2]
-    return [OPS[op].left(minimal[c]) for c in heads]
-
-
 def _class_walk(masks, b, n, sigma, width):
     """The full search's walk of a left machine (its masks) catenated
     with b, over the two class tables, called as the search calls it,
-    and its flat output numbered by _numbered with b's finals: rows,
-    finals and keys."""
+    and its flat output numbered by _numbered with b's finals: rows and
+    finals, and whether its keys are catenation_masks' own.
+
+    Asserts that the walk is catenation_masks' subset construction: the
+    same rows and finals, and the same keys, exactly so when b has n
+    states, and otherwise once the walk's left block, at bit n, is moved
+    down to bit b.state_count, where catenation_masks puts it."""
     left_table, start = _left_table(masks, n, width)
     flat, keys = _table_walk(
         (_right_table(b.transitions, width), left_table, [0]), (n, width), width, sigma,
         start,
     )
-    return _numbered(flat, sigma, keys, state_mask(b.finals).__and__)
-
-
-def _blocks_swapped(keys, n, off):
-    """A class walk's keys as catenation_masks numbers the states: its
-    low n bits (b's states) moved above the off left states."""
-    low = (1 << n) - 1
-    return [key >> n | (key & low) << off for key in keys]
+    rows, finals, keys = _numbered(flat, sigma, keys, state_mask(b.finals).__and__)
+    ref = automata.subset_construction(*catenation_masks(masks, b))
+    s = b.state_count
+    if s == n:
+        assert (rows, finals, keys) == ref
+    else:
+        low = (1 << n) - 1
+        assert (rows, finals, [key >> n << s | key & low for key in keys]) == ref
+    return rows, finals, s == n
 
 
 def _keyed_left_classes(op, classes):
@@ -112,21 +113,33 @@ def _keyed_left_classes(op, classes):
     minimal_rows of its left masks' subset construction, classes with
     equal keys merged into the first."""
     firsts, images, minimal = classes
-    index, merged_of, heads, counts = {}, [], [], []
+    index, merged_of, first_of, counts = {}, [], [], []
     for c, d in enumerate(minimal):
         rows, finals, _ = automata.subset_construction(*OPS[op].left(d))
         key = minimal_rows(rows, 0, finals)
         if key not in index:
-            index[key] = len(heads)
-            heads.append(c)
+            index[key] = len(first_of)
+            first_of.append(c)
             counts.append((len(key[0][0]), len(key[1])))
         merged_of.append(index[key])
     return (
-        [firsts[c] for c in heads],
-        [[merged_of[image[c]] for c in heads] for image in images],
+        [firsts[c] for c in first_of],
+        [[merged_of[image[c]] for c in first_of] for image in images],
         counts,
-        heads,
+        [minimal[c] for c in first_of],
     )
+
+
+def _cycle(rng, size):
+    """A one-letter machine that is one cycle through its states in a
+    random order, its initial state random and each state final with
+    probability 1/4."""
+    cycle = rng.sample(range(size), size)
+    delta = [0] * size
+    for q, t in zip(cycle, cycle[1:] + cycle[:1]):
+        delta[q] = t
+    finals = frozenset(q for q in range(size) if rng.random() < 0.25)
+    return Dfa(size, ("a",), (tuple(delta),), rng.randrange(size), finals)
 
 
 def _search_classes(op, m, n, alphabet):
@@ -192,6 +205,24 @@ class TestOracle:
             assert (move, start, final_mask) == nfa_masks(cat), (op, a, b)
             assert final_mask == state_mask(cat.finals)
             assert oracle_pipeline(op, a, b) == determinize(cat)[0]
+
+    # catenations of 31 to 35 NFA states, either side of the subset
+    # construction's table bound (33), where the layout decides which
+    # states fall in which third of a subset's bits
+    @pytest.mark.parametrize("states", range(31, 36))
+    @pytest.mark.parametrize("op", ["revcat", "starcat"])
+    def test_catenations_at_the_chunk_bounds(self, op, states):
+        rng = random.Random(states)
+        m = (states - (op == "starcat")) // 2
+        n = states - (op == "starcat") - m
+        a, b = _cycle(rng, m), _cycle(rng, n)
+        cat = catenation_nfa(REF_LEFT[op](a), b)
+        assert cat.state_count == states
+        det, keys = determinize(cat)
+        ref, subsets = ref_determinize(cat)
+        assert (det, keys) == (ref, [state_mask(k) for k in subsets])
+        assert oracle_pipeline(op, a, b) == det
+        assert equivalent(combined(op, a, b), det)
 
 
 class TestVerifyWitness:
@@ -630,15 +661,19 @@ class TestExhaustiveSearch:
         alphabet = tuple(string.ascii_lowercase[:sigma])
         left, right = _search_classes(op, m, n, alphabet)
         (firsts_a, _, _, heads), (firsts_b, _, minimal_b) = left, right
-        lefts = _head_masks(op, m, alphabet, heads)
         for x, y, _ in _orbit_pairs(left, right):
-            size = harness._masks_minimal_size(*catenation_masks(lefts[x], minimal_b[y]))
+            rows, finals, _ = automata.subset_construction(
+                *catenation_masks(OPS[op].left(heads[x]), minimal_b[y])
+            )
+            size = len(automata.hopcroft_refine(rows, finals)[0])
             a = decode_dfa(firsts_a[x], m, alphabet)
             b = decode_dfa(firsts_b[y], n, alphabet)
             assert size == oracle_sc(op, a, b), (op, x, y)
 
     # the search's walk on cached class tables, at the shapes above: at
-    # (1, 1, 26) a packed image is 26 * 3 = 78 bits wide
+    # (1, 1, 26) a packed image is 26 * 3 = 78 bits wide.  Past n = 1,
+    # some right classes have fewer than n states, and there
+    # catenation_masks puts the left block lower than the walk does
     @pytest.mark.parametrize("op", ["revcat", "starcat"])
     @pytest.mark.parametrize(
         "m,n,sigma",
@@ -648,18 +683,17 @@ class TestExhaustiveSearch:
         alphabet = tuple(string.ascii_lowercase[:sigma])
         left, right = _search_classes(op, m, n, alphabet)
         (firsts_a, _, _, heads), (firsts_b, _, minimal_b) = left, right
-        lefts = _head_masks(op, m, alphabet, heads)
         width = harness._image_width(m, n)
+        kinds = collections.Counter()  # exact keys (True), shifted (False)
         for x, y, _ in _orbit_pairs(left, right):
-            b = minimal_b[y]
-            rows, finals, keys = _class_walk(lefts[x], b, n, sigma, width)
-            ref = automata.subset_construction(*catenation_masks(lefts[x], b))
-            off = len(lefts[x][0][0])
-            assert (rows, finals, _blocks_swapped(keys, n, off)) == ref, (op, x, y)
+            masks = OPS[op].left(heads[x])
+            rows, finals, exact = _class_walk(masks, minimal_b[y], n, sigma, width)
+            kinds[exact] += 1
             first_a = decode_dfa(firsts_a[x], m, alphabet)
             first_b = decode_dfa(firsts_b[y], n, alphabet)
             size = len(automata.hopcroft_refine(rows, finals)[0])
             assert size == oracle_sc(op, first_a, first_b), (op, x, y)
+        assert kinds[True] and (kinds[False] or n == 1), kinds
 
     # left machines of m + 1 states that every state can be entered in,
     # unlike a star's fresh state, and right machines of 1..n states
@@ -669,14 +703,14 @@ class TestExhaustiveSearch:
         alphabet = tuple(string.ascii_lowercase[:sigma])
         width = harness._image_width(m, n)
         full = (1 << (m + 1)) - 1
+        kinds = collections.Counter()  # exact keys (True), shifted (False)
         for _ in range(60):
             move = [[rng.randrange(full + 1) for _ in range(m + 1)] for _ in alphabet]
             masks = (move, rng.randrange(full + 1), rng.randrange(full + 1))
             b = random_complete_dfa(rng, rng.randint(1, n), alphabet)
             b = dataclasses.replace(b, initial=0)
-            rows, finals, keys = _class_walk(masks, b, n, sigma, width)
-            ref = automata.subset_construction(*catenation_masks(masks, b))
-            assert (rows, finals, _blocks_swapped(keys, n, m + 1)) == ref
+            kinds[_class_walk(masks, b, n, sigma, width)[2]] += 1
+        assert kinds[True] and (kinds[False] or n == 1), kinds
 
     # subset constructions of random NFAs of 1..8 states, free moves
     # folded in: the distinct (final, successors) rows lie between the
@@ -790,8 +824,8 @@ class TestLanguageClasses:
         assert firsts == [block[0] for block in blocks.values()]
         assert len(firsts) == count
         assert counts == [(d.state_count, len(d.finals)) for d in keys]
-        # each class's first class's left masks accept its left language
-        lefts = _head_masks(op, 2, alphabet, heads)
+        # each class's head's left masks accept its left language
+        lefts = [OPS[op].left(d) for d in heads]
         assert [minimize_hopcroft(subset_dfa(alphabet, *masks)) for masks in lefts] == keys
         # reversal is a bijection on languages, so revcat keeps the classes
         assert ((firsts, images) == classes[:2]) == (op == "revcat")
@@ -811,7 +845,7 @@ class TestLanguageClasses:
         classes = _classes(size, alphabet, _letter_generators(len(alphabet)))
         firsts, images, counts, heads = _left_classes("revcat", classes)
         assert (firsts, images, counts) == _keyed_left_classes("revcat", classes)[:3]
-        assert heads == list(range(len(classes[0])))
+        assert heads is classes[2]
         # the reference is starcat's own merge
         assert _left_classes("starcat", classes) == _keyed_left_classes("starcat", classes)
 

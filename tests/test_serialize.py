@@ -248,8 +248,9 @@ class TestDot:
             nfa_from_dfa(revcat_n1_witness(2)), revcat_n1_witness(2)
         )
         dot = emit_dot(nfa)
-        assert '  1 -> 2 [label="&epsilon;"];' in dot
-        assert "  __start -> 0;" in dot
+        # the left operand's states follow the right one's two
+        assert '  3 -> 0 [label="&epsilon;"];' in dot
+        assert "  __start -> 2;" in dot
 
     def test_reversed_machine_has_multiple_targets(self):
         dot = emit_dot(reverse_nfa(revcat_witness_M(2)))
