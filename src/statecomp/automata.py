@@ -4,11 +4,11 @@ States are integers 0..state_count-1 and symbols are single characters.
 A Dfa is always complete: every (state, symbol) pair has exactly one
 target.  Subsets of states are integer bitmasks, fast enough for
 exhaustive searches over millions of machines.  One walker,
-_table_walk, numbers the subsets of subset_construction and of the
-search: it looks a subset's images up in three tables of packed
-images, one per chunk of its bits.  Minimization keeps its partition
-as ranges of one permutation of the states, and its preimages as
-chains through flat lists, which scales to hundreds of thousands.
+_table_walk, numbers every subset, looking its images up in three
+tables of packed images, one per chunk of its bits; explore numbers
+only a Dfa's states and blocks.  Minimization keeps its partition as
+ranges of one permutation of the states, and its preimages as chains
+through flat lists, which scales to hundreds of thousands.
 """
 
 from __future__ import annotations
@@ -221,11 +221,11 @@ def nfa_masks(nfa: Nfa) -> Masks:
     return move, start, state_mask(nfa.finals)
 
 
-# Subset constructions on at most TABLE_MAX_STATES NFA states look a
-# subset's images up in three tables, one per third of its bits, so a
-# table has at most 2^11 entries, however few subsets are reached.  On
-# more states the tables would grow as 2^(n/3), so a step ORs the move
-# entries of the subset's states one by one.
+# A subset construction looks a subset's images up in three tables, one
+# per chunk of its bits.  Up to TABLE_MAX_STATES NFA states a chunk is a
+# third of the states, so every table is built whole with at most 2^11
+# entries; past it the first two chunks are 11 bits and the third holds
+# every bit from 22 up, its table filled in at the values subsets reach.
 TABLE_MAX_STATES = 33
 
 
@@ -258,7 +258,8 @@ def _table_walk(tables, cuts, width: int, nsym: int, start: int):
     j of tables[i] holds the images of the states in j, chunk i's value,
     packed width bits apart in symbol order.  The first two tables'
     lengths are powers of two that mask their chunks, as _subset_table
-    builds them; the third is indexed by all of a key's bits from c2 up.
+    builds them; the third is indexed by all of a key's bits from c2 up,
+    a list or an _ImageTable.
     A key's successors are the OR of one entry per table, cut width bits
     at a time, and each new one is numbered inline in explore's order.
     flat holds the successor numbers key by key, symbols in order.
@@ -284,6 +285,19 @@ def _table_walk(tables, cuts, width: int, nsym: int, start: int):
     return flat, order
 
 
+class _ImageTable(dict):
+    """_subset_table's entries for a chunk too wide to build whole, each
+    computed when first looked up."""
+
+    def __init__(self, packed: list[int]):
+        super().__init__()
+        self.packed = packed
+
+    def __missing__(self, j: int) -> int:
+        self[j] = image = mask_image(j, self.packed)
+        return image
+
+
 def subset_construction(move, start: int, final_mask: int):
     """Subset construction over a bitmask move table.
 
@@ -295,33 +309,22 @@ def subset_construction(move, start: int, final_mask: int):
     ordinary dead state when reached.  Returns explore's rows, finals
     (the subsets meeting final_mask) and subsets in that order.
 
-    On at most TABLE_MAX_STATES states, a _table_walk cuts each subset
-    into chunks of a third of the states, rounded up (the last one can
-    be shorter, or empty with the table [0]); otherwise a step ORs the
-    subset's states' entries one by one.
+    A _table_walk cuts each subset into chunks of a third of the states,
+    rounded up and at most 11 bits; the last chunk takes the rest of the
+    bits (it can be shorter, or empty with the table [0]).  Past
+    TABLE_MAX_STATES states the last chunk's table is an _ImageTable.
     """
     n = len(move[0])
     nsym = len(move)
-    if n <= TABLE_MAX_STATES:
-        packed = _packed(move, n)
-        # thirds, not fixed 11-bit chunks: tables are built whole, and
-        # small ones cost little where few subsets are reached
-        chunk = -(-n // 3)
-        tables = [_subset_table(packed[c : c + chunk]) for c in (0, chunk, 2 * chunk)]
-        flat, order = _table_walk(tables, (chunk, 2 * chunk), n, nsym, start)
-        return _numbered(flat, nsym, order, final_mask.__and__)
-
-    def step(cur: int) -> list[int]:
-        qs = _mask_bits(cur)
-        out = []
-        for mv in move:
-            t = 0
-            for q in qs:
-                t |= mv[q]
-            out.append(t)
-        return out
-
-    return explore(nsym, start, step, final_mask.__and__)
+    packed = _packed(move, n)
+    # thirds, not fixed 11-bit chunks: the whole tables of a small
+    # machine cost little where few subsets are reached
+    chunk = min(-(-n // 3), 11)
+    tables = [_subset_table(packed[c : c + chunk]) for c in (0, chunk)]
+    high = packed[2 * chunk :]
+    tables.append(_subset_table(high) if n <= TABLE_MAX_STATES else _ImageTable(high))
+    flat, order = _table_walk(tables, (chunk, 2 * chunk), n, nsym, start)
+    return _numbered(flat, nsym, order, final_mask.__and__)
 
 
 def subset_dfa(alphabet: tuple[str, ...], move, start: int, final_mask: int) -> Dfa:

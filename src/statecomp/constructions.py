@@ -12,10 +12,9 @@ to automata.subset_dfa, so every route shares one subset construction,
 numbered breadth-first in alphabet order, and no count exceeds the
 closed-form size bounds.  starcat's direct construction differs from
 the oracle only in the left table, the star's loop without its fresh
-state, and the start set.
-revcat_n1_direct is the one quotient: it merges every subset holding
-the left operand's initial state into one absorbing state.  Which
-construction fits which operand shape is decided in harness's op table.
+state, and the start set.  revcat_n1_direct widens each set holding
+the left operand's initial state to the full set, one absorbing state.
+harness's op table decides which construction fits which shape.
 """
 
 from __future__ import annotations
@@ -26,8 +25,6 @@ from .automata import (
     Masks,
     Nfa,
     _masks_nfa,
-    explore,
-    mask_image,
     reverse_masks,
     state_mask,
     subset_dfa,
@@ -113,29 +110,20 @@ def revcat_n1_direct(m: Dfa, n_accepting: bool) -> Dfa:
     """Direct DFA for L(m)^R L(n) when n is a one-state DFA.
 
     A rejecting n gives the empty language.  An accepting n gives
-    L(m)^R followed by anything: the subset walk of reverse_masks(m), in
-    which every subset containing m's initial state collapses into one
-    absorbing final state.  At most 2^(m-1) + 1 states are reachable.
+    L(m)^R followed by anything: the subset construction of
+    reverse_masks(m) with every set holding m's initial state widened
+    to the full set, the one final state.  It is absorbing, since the
+    initial state's target on any symbol has the initial state as a
+    preimage.  At most 2^(m-1) + 1 states are reachable.
     """
     if not n_accepting:
         return empty_dfa(m.alphabet)
-    # the reversal's moves are m's preimages; its initial set is m's finals
-    pre, i0, _ = reverse_masks(m)
-    init_bit = 1 << m.initial
-    SINK = -1  # the merged absorbing final state
-
-    def step(cur):
-        if cur == SINK:
-            return [SINK] * len(pre)
-        out = []
-        for ps in pre:
-            i2 = mask_image(cur, ps)
-            out.append(SINK if i2 & init_bit else i2)
-        return out
-
-    start = SINK if i0 & init_bit else i0
-    rows, finals, order = explore(len(m.alphabet), start, step, lambda key: key == SINK)
-    return Dfa(len(order), m.alphabet, rows, 0, finals)
+    # m's preimages, started in m's finals, final at m's initial state
+    pre, start, init_bit = reverse_masks(m)
+    full = (1 << m.state_count) - 1
+    move = [[full if t & init_bit else t for t in row] for row in pre]
+    start = full if start & init_bit else start
+    return subset_dfa(m.alphabet, move, start, init_bit)
 
 
 def starcat_general_direct(a: Dfa, b: Dfa) -> Dfa:

@@ -9,6 +9,7 @@ emitting a parsed canonical document reproduces it byte for byte.
 from __future__ import annotations
 
 import json
+import sys
 
 from .automata import Dfa, Nfa
 
@@ -45,6 +46,9 @@ def parse_document(text: str) -> Dfa | Nfa:
         raise DocumentError(f"document: not valid JSON ({e.msg} at line {e.lineno})")
     except RecursionError:
         raise DocumentError("document: nested too deeply")
+    except ValueError:  # an integer literal past the interpreter's digit limit
+        limit = sys.get_int_max_str_digits()
+        raise DocumentError(f"document: an integer literal has more than {limit} digits")
     if not isinstance(obj, dict):
         raise DocumentError("document: expected a JSON object")
 

@@ -259,6 +259,24 @@ def ref_revcat(m: Dfa, n: Dfa) -> tuple[Dfa, list]:
     )
 
 
+def ref_revcat_n1(m: Dfa) -> Dfa:
+    """L(m)^R followed by anything, rebuilt with frozensets: the subset
+    walk of m's reversal, in which every subset holding m's initial
+    state becomes the one absorbing final key "sink"."""
+
+    def key(states: frozenset) -> frozenset | str:
+        return "sink" if m.initial in states else states
+
+    def step(k, s):
+        if k == "sink":
+            return k
+        row = m.transitions[s]
+        return key(frozenset(p for p in range(m.state_count) if row[p] in k))
+
+    dfa, _ = _bfs_build(m.alphabet, key(frozenset(m.finals)), step, lambda k: k == "sink")
+    return dfa
+
+
 def ref_starcat_special(a: Dfa, b: Dfa) -> tuple[Dfa, list]:
     def step(key, s):
         q, t = key

@@ -239,34 +239,57 @@ def _sparse_nfa(rng: random.Random, n: int, nsym: int, epsilon: bool) -> Nfa:
     return Nfa(n, tuple("abcd"[:nsym]), rows, initials, eps, finals)
 
 
+def _walk_tables(monkeypatch) -> list:
+    """The tables of every _table_walk from now on, in call order."""
+    seen = []
+    real = automata._table_walk
+    monkeypatch.setattr(
+        automata, "_table_walk", lambda tables, *rest: seen.append(tables) or real(tables, *rest)
+    )
+    return seen
+
+
 class TestSubsetTables:
-    # up to TABLE_MAX_STATES states a step reads three image tables, one
-    # per chunk of a third of the states, rounded up
+    # a walk reads three image tables, one per chunk of a third of the
+    # states, rounded up and at most 11 bits; past TABLE_MAX_STATES the
+    # third chunk takes every bit from 22 up, and its table is filled in
+    # as subsets reach it
 
     def test_tables_only_up_to_the_bound(self, monkeypatch):
-        built = []
-        real = automata._subset_table
-        monkeypatch.setattr(
-            automata, "_subset_table", lambda packed: built.append(len(packed)) or real(packed)
-        )
-        for n in (TABLE_MAX_STATES, TABLE_MAX_STATES + 1):
+        seen = _walk_tables(monkeypatch)
+        for n in (TABLE_MAX_STATES, TABLE_MAX_STATES + 1, 40):
             nfa = _random_nfa(random.Random(n), n, 1, epsilon=False)
             assert determinize(nfa) == _frozenset_subsets(nfa), n
-        # three chunks of 11 states at 33 states, none at 34
-        assert built == [11, 11, 11]
+        # three whole 11-state tables at 33 states, two and a lazy one past
+        whole = [[len(t) for t in tables if type(t) is list] for tables in seen]
+        assert whole == [[2048] * 3, [2048] * 2, [2048] * 2]
+        assert [type(tables[2]) for tables in seen[1:]] == [automata._ImageTable] * 2
 
     # the chunks' widths change with every third size, so every size up
-    # to the table bound, one past it and 40; one-letter and sparse
+    # to the table bound and one past it; at 40, 45, 56 and 66 the high
+    # chunk is wider than 11, 22 and 33 bits.  One-letter and sparse
     # machines keep the subset counts small
-    @pytest.mark.parametrize("n", [*range(1, TABLE_MAX_STATES + 2), 40])
-    def test_chunk_bounds(self, n):
+    @pytest.mark.parametrize("n", [*range(1, TABLE_MAX_STATES + 2), 40, 45, 56, 66])
+    def test_chunk_bounds(self, n, monkeypatch):
+        seen = _walk_tables(monkeypatch)
         rng = random.Random(2000 + n)
         for k in range(8):
             if k < 4:
                 nfa = _random_nfa(rng, n, 1, epsilon=k % 2 == 1)
             else:
                 nfa = _sparse_nfa(rng, n, k % 3 + 2, epsilon=k >= 6)
-            assert determinize(nfa) == _frozenset_subsets(nfa), (n, k)
+            det, order = determinize(nfa)
+            assert (det, order) == _frozenset_subsets(nfa), (n, k)
+            tables = seen[-1]
+            assert all(len(t) <= 2048 for t in tables if type(t) is list), (n, k)
+            if n > TABLE_MAX_STATES:
+                # entries only at the high chunks the subsets have, each
+                # the entry _subset_table would hold there
+                lazy = tables[2]
+                assert set(lazy) == {key >> 22 for key in order}, (n, k)
+                for j, image in lazy.items():
+                    bits = [p for q, p in enumerate(lazy.packed) if j >> q & 1]
+                    assert image == automata._subset_table(bits)[-1], (n, k, j)
 
     @pytest.mark.parametrize("n", range(1, 21))
     def test_same_rows_finals_and_order_as_frozensets(self, n):

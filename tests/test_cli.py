@@ -298,8 +298,12 @@ class TestCompose:
         [
             (b"[" * 200_000 + b"]" * 200_000, "document: nested too deeply"),
             (b'{"kind": "dfa\xff"}', "--lhs: cannot read {path}: not UTF-8 text"),
+            (
+                b'{"kind": "dfa", "states": ' + b"9" * 5000 + b"}",
+                "document: an integer literal has more than 4300 digits",
+            ),
         ],
-        ids=["deep-nesting", "not-utf8"],
+        ids=["deep-nesting", "not-utf8", "long-integer"],
     )
     def test_hostile_file_is_an_input_error(
         self, capsys, tmp_path, pair, content, reason

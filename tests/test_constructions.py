@@ -4,6 +4,7 @@ against split-enumeration membership oracles."""
 
 import random
 from dataclasses import replace
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -55,6 +56,7 @@ from helpers import (
     random_complete_dfa,
     ref_reverse_nfa,
     ref_revcat,
+    ref_revcat_n1,
     ref_starcat_general,
     ref_starcat_special,
     ref_star_nfa,
@@ -292,6 +294,25 @@ class TestRevcatN1Direct:
             anything = sigma_star_dfa(a.alphabet)
             for w in all_words(("a", "b"), 5):
                 assert accepts(d, w) == revcat_member(a, anything, w)
+
+    def test_every_small_machine_matches_the_reference(self):
+        # every complete machine of 1-3 states over 1-2 letters, with
+        # every final set and every initial state
+        for n, alphabet in product((1, 2, 3), (("a",), ("a", "b"))):
+            for flat in product(range(n), repeat=n * len(alphabet)):
+                rows = tuple(tuple(flat[i : i + n]) for i in range(0, len(flat), n))
+                for bits in product((False, True), repeat=n):
+                    finals = frozenset(q for q in range(n) if bits[q])
+                    for initial in range(n):
+                        m = Dfa(n, alphabet, rows, initial, finals)
+                        assert revcat_n1_direct(m, True) == ref_revcat_n1(m), m
+
+    def test_random_machines_match_the_reference(self):
+        rng = random.Random(47)
+        for _ in range(1000):
+            size = rng.randint(1, 12)
+            m = random_complete_dfa(rng, size, "abcd"[: rng.randint(1, 4)])
+            assert revcat_n1_direct(m, True) == ref_revcat_n1(m), m
 
     def test_sink_is_absorbing(self):
         d = revcat_n1_direct(revcat_n1_witness(4), True)

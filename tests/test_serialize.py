@@ -174,6 +174,11 @@ class TestParseErrors:
                 "[" * 200_000 + "]" * 200_000, "document: nested too deeply",
                 id="deep-nesting",
             ),
+            pytest.param(
+                '{"kind": "dfa", "states": ' + "9" * 5000 + "}",
+                "document: an integer literal has more than 4300 digits",
+                id="long-integer",
+            ),
         ],
     )
     def test_bad_dfa_documents_name_the_field(self, text, needle):
