@@ -116,7 +116,9 @@ class SearchResult:
     max_minimal: int
     argmax: tuple[Dfa, Dfa]
     pairs_examined: int  # pairs covered
-    pairs_evaluated: int  # oracle runs made
+    # pairs whose size was decided: orbit pairs in full mode, draws in
+    # sampled mode
+    pairs_evaluated: int
 
 
 def _revcat_route(a: Dfa, b: Dfa) -> tuple[Dfa | None, int, int | None]:
@@ -362,12 +364,15 @@ def exhaustive_search(
 
     Full mode covers every pair (initial states fixed at 0, all
     transition tables, all final sets) and refuses to start past
-    DEFAULT_BUDGET pairs; it runs the oracle once per letter-permutation
-    orbit of language-class pairs (see _orbit_pairs) whose catenation
-    bound beats the best size found before it, on the two classes'
-    minimal machines, as an automata._table_walk over the two classes'
-    cached image tables, and numbers its rows and finals only when its
-    subset count beats the best size found before it.  Sampled mode draws
+    DEFAULT_BUDGET pairs; it decides the size of one pair per
+    letter-permutation orbit of language-class pairs (see _orbit_pairs)
+    whose catenation bound beats the best size found before it, on the
+    two classes' minimal machines.  The oracle's subsets are walked by
+    automata._table_walk over the two classes' cached image tables, once
+    per left class and right transition table: right classes that differ
+    only in their finals share the walk.  Each pair numbers the walk's
+    rows, with its own right class's finals, only when the subset count
+    beats the best size found before it.  Sampled mode draws
     sample_count index pairs from a seeded generator and runs the
     oracle's subset construction on each.  A minimal size is at most the
     subset count and at most the count of distinct (final, successors)
@@ -403,12 +408,13 @@ def exhaustive_search(
         firsts_a, _, _, heads = left
         firsts_b, _, rights = right
         width = _image_width(m, n)
-        left_tables: list = [None] * len(heads)
-        # each right class's table, found once per class; a table depends
-        # only on the class's rows, which classes differing only in their
-        # finals share
-        right_tables: list = [None] * len(rights)
-        by_rows: dict = {}
+        # each right class's transition rows, numbered: classes that
+        # differ only in their finals share this skeleton, and with it one
+        # image table and, for each left class, one walk, since a walk
+        # depends on the right machine's finals only through _numbered
+        numbers: dict = {}
+        skeleton = [numbers.setdefault(b.transitions, len(numbers)) for b in rights]
+        right_tables: list = [None] * len(numbers)
         right_finals = [state_mask(b.finals) for b in rights]
         evaluated = 0
         # the best size so far, read by _orbit_pairs: a pair whose
@@ -418,23 +424,26 @@ def exhaustive_search(
         # beats sc_revcat and sc_starcat, and a walk pruned by those could
         # never find a pair that does.
         floor = [best]
+        # _orbit_pairs yields the pairs x-major, so the current left
+        # class's table and walks are dropped when x advances
+        current = -1
         for x, y, _ in _orbit_pairs(left, right, floor):
             evaluated += 1
-            lt = left_tables[x]
-            if lt is None:
-                lt = left_tables[x] = _left_table(spec.left(heads[x]), n, width)
-            rt = right_tables[y]
-            if rt is None:
-                trans = rights[y].transitions
-                rt = by_rows.get(trans)
+            if x != current:
+                current, walks = x, {}
+                lt, start = _left_table(spec.left(heads[x]), n, width)
+            skel = skeleton[y]
+            walk = walks.get(skel)
+            if walk is None:
+                rt = right_tables[skel]
                 if rt is None:
-                    rt = by_rows[trans] = _right_table(trans, width)
-                right_tables[y] = rt
-            # catenation_masks' subsets, found in the oracle's order, with
-            # the left block at bit n and no third chunk
-            flat, keys = _table_walk(
-                (rt, lt[0], [0]), (n, width), width, alphabet_size, lt[1]
-            )
+                    rt = right_tables[skel] = _right_table(rights[y].transitions, width)
+                # catenation_masks' subsets, found in the oracle's order,
+                # with the left block at bit n and no third chunk
+                walk = walks[skel] = _table_walk(
+                    (rt, lt, [0]), (n, width), width, alphabet_size, start
+                )
+            flat, keys = walk
             if len(keys) > floor[0]:
                 rows, finals, _ = _numbered(
                     flat, alphabet_size, keys, right_finals[y].__and__
@@ -499,6 +508,11 @@ def _classes(
 
     Every machine is keyed by its minimal_rows, which are canonical: two
     machines share a key exactly when they accept the same language.
+    The machines are taken a transition table at a time, in enumeration
+    order, and each table is decoded once.  Complementary final sets
+    have the same Myhill-Nerode partition on a table, so of each pair
+    only the first set is refined, and the second's key is read off it:
+    dfa_count(size, len(alphabet)) / 2 refinements in all.
     Returns each class's first enumeration index, classes in that order;
     for each generator the class it maps each class to; and each class's
     minimal machine, minimize_hopcroft's of any of its machines.  Only
@@ -508,14 +522,25 @@ def _classes(
     firsts: list[int] = []
     minimal: list[Dfa] = []
     nsym = len(alphabet)
-    for i in range(dfa_count(size, nsym)):
-        rows, finals = _decode(i, size, nsym)
-        key = minimal_rows(rows, 0, finals)
-        if key not in index:
-            index[key] = len(firsts)
-            firsts.append(i)
-            rows, finals = key
-            minimal.append(Dfa(len(rows[0]), alphabet, rows, 0, finals))
+    full = (1 << size) - 1
+    final_sets = [frozenset(q for q in range(size) if f >> q & 1) for f in range(full + 1)]
+    for t in range(size ** (size * nsym)):
+        rows = _decode(t << size, size, nsym)[0]
+        # a final set and its complement refine the table into the same
+        # blocks, so the complement's key is the same rows (one tuple for
+        # both) with the reachable blocks' finals complemented
+        keys: list = [None] * (full + 1)
+        for f, finals in enumerate(final_sets):
+            key = keys[f]
+            if key is None:
+                key = minimal_rows(rows, 0, finals)
+                blocks, accepting = key
+                keys[f ^ full] = blocks, frozenset(range(len(blocks[0]))) - accepting
+            if key not in index:
+                index[key] = len(firsts)
+                firsts.append(t << size | f)
+                blocks, accepting = key
+                minimal.append(Dfa(len(blocks[0]), alphabet, blocks, 0, accepting))
     # renaming letters keeps a machine minimal, so a generator's image of
     # a class is keyed by its minimal machine with the rows taken in the
     # generator's order, renumbered breadth-first

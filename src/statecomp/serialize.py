@@ -35,6 +35,12 @@ def _int_in_range(value, hi: int, where: str) -> int:
 def _state_list(value, hi: int, where: str) -> list[int]:
     if not isinstance(value, list):
         raise DocumentError(f"{where}: expected a list")
+    # the whole list at once; an element's path is formatted only to name
+    # the first bad one
+    if all(type(v) is int for v in value) and (
+        not value or 0 <= min(value) and max(value) < hi
+    ):
+        return value
     return [_int_in_range(v, hi, f"{where}[{k}]") for k, v in enumerate(value)]
 
 

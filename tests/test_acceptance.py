@@ -163,7 +163,7 @@ def test_8_full_search_confirms_both_worst_cases(capfd):
     )
     _report(capfd, 8, "full two-state four-symbol search", ok)
     assert ok, (revcat.max_minimal, starcat.max_minimal)
-    # one oracle run per letter-permutation orbit of language-class pairs
+    # one evaluated pair per letter-permutation orbit of language-class pairs
     assert revcat.pairs_evaluated < revcat.pairs_examined
     assert starcat.pairs_evaluated < starcat.pairs_examined
 

@@ -571,6 +571,29 @@ class TestExhaustiveSearch:
         r = exhaustive_search(op, 2, 2, 3, "full")
         assert (r.pairs_evaluated, len(calls)) == (runs, refinements)
 
+    # right classes that differ only in their finals share one transition
+    # table, and the walk depends on the right machine only through it:
+    # each left class walks once per right table it meets, however many
+    # of that table's classes it is paired with
+    @pytest.mark.parametrize("op,runs,walks", [("revcat", 328, 164), ("starcat", 1444, 722)])
+    def test_one_walk_per_left_class_and_right_table(self, monkeypatch, op, runs, walks):
+        calls, pairs = [], []
+
+        def counted(*args):
+            calls.append(1)
+            return _table_walk(*args)
+
+        def recorded(left, right, floor):
+            for pair in _orbit_pairs(left, right, floor):
+                pairs.append((pair[0], right[2][pair[1]].transitions))
+                yield pair
+
+        monkeypatch.setattr(harness, "_table_walk", counted)
+        monkeypatch.setattr(harness, "_orbit_pairs", recorded)
+        r = exhaustive_search(op, 2, 2, 3, "full")
+        assert (r.pairs_evaluated, len(pairs), len(calls)) == (runs, runs, walks)
+        assert len(set(pairs)) == walks
+
     @pytest.mark.parametrize("op", ["revcat", "starcat"])
     @pytest.mark.parametrize("m,n,sigma,count", [(2, 2, 2, 300), (2, 3, 3, 50)])
     def test_sampled_is_the_first_strict_max_of_its_draws(self, op, m, n, sigma, count):
@@ -797,6 +820,37 @@ class TestLanguageClasses:
         firsts, _, minimal = _classes(2, alphabet, [])
         assert firsts == [block[0] for block in by_words.values()]
         assert minimal == [minimize_hopcroft(machines[i]) for i in firsts]
+
+    # each machine decoded and refined on its own, the first index of each
+    # key recorded: the class step without sharing a table's work across
+    # its final sets
+    @pytest.mark.parametrize("size,alphabet", [(2, "ab"), (2, "abc"), (3, "ab"), (2, "abcd"),
+                                               (1, string.ascii_lowercase)])
+    def test_class_step_is_the_per_machine_step(self, monkeypatch, size, alphabet):
+        alphabet = tuple(alphabet)
+        gens = _letter_generators(len(alphabet))
+        index, firsts, minimal = {}, [], []
+        for i in range(dfa_count(size, len(alphabet))):
+            d = decode_dfa(i, size, alphabet)
+            key = minimal_rows(d.transitions, 0, d.finals)
+            if key not in index:
+                index[key] = len(firsts)
+                firsts.append(i)
+                minimal.append(Dfa(len(key[0][0]), alphabet, key[0], 0, key[1]))
+        images = [
+            [index[minimal_rows([d.transitions[s] for s in g], 0, d.finals)] for d in minimal]
+            for g in gens
+        ]
+        calls = []
+
+        def counted(*args):
+            calls.append(1)
+            return minimal_rows(*args)
+
+        monkeypatch.setattr(harness, "minimal_rows", counted)
+        assert _classes(size, alphabet, gens) == (firsts, images, minimal)
+        # a final set's complement is keyed off its own refinement
+        assert 2 * len(calls) == dfa_count(size, len(alphabet))
 
     @pytest.mark.parametrize("sigma", [2, 3])
     def test_images_are_the_renamed_languages(self, sigma):
