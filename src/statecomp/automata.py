@@ -3,10 +3,13 @@
 States are integers 0..state_count-1 and symbols are single characters.
 A Dfa is always complete: every (state, symbol) pair has exactly one
 target.  Subsets of states are integer bitmasks, fast enough for
-exhaustive searches over millions of machines.  One walker,
-_table_walk, numbers every subset, looking its images up in three
-tables of packed images, one per chunk of its bits; explore numbers
-only a Dfa's states and blocks.  Minimization keeps its partition as
+exhaustive searches over millions of machines.  There is one
+breadth-first walk per kind of key, each numbering keys in the order
+symbols in alphabet order discover them: _walk numbers a complete
+table's states or the blocks of a partition of them, _table_walk
+every subset, looking its images up in three tables of packed images,
+one per chunk of its bits, and _pair_walk searches state pairs for a
+word that tells them apart.  Minimization keeps its partition as
 ranges of one permutation of the states, and its preimages as chains
 through flat lists, which scales to hundreds of thousands.
 """
@@ -144,32 +147,39 @@ def mask_image(mask: int, table) -> int:
     return out
 
 
-def explore(nsym: int, start, step, is_final):
-    """Number the keys reachable from start, breadth-first.
+def _walk(rows, reps, block_of, start: int):
+    """Flat successor numbers and blocks of a partition of a complete
+    table's states, numbered from block start breadth-first in alphabet
+    order, start first; _numbered turns them into rows and finals.
 
-    step(key) lists the key's successors in alphabet order, so keys are
-    numbered in the order a breadth-first walk taking symbols in
-    alphabet order discovers them, start first.  Returns the transition
-    rows over those numbers (rows[s][k] is the successor of key k on
-    symbol s), the frozenset of numbers whose key is_final holds for,
-    and the keys in discovery order.
+    rows[s][q] is the successor of state q on symbol s, reps[b] a state
+    of block b and block_of[q] the block of state q, as hopcroft_refine
+    returns them; the list 0..n-1 as both walks the states themselves.
+    Any state of a block stands for it, so the successor of block b on s
+    is block_of[rows[s][reps[b]]].  flat holds the successor numbers
+    block by block, symbols in order, and order the blocks by number.
     """
-    index = {start: 0}
+    index = [-1] * len(reps)
+    index[start] = 0
     order = [start]
-    flat: list[int] = []  # successor numbers, key by key, symbols in order
-    # the loop also visits the keys appended while it runs
-    for key in order:
-        for nxt in step(key):
-            k = index.get(nxt)
-            if k is None:
-                k = index[nxt] = len(order)
-                order.append(nxt)
+    flat: list[int] = []
+    # the loop also visits the blocks appended while it runs
+    for b in order:
+        q = reps[b]
+        for row in rows:
+            c = block_of[row[q]]
+            k = index[c]
+            if k < 0:
+                k = index[c] = len(order)
+                order.append(c)
             flat.append(k)
-    return _numbered(flat, nsym, order, is_final)
+    return flat, order
 
 
 def _numbered(flat: list[int], nsym: int, order: list, is_final):
-    """explore's rows, finals and keys from its flat successor numbers."""
+    """The rows, finals and keys of a walk's flat successor numbers
+    (_walk's or _table_walk's): rows[s][k] is the successor of key k on
+    symbol s, and finals the numbers of the keys is_final holds for."""
     rows = tuple(tuple(flat[s::nsym]) for s in range(nsym))
     finals = frozenset(compress(range(len(order)), map(is_final, order)))
     return rows, finals, order
@@ -251,8 +261,8 @@ def _subset_table(packed: list[int]) -> list[int]:
 
 
 def _table_walk(tables, cuts, width: int, nsym: int, start: int):
-    """explore's flat successor numbers and keys from start, with no
-    step function; _numbered turns them into rows and finals.
+    """_walk's flat successor numbers and keys for subsets from start;
+    _numbered turns them into rows and finals.
 
     A key is cut at the bits cuts = (c1, c2) into three chunks, and entry
     j of tables[i] holds the images of the states in j, chunk i's value,
@@ -261,7 +271,7 @@ def _table_walk(tables, cuts, width: int, nsym: int, start: int):
     builds them; the third is indexed by all of a key's bits from c2 up,
     a list or an _ImageTable.
     A key's successors are the OR of one entry per table, cut width bits
-    at a time, and each new one is numbered inline in explore's order.
+    at a time, and each new one is numbered inline in _walk's order.
     flat holds the successor numbers key by key, symbols in order.
     """
     t0, t1, t2 = tables
@@ -306,7 +316,7 @@ def subset_construction(move, start: int, final_mask: int):
     initial set and final_mask the accepting states.  Subsets are
     numbered in the order a breadth-first walk from start discovers
     them, taking symbols in alphabet order; the empty subset becomes an
-    ordinary dead state when reached.  Returns explore's rows, finals
+    ordinary dead state when reached.  Returns _numbered's rows, finals
     (the subsets meeting final_mask) and subsets in that order.
 
     A _table_walk cuts each subset into chunks of a third of the states,
@@ -348,10 +358,10 @@ def hopcroft_refine(rows, finals) -> tuple[list[int], list[int]]:
     rows[s][q] is the successor of state q on symbol s.  Returns reps,
     one state of each block, and block_of, the index of each state's
     block, so block_of[reps[b]] == b.  When every state is reachable, as
-    explore's tables are, the number of blocks is the minimal Dfa's
-    state count; an unreachable state could add a block of its own
-    (minimal_rows and minimal_size take only the blocks reachable from
-    the initial one).
+    in the tables _walk and _table_walk number, the number of blocks is
+    the minimal Dfa's state count; an unreachable state could add a
+    block of its own (minimal_rows and minimal_size _walk only the
+    blocks reachable from the initial one).
 
     The partition lives in flat arrays: elems is a permutation of the
     states, loc its inverse, and block b is the range
@@ -467,14 +477,13 @@ def hopcroft_refine(rows, finals) -> tuple[list[int], list[int]]:
 
 
 def _reachable(transitions, initial: int, finals):
-    """explore's rows and finals of a complete table's states reachable
+    """_walk's rows and finals of a complete table's states reachable
     from initial (transitions[s][q] the target of q on symbol s, finals
     a container of states)."""
-    # successors of each state, in alphabet order
-    succ = list(zip(*transitions))
-    rows, finals, _ = explore(
-        len(transitions), initial, succ.__getitem__, finals.__contains__
-    )
+    # the identity partition; a list indexes faster than a range
+    states = list(range(len(transitions[0])))
+    flat, order = _walk(transitions, states, states, initial)
+    rows, finals, _ = _numbered(flat, len(transitions), order, finals.__contains__)
     return rows, finals
 
 
@@ -485,22 +494,8 @@ def minimal_size(d: Dfa) -> int:
     reachable from the initial state's block: exactly the blocks of d's
     reachable states, so no pass over the states finds those first.
     """
-    rows = d.transitions
-    reps, block_of = hopcroft_refine(rows, d.finals)
-    start = block_of[d.initial]
-    seen = [False] * len(reps)
-    seen[start] = True
-    order = [start]
-    # any state of a block stands for it; the loop also visits the
-    # blocks appended while it runs
-    for b in order:
-        q = reps[b]
-        for row in rows:
-            c = block_of[row[q]]
-            if not seen[c]:
-                seen[c] = True
-                order.append(c)
-    return len(order)
+    reps, block_of = hopcroft_refine(d.transitions, d.finals)
+    return len(_walk(d.transitions, reps, block_of, block_of[d.initial])[1])
 
 
 def minimal_rows(transitions, initial: int, finals):
@@ -515,12 +510,10 @@ def minimal_rows(transitions, initial: int, finals):
     rows and finals.
     """
     reps, block_of = hopcroft_refine(transitions, finals)
-    # any state of a block stands for it
-    succ = list(zip(*transitions))
-    block_succ = [[block_of[t] for t in succ[q]] for q in reps]
-    block_final = [q in finals for q in reps]
-    rows, finals, _ = explore(
-        len(transitions), block_of[initial], block_succ.__getitem__, block_final.__getitem__
+    flat, order = _walk(transitions, reps, block_of, block_of[initial])
+    # a block is final when the state standing for it is
+    rows, finals, _ = _numbered(
+        flat, len(transitions), [reps[b] for b in order], finals.__contains__
     )
     return rows, finals
 

@@ -12,6 +12,22 @@ def _check_sizes(m: int, n: int) -> None:
         raise ValueError("automaton sizes must be at least 1")
 
 
+def estimate(count, *sizes):
+    """count(*sizes) to 20 significant digits, as a Decimal, forming no
+    power of two in full, so a count of any size is sized at once;
+    Infinity when its exponent is past decimal's largest.  Within 20
+    digits, and so within any budget below 10^20, it is exact."""
+    # imported here: it costs every command that sizes nothing about
+    # 2.5 ms and 0.5 MiB
+    import decimal
+
+    try:
+        with decimal.localcontext(decimal.Context(prec=20, Emax=decimal.MAX_EMAX)):
+            return +decimal.Decimal(count(*map(decimal.Decimal, sizes)))
+    except decimal.Overflow:
+        return decimal.Decimal("Infinity")
+
+
 def sc_revcat(m: int, n: int) -> int:
     """Worst-case minimal DFA size for L(A)^R L(B), |A| = m, |B| = n."""
     _check_sizes(m, n)

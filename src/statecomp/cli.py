@@ -19,7 +19,7 @@ import sys
 from pathlib import Path
 
 from .automata import Dfa, minimal_size, minimize_hopcroft
-from .bounds import _check_sizes
+from .bounds import _check_sizes, estimate
 from .harness import (
     COMPOSE_OPS,
     DEFAULT_BUDGET,
@@ -95,9 +95,6 @@ def cmd_compose(args) -> int:
 
 
 def cmd_sc(args) -> int:
-    # imported here: it costs every other command about 2.5 ms and 0.5 MiB
-    import decimal
-
     spec = OPS[args.op]
     if args.k1 is None:
         count, sizes, option = spec.sc, (args.m, args.n), "--m/--n"
@@ -106,16 +103,10 @@ def cmd_sc(args) -> int:
     else:
         count, sizes, option = spec.bound_k1, (args.m, args.n, args.k1), "--m/--n/--k1"
     limit = getattr(sys, "get_int_max_str_digits", int)()  # 0: no limit
-    # the count's decimal exponent, from the count to 20 digits, forms no
-    # power of two in full, so one far past the limit is refused at once,
-    # and one near it is cheap to form exactly
-    try:
-        with decimal.localcontext(decimal.Context(prec=20, Emax=decimal.MAX_EMAX)):
-            estimate = _option(option, count, *map(decimal.Decimal, sizes))
-            exponent = decimal.Decimal(estimate).adjusted()
-    except decimal.Overflow:
-        exponent = limit + 1
-    if limit and (exponent > limit or count(*sizes) >= 10 ** limit):
+    # the estimate refuses a count far past the limit at once, and one
+    # near it is cheap to form exactly
+    approx = _option(option, estimate, count, *sizes)
+    if limit and (approx >= 10 ** (limit + 1) or count(*sizes) >= 10 ** limit):
         raise ValueError(
             f"--m/--n: the count has more than {limit} digits, "
             "past this interpreter's limit for printing an int"

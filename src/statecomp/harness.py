@@ -42,6 +42,7 @@ from .automata import (
 )
 from .bounds import (
     _check_sizes,
+    estimate,
     sc_revcat,
     sc_starcat,
     sc_starcat_special,
@@ -278,20 +279,26 @@ def verify_witness(op: str, m: int, n: int) -> BoundReport:
     keyed by a subset of the m + n + 1 NFA states, so a cell is refused
     (BudgetError) before any machine or table is built when that count
     is over DEFAULT_BUDGET, or when its keys are, counted in 64-bit
-    words (one word each up to m + n = 63).  Sizes below 1 are left to
-    the witness's own checks, so their messages name the witness family.
+    words (one word each up to m + n = 63).  The count is sized by its
+    estimate before it is formed, so a cell of any size is refused at
+    once.  At n = 1 the closed form does not bound the oracle's subsets
+    (for starcat it is 1, where the oracle reaches 3 * 2^(m - 2)), so
+    such a cell is budgeted as the same op's (m, 2) cell, which does.
+    Sizes below 1 are left to the witness's own checks, so their
+    messages name the witness family.
     """
     spec = operation(op, OPS)
     if min(m, n) >= 1:
+        sizes = (m, 2) if n == 1 else (m, n)
         # the count itself can run to more digits than int-to-string
         # conversion allows, so the messages do not print it
-        count = spec.sc(m, n)
-        if count > DEFAULT_BUDGET:
+        if estimate(spec.sc, *sizes) > DEFAULT_BUDGET:
             raise BudgetError(
                 f"the {op} witness cell ({m}, {n}) needs more states than "
                 f"the budget of {DEFAULT_BUDGET}"
             )
-        if count * ((m + n + 64) // 64) > DEFAULT_BUDGET:
+        # within the budget the estimate is exact, and the count cheap
+        if spec.sc(*sizes) * ((sum(sizes) + 64) // 64) > DEFAULT_BUDGET:
             raise BudgetError(
                 f"the {op} witness cell ({m}, {n}) needs more 64-bit words "
                 f"of subset keys than the budget of {DEFAULT_BUDGET}"

@@ -32,15 +32,19 @@ def _int_in_range(value, hi: int, where: str) -> int:
     return value
 
 
-def _state_list(value, hi: int, where: str) -> list[int]:
-    if not isinstance(value, list):
-        raise DocumentError(f"{where}: expected a list")
-    # the whole list at once; an element's path is formatted only to name
-    # the first bad one
-    if all(type(v) is int for v in value) and (
+def _state_list(value, hi: int, where: str, at: int | None = None) -> list[int]:
+    """value, a list of states below hi, at the path where, or where[at]
+    when at is given."""
+    # the whole list at once; a path is formatted only to name the first
+    # bad list or element
+    if isinstance(value, list) and all(type(v) is int for v in value) and (
         not value or 0 <= min(value) and max(value) < hi
     ):
         return value
+    if at is not None:
+        where = f"{where}[{at}]"
+    if not isinstance(value, list):
+        raise DocumentError(f"{where}: expected a list")
     return [_int_in_range(v, hi, f"{where}[{k}]") for k, v in enumerate(value)]
 
 
@@ -111,10 +115,10 @@ def parse_document(text: str) -> Dfa | Nfa:
         row = trans[sym]
         if not isinstance(row, list) or len(row) != states:
             raise DocumentError(f"transitions.{sym}: expected {states} target lists")
+        where = f"transitions.{sym}"
         rows.append(
             tuple(
-                frozenset(_state_list(tgt, states, f"transitions.{sym}[{q}]"))
-                for q, tgt in enumerate(row)
+                frozenset(_state_list(tgt, states, where, q)) for q, tgt in enumerate(row)
             )
         )
     pairs = obj.get("epsilon", [])

@@ -4,6 +4,7 @@ and rejection of out-of-range sizes."""
 import pytest
 
 from statecomp.bounds import (
+    estimate,
     sc_revcat,
     sc_starcat,
     sc_starcat_special,
@@ -114,6 +115,28 @@ class TestAlgebra:
         assert sc_revcat(10, 10) == 3 * 2 ** 18
         assert sc_revcat(1, 20) == 2 ** 19
         assert sc_starcat(10, 10) == 5 * 2 ** 17 - 2 ** 9 - 2 ** 10 + 1
+
+
+class TestEstimate:
+    @pytest.mark.parametrize("fn", [sc_revcat, sc_starcat_special, sc_starcat])
+    def test_exact_within_twenty_digits(self, fn):
+        for m in range(1, 40):
+            for n in range(1, 30):
+                if fn(m, n) < 10 ** 20:
+                    assert estimate(fn, m, n) == fn(m, n), (m, n)
+
+    def test_far_past_the_budget_without_the_power(self):
+        # 3 * 2^(10^20) would take more memory than any host has
+        approx = estimate(sc_revcat, 10 ** 20, 2)
+        assert not approx.is_finite() and approx > 10 ** 100
+        # log10(3 * 2^(10^10)) = 3,010,299,957.12
+        assert estimate(sc_revcat, 10 ** 10, 2).adjusted() == 3010299957
+
+    def test_sizes_below_one_rejected(self):
+        with pytest.raises(ValueError):
+            estimate(sc_starcat, 0, 2)
+        with pytest.raises(ValueError):
+            estimate(ub_starcat_general, 3, 2, 3)
 
 
 class TestRanges:

@@ -378,7 +378,11 @@ class TestVerify:
         assert (code, out) == (2, "")
         assert err.startswith(f"error: {field}: ")
 
-    @pytest.mark.parametrize("m, n", [("30", "30"), ("1000000", "2")])
+    @pytest.mark.parametrize(
+        "m, n",
+        # the last is sized by its estimate, at once: 3 * 2^(10^20) states
+        [("30", "30"), ("1000000", "2"), ("99999999999999999999", "2")],
+    )
     def test_cell_past_the_budget_is_an_input_error(self, capsys, monkeypatch, m, n):
         # refused before the witness is built
         def witness(m, n):

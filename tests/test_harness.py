@@ -314,7 +314,20 @@ class TestVerifyWitness:
             verify_witness("revcat", 1, 4)
 
     @pytest.mark.parametrize(
-        "op,m,n", [("revcat", 30, 30), ("revcat", 1_000_000, 2), ("starcat", 30, 30)]
+        "op,m,n",
+        [
+            ("revcat", 30, 30),
+            ("revcat", 1_000_000, 2),
+            ("starcat", 30, 30),
+            # sized by its estimate: 3 * 2^(10^20) is never formed
+            ("revcat", 99_999_999_999_999_999_999, 2),
+            # n = 1 cells, budgeted as their (m, 2) cells
+            ("revcat", 23, 1),
+            ("revcat", 25, 1),
+            ("starcat", 24, 1),
+            ("starcat", 30, 1),
+            ("starcat-special", 20_641, 1),
+        ],
     )
     def test_cell_past_the_budget_is_refused_before_its_witness(
         self, monkeypatch, op, m, n
@@ -343,6 +356,54 @@ class TestVerifyWitness:
         )
         with pytest.raises(Reached):
             verify_witness(op, m, n)
+
+    @pytest.mark.parametrize(
+        "op,m", [("revcat", 22), ("starcat", 23), ("starcat-special", 20_640)]
+    )
+    def test_n1_cells_within_the_budget_reach_their_witness(self, monkeypatch, op, m):
+        class Reached(Exception):
+            pass
+
+        def witness(m, n):
+            raise Reached
+
+        monkeypatch.setitem(
+            harness.OPS, op, dataclasses.replace(OPS[op], witness=witness)
+        )
+        with pytest.raises(Reached):
+            verify_witness(op, m, 1)
+
+    @pytest.mark.parametrize("op", ["revcat", "starcat", "starcat-special"])
+    @pytest.mark.parametrize("m", [2, 5, 12])
+    def test_n1_cell_is_budgeted_as_its_m2_cell(self, monkeypatch, op, m):
+        class Reached(Exception):
+            pass
+
+        def witness(m, n):
+            raise Reached
+
+        monkeypatch.setitem(
+            harness.OPS, op, dataclasses.replace(OPS[op], witness=witness)
+        )
+        budget = OPS[op].sc(m, 2)
+        monkeypatch.setattr(harness, "DEFAULT_BUDGET", budget)
+        with pytest.raises(Reached):
+            verify_witness(op, m, 1)
+        monkeypatch.setattr(harness, "DEFAULT_BUDGET", budget - 1)
+        with pytest.raises(BudgetError, match=f"\\({m}, 1\\) needs more states than"):
+            verify_witness(op, m, 1)
+
+    @pytest.mark.parametrize("op", ["revcat", "starcat", "starcat-special"])
+    def test_n1_oracle_subsets_within_the_m2_closed_form(self, op):
+        # the bound an n = 1 cell is budgeted by; its own closed form is
+        # no bound (starcat's is 1)
+        spec = OPS[op]
+        for m in range(2, 13):
+            a, b = spec.witness(m, 1)
+            subsets = automata.subset_construction(*_oracle_masks(spec.left, a, b))[2]
+            assert len(subsets) <= spec.sc(m, 2), (op, m)
+            # and each key fits the (m, 2) cell's m + 3 bits
+            assert max(subsets).bit_length() <= m + 3, (op, m)
 
     @pytest.mark.parametrize("m", [1_000_000, 30_000, 20_641])
     def test_cell_past_the_budget_in_key_words_is_refused(self, monkeypatch, m):
@@ -411,6 +472,19 @@ class TestVerifyConstruction:
         assert r.k1 == 1
         assert r.formula == 5 and r.constructed == 5 and r.minimal == 5
         assert r.passed
+
+    def test_starcat_k1_with_a_final_initial_state(self):
+        # a is the cycle 0 -> 1 -> 2 -> 0 with finals {0, 2}: k1 counts
+        # only the non-initial final state 2.  L(a)* is every a^k but a,
+        # and L(b) the odd lengths, so the result is every a^k but the
+        # empty word and aa: 4 minimal states.  The direct machine's
+        # subsets differ at lengths 0 to 4 and repeat from there: 5.
+        a = Dfa(3, ("a",), ((1, 2, 0),), 0, frozenset({0, 2}))
+        b = Dfa(2, ("a",), ((1, 0),), 0, frozenset({1}))
+        r = verify_construction("starcat", a, b)
+        # (3 * 2^1 - 1)(2^2 - 1) - (2^2 - 2^1)(2^1 - 1) = 15 - 2
+        assert (r.k1, r.formula) == (1, 13)
+        assert str(r) == "starcat m=3 n=2 k1=1 formula=13 constructed=5 minimal=4 PASS"
 
     def test_starcat_special_route(self):
         r = verify_construction(

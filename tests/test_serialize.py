@@ -226,6 +226,13 @@ class TestParseErrors:
             parse_document(json.dumps(bad))
 
         bad = dict(nfa_doc)
+        bad["transitions"] = {"a": [[1], 1]}
+        with pytest.raises(
+            DocumentError, match=r"^transitions\.a\[1\]: expected a list$"
+        ):
+            parse_document(json.dumps(bad))
+
+        bad = dict(nfa_doc)
         bad["transitions"] = {"a": [[1]]}
         with pytest.raises(DocumentError, match=r"transitions\.a"):
             parse_document(json.dumps(bad))
