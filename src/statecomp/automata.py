@@ -3,15 +3,13 @@
 States are integers 0..state_count-1 and symbols are single characters.
 A Dfa is always complete: every (state, symbol) pair has exactly one
 target.  Subsets of states are integer bitmasks, fast enough for
-exhaustive searches over millions of machines.  There is one
-breadth-first walk per kind of key, each numbering keys in the order
-symbols in alphabet order discover them: _walk numbers a complete
-table's states or the blocks of a partition of them, _table_walk
-every subset, looking its images up in three tables of packed images,
-one per chunk of its bits, and _pair_walk searches state pairs for a
-word that tells them apart.  Minimization keeps its partition as
-ranges of one permutation of the states, and its preimages as chains
-through flat lists, which scales to hundreds of thousands.
+exhaustive searches over millions of machines.  One breadth-first
+walk numbers each kind of key: _walk a table's states or the blocks of
+a partition of them, _table_walk subsets, through three tables of
+packed images, one per chunk of a subset's bits, and _pair_walk pairs
+of states.  Minimization keeps its partition as ranges of one
+permutation of the states, and its preimages as chains through flat
+lists, which scales to hundreds of thousands.
 """
 
 from __future__ import annotations
