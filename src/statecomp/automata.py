@@ -9,13 +9,23 @@ a partition of them, _table_walk subsets, through three tables of
 packed images, one per chunk of a subset's bits, and _pair_walk pairs
 of states.  Minimization keeps its partition as ranges of one
 permutation of the states, and its preimages as chains through flat
-lists, which scales to hundreds of thousands.
+lists, which scales to hundreds of thousands; minimal_count needs none
+where private words decide the count.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from itertools import compress, product
+from operator import and_, or_
+
+# the most subsets a subset construction may reach
+DEFAULT_BUDGET = 20_000_000
+
+
+class BudgetError(ValueError):
+    """Raised when subsets, search pairs or witness states pass the budget."""
 
 
 class AlphabetMismatch(ValueError):
@@ -258,9 +268,10 @@ def _subset_table(packed: list[int]) -> list[int]:
     return table
 
 
-def _table_walk(tables, cuts, width: int, nsym: int, start: int):
+def _table_walk(tables, cuts, width, nsym, start, max_states=DEFAULT_BUDGET):
     """_walk's flat successor numbers and keys for subsets from start;
-    _numbered turns them into rows and finals.
+    _numbered turns them into rows and finals; BudgetError past
+    max_states keys.
 
     A key is cut at the bits cuts = (c1, c2) into three chunks, and entry
     j of tables[i] holds the images of the states in j, chunk i's value,
@@ -288,6 +299,11 @@ def _table_walk(tables, cuts, width: int, nsym: int, start: int):
             k = index.get(nxt)
             if k is None:
                 k = index[nxt] = len(order)
+                if k == max_states:
+                    raise BudgetError(
+                        f"the subset construction needs more states than the "
+                        f"budget of {max_states}"
+                    )
                 order.append(nxt)
             flat.append(k)
     return flat, order
@@ -306,6 +322,19 @@ class _ImageTable(dict):
         return image
 
 
+def _subset_walk(move, start: int, max_states: int):
+    """subset_construction's _table_walk from start."""
+    n = len(move[0])
+    packed = _packed(move, n)
+    # thirds, not fixed 11-bit chunks: the whole tables of a small
+    # machine cost little where few subsets are reached
+    chunk = min(-(-n // 3), 11)
+    tables = [_subset_table(packed[c : c + chunk]) for c in (0, chunk)]
+    high = packed[2 * chunk :]
+    tables.append(_subset_table(high) if n <= TABLE_MAX_STATES else _ImageTable(high))
+    return _table_walk(tables, (chunk, 2 * chunk), n, len(move), start, max_states)
+
+
 def subset_construction(move, start: int, final_mask: int):
     """Subset construction over a bitmask move table.
 
@@ -315,24 +344,60 @@ def subset_construction(move, start: int, final_mask: int):
     numbered in the order a breadth-first walk from start discovers
     them, taking symbols in alphabet order; the empty subset becomes an
     ordinary dead state when reached.  Returns _numbered's rows, finals
-    (the subsets meeting final_mask) and subsets in that order.
+    (the subsets meeting final_mask) and subsets in that order;
+    BudgetError past DEFAULT_BUDGET subsets.
 
     A _table_walk cuts each subset into chunks of a third of the states,
     rounded up and at most 11 bits; the last chunk takes the rest of the
     bits (it can be shorter, or empty with the table [0]).  Past
     TABLE_MAX_STATES states the last chunk's table is an _ImageTable.
     """
-    n = len(move[0])
-    nsym = len(move)
-    packed = _packed(move, n)
-    # thirds, not fixed 11-bit chunks: the whole tables of a small
-    # machine cost little where few subsets are reached
-    chunk = min(-(-n // 3), 11)
-    tables = [_subset_table(packed[c : c + chunk]) for c in (0, chunk)]
-    high = packed[2 * chunk :]
-    tables.append(_subset_table(high) if n <= TABLE_MAX_STATES else _ImageTable(high))
-    flat, order = _table_walk(tables, (chunk, 2 * chunk), n, nsym, start)
-    return _numbered(flat, nsym, order, final_mask.__and__)
+    flat, order = _subset_walk(move, start, DEFAULT_BUDGET)
+    return _numbered(flat, len(move), order, final_mask.__and__)
+
+
+def minimal_count(move, final_mask: int, subsets) -> int | None:
+    """Minimal state count of the subset construction whose masks and
+    (reachable) subsets these are; None unless private words decide it.
+
+    States of equal finality and entries form a class.  A subset the
+    reversed masks reach from final_mask holds the states accepting one
+    word.  If each class some but not all subsets meet has one holding,
+    of their union, just its states, subsets are equivalent exactly when
+    they meet the same classes (as in Brzozowski's double reversal).
+    The reverse walk stops at len(subsets) subsets.
+    """
+    classes = {}
+    for q, entries in enumerate(zip(*move)):
+        key = final_mask >> q & 1, entries
+        classes[key] = classes.get(key, 0) | 1 << q
+    union, common = reduce(or_, subsets), reduce(and_, subsets)
+    rev = [[0] * len(row) for row in move]
+    for rrow, row in zip(rev, move):
+        for q, t in enumerate(row):
+            for p in _mask_bits(t):
+                rrow[p] |= 1 << q
+    try:
+        found = {r & union for r in _subset_walk(rev, final_mask, len(subsets))[1]}
+    except BudgetError:
+        return None
+    for c in classes.values():
+        if c & union and not c & common and c & union not in found:
+            return None
+    # each class's states collapse to its lowest: only subsets holding
+    # one of the others change
+    merged = [(c, c & -c) for c in classes.values() if c & c - 1]
+    if not merged:
+        return len(subsets)
+    others = reduce(or_, (c ^ low for c, low in merged))
+    moved = [s for s in subsets if s & others]
+    images = set()
+    for s in moved:
+        for c, low in merged:
+            if s & c:
+                s = s & ~c | low
+        images.add(s)
+    return len(subsets) - len(moved) + len(images) - sum(map(images.__contains__, subsets))
 
 
 def subset_dfa(alphabet: tuple[str, ...], move, start: int, final_mask: int) -> Dfa:
@@ -598,14 +663,17 @@ def _pair_walk(a: Dfa, p: int, b: Dfa, q: int) -> str | None:
     symbol taken, and the word is spelled out only on a hit.
     """
     afin, bfin = a.finals, b.finals
-    start = (p, q)
+    # the pair (u, v) is the int u * nb + v, lighter than a tuple
+    nb = b.state_count
+    start = p * nb + q
     seen = {start}
     # the loop also visits the pairs appended while it runs
     queue = [start]
     parent = [0]
     via = [""]
     steps = list(zip(a.alphabet, a.transitions, b.transitions))
-    for i, (u, v) in enumerate(queue):
+    for i, key in enumerate(queue):
+        u, v = divmod(key, nb)
         if (u in afin) != (v in bfin):
             word = []
             while i:
@@ -613,7 +681,7 @@ def _pair_walk(a: Dfa, p: int, b: Dfa, q: int) -> str | None:
                 i = parent[i]
             return "".join(reversed(word))
         for sym, arow, brow in steps:
-            child = (arow[u], brow[v])
+            child = arow[u] * nb + brow[v]
             if child not in seen:
                 seen.add(child)
                 queue.append(child)

@@ -151,10 +151,12 @@ def cmd_search(args) -> int:
     if not folder.is_dir() or not os.access(folder, os.W_OK | os.X_OK):
         code = errno.EACCES if folder.is_dir() else errno.ENOENT
         raise ValueError(f"--out-prefix: cannot write {paths[0]}: {os.strerror(code)}")
-    result = exhaustive_search(
-        args.op, args.m, args.n, args.sigma,
+    search = functools.partial(
+        exhaustive_search, args.op, args.m, args.n, args.sigma,
         mode=mode, sample_count=args.sample, seed=args.seed,
     )
+    # a drawn pair's subset construction past the budget names the sizes
+    result = _option("--m/--n", search) if mode == "sampled" else search()
     print(
         f"op={result.op} m={result.m} n={result.n} sigma={result.alphabet_size} "
         f"mode={mode} pairs={result.pairs_examined} max_minimal={result.max_minimal}"

@@ -3,7 +3,8 @@
 The oracle takes the masks of the left operand's reversal or star,
 catenates them with the right operand through
 constructions.catenation_masks, and counts the subset construction's
-Hopcroft blocks.  The full search walks the same subsets over cached
+Hopcroft blocks; verify reads the count off private words first
+(automata.minimal_count).  The full search walks the same subsets over cached
 per-class image tables instead, handing them to automata._table_walk as
 two of its chunks: a right class's table packs catenation_masks' right
 part and a left class's its left part, built by
@@ -25,6 +26,8 @@ from dataclasses import dataclass, replace
 from typing import Callable, Container
 
 from .automata import (
+    DEFAULT_BUDGET,
+    BudgetError,
     Dfa,
     Masks,
     _numbered,
@@ -34,6 +37,7 @@ from .automata import (
     _subset_table,
     _table_walk,
     hopcroft_refine,
+    minimal_count,
     minimal_rows,
     reverse_masks,
     state_mask,
@@ -68,14 +72,6 @@ from .witnesses import (
     starcat_witness_A,
     starcat_witness_B,
 )
-
-DEFAULT_BUDGET = 20_000_000
-
-
-class BudgetError(ValueError):
-    """Raised when a full search's pairs, or the states of a witness cell
-    to verify, would exceed the budget."""
-
 
 @dataclass(frozen=True)
 class BoundReport:
@@ -252,11 +248,15 @@ def _report(
     when both give the same language and the oracle's minimal size equals
     formula or, formula None, the direct machine fits the route's bound;
     the report keeps the shortest word they disagree on, if any."""
-    oracle = subset_dfa(a.alphabet, *_oracle_masks(spec.left, a, b))
-    # every subset the construction reaches is reachable, so the blocks
-    # are the count; counted before the route runs, so the refinement's
-    # tables are gone before the direct machine is built
-    minimal = len(hopcroft_refine(oracle.transitions, oracle.finals)[0])
+    move, start, final_mask = _oracle_masks(spec.left, a, b)
+    rows, finals, subsets = subset_construction(move, start, final_mask)
+    # by private words, else Hopcroft's blocks (every subset is reachable),
+    # before the route runs: the subsets and tables go before its machine
+    minimal = minimal_count(move, final_mask, subsets)
+    del subsets
+    if minimal is None:
+        minimal = len(hopcroft_refine(rows, finals)[0])
+    oracle = Dfa(len(rows[0]), a.alphabet, rows, 0, finals)
     direct, bound, k1 = spec.route(a, b)
     if direct is None:
         direct, word = oracle, None

@@ -249,6 +249,29 @@ def _walk_tables(monkeypatch) -> list:
     return seen
 
 
+class TestSubsetBudget:
+    # a one-letter cycle through four states reaches four singletons
+    CYCLE = [[2, 4, 8, 1]], 1, 1
+
+    def test_budget_allows_exactly_its_count(self, monkeypatch):
+        monkeypatch.setattr(automata, "DEFAULT_BUDGET", 4)
+        assert automata.subset_construction(*self.CYCLE)[2] == [1, 2, 4, 8]
+
+    def test_one_subset_past_the_budget_is_refused(self, monkeypatch):
+        monkeypatch.setattr(automata, "DEFAULT_BUDGET", 3)
+        with pytest.raises(
+            automata.BudgetError,
+            match="^the subset construction needs more states than the budget of 3$",
+        ):
+            automata.subset_construction(*self.CYCLE)
+
+    def test_every_subset_dfa_is_budgeted(self, monkeypatch):
+        # the routes, the oracle and Brzozowski all go through subset_dfa
+        monkeypatch.setattr(automata, "DEFAULT_BUDGET", 3)
+        with pytest.raises(automata.BudgetError):
+            minimize_brzozowski(revcat_witness_M(4))
+
+
 class TestSubsetTables:
     # a walk reads three image tables, one per chunk of a third of the
     # states, rounded up and at most 11 bits; past TABLE_MAX_STATES the

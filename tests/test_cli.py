@@ -8,7 +8,7 @@ import subprocess
 
 import pytest
 
-from statecomp import Dfa, accepts, harness, minimize_brzozowski
+from statecomp import Dfa, accepts, automata, harness, minimize_brzozowski
 from statecomp.bounds import sc_revcat, sc_starcat
 from statecomp.cli import build_parser, main
 from statecomp.harness import DEFAULT_BUDGET, OPS
@@ -204,6 +204,25 @@ class TestCompose:
         lines = out.rstrip().splitlines()
         assert lines[-1] == "states=12 minimal=12"
         assert parse_document("\n".join(lines[:-1]) + "\n").state_count == 12
+
+    # the pair's oracle machines have 12 (revcat) and 6 (starcat) states,
+    # and starcat's direct one 5: a budget of 3 stops each walk at once
+    @pytest.mark.parametrize("op", ["revcat", "starcat"])
+    @pytest.mark.parametrize("method", ["direct", "oracle"])
+    def test_subset_construction_past_the_budget_is_an_input_error(
+        self, capsys, monkeypatch, pair, op, method
+    ):
+        monkeypatch.setattr(automata, "DEFAULT_BUDGET", 3)
+        lhs, rhs = pair
+        code, out, err = run(
+            capsys, "compose", "--op", op, "--lhs", lhs, "--rhs", rhs,
+            "--method", method,
+        )
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: --lhs/--rhs: the subset construction needs more states "
+            "than the budget of 3\n"
+        )
 
     def test_repeated_calls_share_no_state(self, capsys, pair):
         # main keeps one parser for the process; a flag given to one call
@@ -471,6 +490,22 @@ class TestSearch:
         )
         assert code == 0
         assert "mode=sampled pairs=10" in out
+
+    def test_sampled_subset_construction_past_the_budget_is_an_input_error(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        monkeypatch.setattr(automata, "DEFAULT_BUDGET", 3)
+        code, out, err = run(
+            capsys, "search", "--op", "revcat", "--m", "2", "--n", "2",
+            "--sigma", "2", "--sample", "10", "--seed", "3",
+            "--out-prefix", str(tmp_path / "s"),
+        )
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: --m/--n: the subset construction needs more states than "
+            "the budget of 3\n"
+        )
+        assert list(tmp_path.iterdir()) == []
 
     def test_budget_refusal_is_an_input_error(self, capsys):
         code, _, err = run(

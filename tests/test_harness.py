@@ -242,10 +242,10 @@ class TestVerifyWitness:
                 return fn(*args)
             return wrapper
 
-        monkeypatch.setattr(
-            automata, "subset_construction",
-            counted("subset", automata.subset_construction),
-        )
+        # both names: harness calls its own, subset_dfa automata's
+        subset = counted("subset", automata.subset_construction)
+        monkeypatch.setattr(automata, "subset_construction", subset)
+        monkeypatch.setattr(harness, "subset_construction", subset)
         monkeypatch.setattr(harness, "_pair_walk", counted("walk", harness._pair_walk))
         f = sc_revcat(m, n)
         assert verify_witness("revcat", m, n) == BoundReport(
@@ -1100,3 +1100,111 @@ class TestRandomChecks:
 
     def test_zero_trials(self):
         assert random_check(0, 3, 3, 2, 1) == []
+
+
+def _count_and_blocks(op, a, b):
+    """minimal_count and the Hopcroft block count of the oracle's subset
+    construction for (a, b), and its subset count."""
+    move, start, final_mask = _oracle_masks(OPS[op].left, a, b)
+    rows, finals, subsets = automata.subset_construction(move, start, final_mask)
+    count = automata.minimal_count(move, final_mask, subsets)
+    return count, len(automata.hopcroft_refine(rows, finals)[0]), len(subsets)
+
+
+def _reverse_subsets(move, final_mask):
+    """The subsets of the reversed masks reachable from final_mask, by a
+    plain breadth-first walk: on a symbol, a subset goes to the states
+    whose entry meets it."""
+    seen = {final_mask}
+    queue = [final_mask]
+    for r in queue:
+        for row in move:
+            nxt = sum(1 << q for q, t in enumerate(row) if t & r)
+            if nxt not in seen:
+                seen.add(nxt)
+                queue.append(nxt)
+    return seen
+
+
+class TestMinimalCount:
+    @pytest.mark.parametrize("op", sorted(OPS))
+    def test_witness_cells(self, op):
+        # starcat-special is starcat on its own witnesses
+        oracle_op = "revcat" if op == "revcat" else "starcat"
+        decided = []
+        for m in range(2, 8):
+            for n in range(1, 8):
+                a, b = OPS[op].witness(m, n)
+                count, blocks, _ = _count_and_blocks(op, a, b)
+                assert count in (None, blocks) and blocks == oracle_sc(oracle_op, a, b)
+                decided.append(count is not None)
+        # the largest cells of the general families are counted, not refined
+        assert decided[-1] == (op != "starcat-special")
+
+    @pytest.mark.parametrize("op", harness.COMPOSE_OPS)
+    def test_all_pairs_of_one_and_two_state_machines(self, op):
+        decided = 0
+        for alphabet in (("a",), ("a", "b")):
+            machines = [
+                decode_dfa(i, size, alphabet)
+                for size in (1, 2)
+                for i in range(dfa_count(size, len(alphabet)))
+            ]
+            for a in machines:
+                for b in machines:
+                    count, blocks, _ = _count_and_blocks(op, a, b)
+                    assert count in (None, blocks) and blocks == oracle_sc(op, a, b)
+                    decided += count is not None
+        assert decided > 0
+
+    def test_seeded_random_pairs(self):
+        rng = random.Random(27)
+        decided = 0
+        for _ in range(400):
+            op = rng.choice(harness.COMPOSE_OPS)
+            alphabet = harness._alphabet(rng.randint(1, 3))
+            a = random_dfa(rng, rng.randint(1, 6), alphabet)
+            b = random_dfa(rng, rng.randint(1, 6), alphabet)
+            count, blocks, _ = _count_and_blocks(op, a, b)
+            assert count in (None, blocks) and blocks == oracle_sc(op, a, b)
+            decided += count is not None
+        assert decided > 0
+
+    def test_starcat_fresh_state_merges_with_the_initial_one(self):
+        # the star's fresh state copies a's initial state's moves and, like
+        # every left state of the catenation, is not final: one class.  At
+        # (2, 4) the subsets it and a's initial state stand in are the same
+        # language, so the count is one below the oracle's subsets
+        a, b = OPS["starcat"].witness(2, 4)
+        move, _, final_mask = _oracle_masks(OPS["starcat"].left, a, b)
+        fresh, initial = b.state_count + a.state_count, b.state_count + a.initial
+        assert [row[fresh] for row in move] == [row[initial] for row in move]
+        count, blocks, subsets = _count_and_blocks("starcat", a, b)
+        assert count == blocks == subsets - 1 == sc_starcat(2, 4) == 23
+        assert verify_witness("starcat", 2, 4).minimal == 23
+
+    def test_no_private_word(self):
+        # b accepts every word, so a word accepted from one left state is
+        # accepted from every state its run reaches: some classes share
+        # every reverse subset they are in
+        a, b = OPS["revcat"].witness(2, 1)
+        move, start, final_mask = _oracle_masks(OPS["revcat"].left, a, b)
+        subsets = automata.subset_construction(move, start, final_mask)[2]
+        assert len(_reverse_subsets(move, final_mask)) <= len(subsets)
+        assert automata.minimal_count(move, final_mask, subsets) is None
+        r = verify_witness("revcat", 2, 1)
+        assert r.minimal == sc_revcat(2, 1) and r.passed
+
+    def test_reverse_walk_past_the_cap(self):
+        # every class has a private word, but only past the forward count
+        # of reverse subsets, where the walk stops
+        a, b = OPS["revcat"].witness(2, 2)
+        move, start, final_mask = _oracle_masks(OPS["revcat"].left, a, b)
+        subsets = automata.subset_construction(move, start, final_mask)[2]
+        found = _reverse_subsets(move, final_mask)
+        assert len(found) > len(subsets) == 12
+        union = functools.reduce(int.__or__, subsets)
+        assert all(1 << q & union in {r & union for r in found} for q in range(len(move[0])))
+        assert automata.minimal_count(move, final_mask, subsets) is None
+        r = verify_witness("revcat", 2, 2)
+        assert r.minimal == sc_revcat(2, 2) == 12 and r.passed
