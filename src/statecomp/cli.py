@@ -6,7 +6,7 @@ verify (check witness grids against the formulas), and search (maximize
 the minimal result size over all small DFA pairs).
 
 Exit codes: 0 on success, 1 when a verification fails, 2 on malformed
-input or usage errors.
+input, usage errors or running out of memory.
 """
 
 from __future__ import annotations
@@ -229,6 +229,10 @@ def main(argv=None) -> int:
         return args.func(args)
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        # exit 1 would read as a failed verification
+        print("error: out of memory", file=sys.stderr)
         return 2
 
 

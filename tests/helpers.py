@@ -1,18 +1,39 @@
-"""Independent reference oracles for the test suite.
+"""Test references written apart from the library.
 
-Nothing here reuses the library's bitmask machinery: minimization is
-redone by naive signature refinement, operation membership is decided at
-the word level by trying every split, and the reversal, star, catenation
-and product constructions are rebuilt with plain frozensets straight from
-their definitions.  Tests compare the fast implementations against these.
+`perfbench/reference.py`, loaded here by path as `reference`, is the one
+reference for word membership, membership by trying every split, the
+frozenset reversal and Moore's minimal size.  It imports nothing from the
+library, and the benchmark and CI trust it too.  `machine` hands it a
+`Dfa`; `run_word`, `moore_minimal_size` and `ref_reverse_nfa` adapt it.
+
+What stays here, `reference.py` does not state: the library's own star
+and catenation layouts, which the structural tests pin (its star is
+Thompson's, and its catenation puts the left machine first); a subset
+construction that returns its subsets in state order; the direct routes'
+product machines; `moore_classes`, `all_words` and `random_complete_dfa`.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import random
 from itertools import count, product
+from pathlib import Path
 
 from statecomp import AlphabetMismatch, Dfa, Nfa
+
+_spec = importlib.util.spec_from_file_location(
+    "reference", Path(__file__).parents[1] / "perfbench" / "reference.py"
+)
+reference = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(reference)
+
+
+def machine(d: Dfa) -> reference.Machine:
+    """The reference's Machine of d: the same table, the letters as a string."""
+    return reference.Machine(
+        d.state_count, "".join(d.alphabet), d.transitions, d.initial, d.finals
+    )
 
 
 def all_words(alphabet, max_len):
@@ -22,37 +43,11 @@ def all_words(alphabet, max_len):
 
 
 def run_word(d: Dfa, word: str) -> bool:
-    idx = {sym: s for s, sym in enumerate(d.alphabet)}
-    q = d.initial
-    for ch in word:
-        q = d.transitions[idx[ch]][q]
-    return q in d.finals
+    return reference.accepts(machine(d), word)
 
 
 def moore_minimal_size(d: Dfa) -> int:
-    """Minimal state count by plain signature refinement over reachable states."""
-    nsym = len(d.alphabet)
-    seen = {d.initial}
-    stack = [d.initial]
-    while stack:
-        q = stack.pop()
-        for s in range(nsym):
-            t = d.transitions[s][q]
-            if t not in seen:
-                seen.add(t)
-                stack.append(t)
-    cls = {q: int(q in d.finals) for q in seen}
-    n_classes = len(set(cls.values()))
-    while True:
-        ren: dict[tuple, int] = {}
-        new = {}
-        for q in sorted(seen):
-            sig = (cls[q], *[cls[d.transitions[s][q]] for s in range(nsym)])
-            new[q] = ren.setdefault(sig, len(ren))
-        if len(ren) == n_classes:
-            return n_classes
-        cls = new
-        n_classes = len(ren)
+    return reference.moore_size(machine(d))
 
 
 def moore_classes(rows, finals) -> list[int]:
@@ -73,26 +68,10 @@ def moore_classes(rows, finals) -> list[int]:
 
 
 def ref_reverse_nfa(d: Dfa) -> Nfa:
-    """Nfa for the reversed language, the reference for the library's
-    reverse_masks and reverse_nfa: edges flipped, roles of initial and
-    finals swapped."""
-    nsym = len(d.alphabet)
-    n = d.state_count
-    rows = []
-    for s in range(nsym):
-        row = d.transitions[s]
-        targets: list[list[int]] = [[] for _ in range(n)]
-        for q in range(n):
-            targets[row[q]].append(q)
-        rows.append(tuple(frozenset(t) for t in targets))
-    return Nfa(
-        state_count=n,
-        alphabet=d.alphabet,
-        transitions=tuple(rows),
-        initials=frozenset(d.finals),
-        epsilon_edges=frozenset(),
-        finals=frozenset((d.initial,)),
-    )
+    """reference.reversal as an Nfa, the reference for the library's
+    reverse_masks and reverse_nfa."""
+    r = reference.reversal(machine(d))
+    return Nfa(r.states, d.alphabet, r.delta, r.initials, frozenset(), r.finals)
 
 
 def ref_star_nfa(a: Dfa) -> Nfa:
@@ -157,29 +136,6 @@ def catenation_nfa(a: Nfa, b: Dfa) -> Nfa:
     )
 
 
-def revcat_member(a: Dfa, b: Dfa, word: str) -> bool:
-    """word is in L(a)^R L(b): some split u v with reverse(u) in L(a)."""
-    return any(
-        run_word(a, word[:i][::-1]) and run_word(b, word[i:])
-        for i in range(len(word) + 1)
-    )
-
-
-def star_member(a: Dfa, word: str) -> bool:
-    """word is in L(a)*: it splits into zero or more L(a) pieces."""
-    dp = [True] + [False] * len(word)
-    for i in range(1, len(word) + 1):
-        dp[i] = any(dp[j] and run_word(a, word[j:i]) for j in range(i))
-    return dp[len(word)]
-
-
-def starcat_member(a: Dfa, b: Dfa, word: str) -> bool:
-    return any(
-        star_member(a, word[:i]) and run_word(b, word[i:])
-        for i in range(len(word) + 1)
-    )
-
-
 def random_complete_dfa(rng: random.Random, size: int, alphabet) -> Dfa:
     alphabet = tuple(alphabet)
     rows = tuple(
@@ -195,44 +151,43 @@ def _bfs_build(alphabet, start, step, is_final) -> tuple[Dfa, list]:
     index = {start: 0}
     order = [start]
     rows: list[list[int]] = [[] for _ in alphabet]
-    k = 0
-    while k < len(order):
-        for s in range(len(alphabet)):
-            nxt = step(order[k], s)
-            idx = index.get(nxt)
-            if idx is None:
-                idx = len(order)
-                index[nxt] = idx
+    for key in order:
+        for s, row in enumerate(rows):
+            nxt = step(key, s)
+            if nxt not in index:
+                index[nxt] = len(order)
                 order.append(nxt)
-            rows[s].append(idx)
-        k += 1
+            row.append(index[nxt])
     finals = frozenset(i for i, key in enumerate(order) if is_final(key))
     dfa = Dfa(len(order), tuple(alphabet), tuple(tuple(r) for r in rows), 0, finals)
     return dfa, order
 
 
-def ref_determinize(nfa: Nfa) -> tuple[Dfa, list]:
+def ref_determinize(nfa: Nfa) -> tuple[Dfa, list[int]]:
     """Subset construction with epsilon closure over frozensets, the
-    reference for the library's determinize: the Dfa and its subsets in
-    state order."""
+    reference for the library's determinize: the Dfa and its subsets as
+    masks, in state order."""
+    eps: dict[int, list[int]] = {q: [] for q in range(nfa.state_count)}
+    for u, v in nfa.epsilon_edges:
+        eps[u].append(v)
 
     def closure(states) -> frozenset[int]:
-        out = set(states)
-        stack = list(out)
+        seen = set(states)
+        stack = list(seen)
         while stack:
-            u = stack.pop()
-            for x, y in nfa.epsilon_edges:
-                if x == u and y not in out:
-                    out.add(y)
-                    stack.append(y)
-        return frozenset(out)
+            for v in eps[stack.pop()]:
+                if v not in seen:
+                    seen.add(v)
+                    stack.append(v)
+        return frozenset(seen)
 
     def step(key, s):
         return closure(t for q in key for t in nfa.transitions[s][q])
 
-    return _bfs_build(
+    dfa, order = _bfs_build(
         nfa.alphabet, closure(nfa.initials), step, lambda key: bool(key & nfa.finals)
     )
+    return dfa, [sum(1 << q for q in key) for key in order]
 
 
 def ref_revcat(m: Dfa, n: Dfa) -> tuple[Dfa, list]:

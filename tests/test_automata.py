@@ -32,11 +32,11 @@ from statecomp.automata import TABLE_MAX_STATES, _pair_walk
 from statecomp.constructions import catenation_masks
 
 from helpers import (
-    _bfs_build,
     all_words,
     moore_classes,
     moore_minimal_size,
     random_complete_dfa,
+    ref_determinize,
     run_word,
 )
 
@@ -179,32 +179,6 @@ class TestDeterminize:
             assert got == want
 
 
-def _frozenset_subsets(nfa: Nfa) -> tuple[Dfa, list[int]]:
-    """Subset construction on frozensets, numbered breadth-first with
-    symbols in alphabet order: the Dfa and its subsets as masks."""
-    eps: dict[int, list[int]] = {q: [] for q in range(nfa.state_count)}
-    for u, v in nfa.epsilon_edges:
-        eps[u].append(v)
-
-    def close(states) -> frozenset[int]:
-        seen = set(states)
-        stack = list(seen)
-        while stack:
-            for v in eps[stack.pop()]:
-                if v not in seen:
-                    seen.add(v)
-                    stack.append(v)
-        return frozenset(seen)
-
-    def step(cur, s):
-        return close(t for q in cur for t in nfa.transitions[s][q])
-
-    dfa, order = _bfs_build(
-        nfa.alphabet, close(nfa.initials), step, lambda key: bool(key & nfa.finals)
-    )
-    return dfa, [sum(1 << q for q in key) for key in order]
-
-
 def _random_nfa(rng: random.Random, n: int, nsym: int, epsilon: bool) -> Nfa:
     """Up to two targets per state and symbol, two initial draws and,
     with epsilon, n // 3 + 1 random free moves."""
@@ -282,7 +256,7 @@ class TestSubsetTables:
         seen = _walk_tables(monkeypatch)
         for n in (TABLE_MAX_STATES, TABLE_MAX_STATES + 1, 40):
             nfa = _random_nfa(random.Random(n), n, 1, epsilon=False)
-            assert determinize(nfa) == _frozenset_subsets(nfa), n
+            assert determinize(nfa) == ref_determinize(nfa), n
         # three whole 11-state tables at 33 states, two and a lazy one past
         whole = [[len(t) for t in tables if type(t) is list] for tables in seen]
         assert whole == [[2048] * 3, [2048] * 2, [2048] * 2]
@@ -302,7 +276,7 @@ class TestSubsetTables:
             else:
                 nfa = _sparse_nfa(rng, n, k % 3 + 2, epsilon=k >= 6)
             det, order = determinize(nfa)
-            assert (det, order) == _frozenset_subsets(nfa), (n, k)
+            assert (det, order) == ref_determinize(nfa), (n, k)
             tables = seen[-1]
             assert all(len(t) <= 2048 for t in tables if type(t) is list), (n, k)
             if n > TABLE_MAX_STATES:
@@ -320,7 +294,7 @@ class TestSubsetTables:
         for k in range(8):
             nsym = k % 4 + 1
             nfa = _random_nfa(rng, n, nsym, epsilon=k >= 4)
-            assert determinize(nfa) == _frozenset_subsets(nfa), (n, k)
+            assert determinize(nfa) == ref_determinize(nfa), (n, k)
 
     @pytest.mark.parametrize("m", [9, 12])
     def test_every_table_entry(self, m):
@@ -329,7 +303,7 @@ class TestSubsetTables:
         nfa = reverse_nfa(revcat_witness_M(m))
         det, order = determinize(nfa)
         assert sorted(order) == list(range(2 ** m))
-        assert (det, order) == _frozenset_subsets(nfa)
+        assert (det, order) == ref_determinize(nfa)
 
 
 class TestMinimize:

@@ -8,7 +8,7 @@ import subprocess
 
 import pytest
 
-from statecomp import Dfa, accepts, automata, harness, minimize_brzozowski
+from statecomp import Dfa, accepts, automata, cli, harness, minimize_brzozowski
 from statecomp.bounds import sc_revcat, sc_starcat
 from statecomp.cli import build_parser, main
 from statecomp.harness import DEFAULT_BUDGET, OPS
@@ -579,6 +579,23 @@ class TestUsage:
             (tmp_path / f"{letter}.json").write_text(emit_document(machine))
         code, out, err = run(capsys, *argv)
         assert (code, out, err) == (2, "", f"error: {option}: {message}\n")
+
+    @pytest.mark.parametrize("callee, argv", [
+        ("oracle_pipeline", ["compose", "--op", "revcat", "--lhs", "a.json",
+                             "--rhs", "a.json", "--method", "oracle"]),
+        ("verify_witness", ["verify", "--op", "starcat", "--m", "2", "--n", "2"]),
+    ])
+    def test_out_of_memory_exits_2_without_a_traceback(
+        self, capsys, tmp_path, monkeypatch, callee, argv
+    ):
+        # 1 is a failed verification; the callee raises at once, allocating nothing
+        def out_of_memory(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "a.json").write_text(emit_document(sigma_star_dfa(("a",))))
+        monkeypatch.setattr(cli, callee, out_of_memory)
+        assert run(capsys, *argv) == (2, "", "error: out of memory\n")
 
     def test_console_script_is_installed(self):
         exe = shutil.which("statecomp")

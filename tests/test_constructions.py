@@ -53,6 +53,7 @@ from statecomp.witnesses import (
 from helpers import (
     all_words,
     catenation_nfa,
+    machine,
     random_complete_dfa,
     ref_reverse_nfa,
     ref_revcat,
@@ -60,10 +61,8 @@ from helpers import (
     ref_starcat_general,
     ref_starcat_special,
     ref_star_nfa,
-    revcat_member,
+    reference,
     run_word,
-    star_member,
-    starcat_member,
 )
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -162,7 +161,7 @@ class TestStarNfa:
             a = random_complete_dfa(rng, rng.randint(1, 3), ("a", "b"))
             st = star_nfa(a)
             for w in all_words(("a", "b"), 5):
-                assert nfa_accepts(st, w) == star_member(a, w)
+                assert nfa_accepts(st, w) == reference.in_star(machine(a), w)
 
 
 def _left_operands() -> list[Dfa]:
@@ -235,7 +234,9 @@ class TestRevcatDirect:
             b = random_complete_dfa(rng, rng.randint(1, 3), ("a", "b", "c"))
             d = oracle_pipeline("revcat", a, b)
             for w in all_words(("a", "b", "c"), 4):
-                assert accepts(d, w) == revcat_member(a, b, w)
+                assert accepts(d, w) == reference.member(
+                    "revcat", machine(a), machine(b), w
+                )
 
     def test_witness_pair_counts(self):
         d = oracle_pipeline("revcat", revcat_witness_M(2), revcat_witness_N(2))
@@ -293,7 +294,9 @@ class TestRevcatN1Direct:
             d = revcat_n1_direct(a, True)
             anything = sigma_star_dfa(a.alphabet)
             for w in all_words(("a", "b"), 5):
-                assert accepts(d, w) == revcat_member(a, anything, w)
+                assert accepts(d, w) == reference.member(
+                    "revcat", machine(a), machine(anything), w
+                )
 
     def test_every_small_machine_matches_the_reference(self):
         # every complete machine of 1-3 states over 1-2 letters, with
@@ -367,7 +370,9 @@ class TestStarcatSpecialDirect:
             b = random_complete_dfa(rng, rng.randint(2, 3), ("a", "b"))
             d = starcat_general_direct(a, b)
             for w in all_words(("a", "b"), 5):
-                assert accepts(d, w) == starcat_member(a, b, w)
+                assert accepts(d, w) == reference.member(
+                    "starcat", machine(a), machine(b), w
+                )
 
     def test_witness_pair_counts(self):
         d = starcat_general_direct(
@@ -435,7 +440,9 @@ class TestStarcatGeneralDirect:
             a, b = _random_general_pair(rng, 3, 3, ("a", "b"))
             d = starcat_general_direct(a, b)
             for w in all_words(("a", "b"), 5):
-                assert accepts(d, w) == starcat_member(a, b, w)
+                assert accepts(d, w) == reference.member(
+                    "starcat", machine(a), machine(b), w
+                )
 
     def test_witness_pair_counts(self):
         d = starcat_general_direct(starcat_witness_A(2), starcat_witness_B(2))
