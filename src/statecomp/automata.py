@@ -7,7 +7,8 @@ exhaustive searches over millions of machines.  One breadth-first
 walk numbers each kind of key: _walk a table's states or the blocks of
 a partition of them, _table_walk subsets, through three tables of
 packed images, one per chunk of a subset's bits, and _pair_walk pairs
-of states.  Minimization keeps its partition as ranges of one
+of states, each seen when its first state is the one first paired with
+its second.  Minimization keeps its partition as ranges of one
 permutation of the states, and its preimages as chains through flat
 lists, which scales to hundreds of thousands; minimal_count needs none
 where private words decide the count.
@@ -15,6 +16,7 @@ where private words decide the count.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from functools import reduce
 from itertools import compress, product
@@ -659,34 +661,59 @@ def _pair_walk(a: Dfa, p: int, b: Dfa, q: int) -> str | None:
 
     Breadth-first over state pairs taking symbols in alphabet order, so
     among shortest witnesses the alphabet-lexicographically first wins.
-    Each pair keeps the index of the pair it was reached from and the
-    symbol taken, and the word is spelled out only on a hit.
+    The queue is two lists, the pairs' a-states and b-states, and each
+    pair keeps the index of the pair it was reached from.  partner[v] is
+    the a-state first paired with b-state v, so (u, v) is seen when
+    partner[v] == u; a pair whose b-state already has another partner
+    is kept as the int u * nb + v in a set, which stays empty when a's
+    states are a function of b's, as for two machines of one language.
+    The word is spelled out only on a hit: each step's symbol is the
+    first that takes the parent pair to the child, since the walk takes
+    symbols in order and a pair is queued when first reached.
     """
-    afin, bfin = a.finals, b.finals
-    # the pair (u, v) is the int u * nb + v, lighter than a tuple
+    afin = [False] * a.state_count
+    for u in a.finals:
+        afin[u] = True
+    bfin = [False] * b.state_count
+    for v in b.finals:
+        bfin[v] = True
     nb = b.state_count
-    start = p * nb + q
-    seen = {start}
+    partner = [-1] * nb
+    partner[q] = p
+    others = set()
     # the loop also visits the pairs appended while it runs
-    queue = [start]
-    parent = [0]
-    via = [""]
-    steps = list(zip(a.alphabet, a.transitions, b.transitions))
-    for i, key in enumerate(queue):
-        u, v = divmod(key, nb)
-        if (u in afin) != (v in bfin):
+    qa, qb = [p], [q]
+    parent = array("q", [0])
+    rows = list(zip(a.transitions, b.transitions))
+    for i, u in enumerate(qa):
+        v = qb[i]
+        if afin[u] != bfin[v]:
             word = []
             while i:
-                word.append(via[i])
-                i = parent[i]
+                j = parent[i]
+                u, v, x, y = qa[j], qb[j], qa[i], qb[i]
+                word.append(next(
+                    sym for sym, (arow, brow) in zip(a.alphabet, rows)
+                    if arow[u] == x and brow[v] == y
+                ))
+                i = j
             return "".join(reversed(word))
-        for sym, arow, brow in steps:
-            child = arow[u] * nb + brow[v]
-            if child not in seen:
-                seen.add(child)
-                queue.append(child)
-                parent.append(i)
-                via.append(sym)
+        for arow, brow in rows:
+            x = arow[u]
+            y = brow[v]
+            w = partner[y]
+            if w == x:
+                continue
+            if w < 0:
+                partner[y] = x
+            else:
+                key = x * nb + y
+                if key in others:
+                    continue
+                others.add(key)
+            qa.append(x)
+            qb.append(y)
+            parent.append(i)
     return None
 
 

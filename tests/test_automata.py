@@ -1,6 +1,7 @@
 """Core automata algebra: representation, determinization, minimization,
 equivalence, and distinguishability."""
 
+import dataclasses
 import random
 import tracemalloc
 from itertools import product
@@ -26,17 +27,20 @@ from statecomp import (
     revcat_witness_M,
     revcat_witness_N,
     sigma_star_dfa,
+    starcat_witness_A,
 )
-from statecomp import automata
+from statecomp import automata, harness
 from statecomp.automata import TABLE_MAX_STATES, _pair_walk
 from statecomp.constructions import catenation_masks
 
 from helpers import (
     all_words,
+    machine,
     moore_classes,
     moore_minimal_size,
     random_complete_dfa,
     ref_determinize,
+    reference,
     run_word,
 )
 
@@ -622,6 +626,33 @@ class TestHopcroftRefine:
         assert peak < 300 * n
 
 
+def _first_separating(a: Dfa, p: int, b: Dfa, q: int, max_len: int) -> str | None:
+    """The first word of at most max_len symbols, shortest first and then
+    in alphabet order, accepted from exactly one of a's state p and b's
+    state q, found by trying every word; None if there is none."""
+    ma = machine(dataclasses.replace(a, initial=p))
+    mb = machine(dataclasses.replace(b, initial=q))
+    return next(
+        (
+            w
+            for w in all_words(a.alphabet, max_len)
+            if reference.accepts(ma, w) != reference.accepts(mb, w)
+        ),
+        None,
+    )
+
+
+def _doubled(d: Dfa) -> Dfa:
+    """d with each state q split into copies 2q and 2q + 1 of the same
+    language: the first symbol moves to the other copy, the rest keep it."""
+    rows = tuple(
+        tuple(2 * row[q] + (c ^ (s == 0)) for q in range(d.state_count) for c in (0, 1))
+        for s, row in enumerate(d.transitions)
+    )
+    finals = frozenset(2 * q + c for q in d.finals for c in (0, 1))
+    return Dfa(2 * d.state_count, d.alphabet, rows, 2 * d.initial, finals)
+
+
 class TestEquivalent:
     def test_minimization_preserves_language(self):
         d = revcat_witness_N(3)
@@ -663,6 +694,62 @@ class TestEquivalent:
                 assert word is None
         assert separating, "the last pair must be inequivalent"
 
+    @pytest.mark.parametrize(
+        "d",
+        [revcat_witness_M(5), revcat_witness_N(4), starcat_witness_A(5)]
+        + [
+            minimize_hopcroft(random_complete_dfa(random.Random(seed), 6, ("a", "b")))
+            for seed in (1, 6, 9)
+        ],
+    )
+    def test_doubled_states_against_the_minimal_machine(self, d):
+        # a has two copies of each state of b, the minimal machine, so
+        # every b-state has two partners: the walk meets the second copy
+        # of each after the first and keeps those pairs in its set.  The
+        # copy reached last is flipped in finality, so the walk's hit is
+        # on a pair in the set.
+        a, b = _doubled(d), d
+        assert minimize_hopcroft(d) == d
+        # a's states in the walk's order: b's state is a function of a's
+        reached = [a.initial]
+        for u in reached:
+            for row in a.transitions:
+                if row[u] not in reached:
+                    reached.append(row[u])
+        assert len(reached) == a.state_count
+        assert _pair_walk(a, a.initial, b, b.initial) is None
+        last = reached[-1]
+        flipped = dataclasses.replace(a, finals=a.finals ^ {last})
+        word = _pair_walk(flipped, flipped.initial, b, b.initial)
+        # the two machines differ, so trying every word up to the walk's
+        # length finds the walk's word, or a shorter or earlier one
+        assert word is not None
+        assert word == _first_separating(flipped, flipped.initial, b, b.initial, len(word))
+        assert run_word(dataclasses.replace(a, finals=frozenset((last,))), word)
+        for q in range(d.state_count):
+            assert distinguishing_word(a, 2 * q, 2 * q + 1) is None
+
+    def test_pair_walk_peak_memory_per_state(self):
+        # tracemalloc's peak inside verify's walk of starcat's (7, 7)
+        # direct machine against the oracle's (10,050 states, every pair
+        # (u, v) with a fresh v): about 129 bytes per oracle state with a
+        # set of pair ints and a symbol per pair, about 49 with each
+        # b-state's first partner in a list and the queue in two lists
+        spec = harness.OPS["starcat"]
+        a, b = spec.witness(7, 7)
+        direct = spec.route(a, b)[0]
+        oracle = harness.oracle_pipeline("starcat", a, b)
+        n = oracle.state_count
+        assert n == 10050
+        tracemalloc.start()
+        try:
+            word = _pair_walk(direct, direct.initial, oracle, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert word is None
+        assert peak <= 64 * n
+
 
 class TestDistinguishingWord:
     def test_identical_states(self):
@@ -678,28 +765,11 @@ class TestDistinguishingWord:
         rng = random.Random(17)
         for _ in range(30):
             d = random_complete_dfa(rng, rng.randint(2, 5), ("a", "b", "c"))
-            idx = {s: i for i, s in enumerate(d.alphabet)}
-
-            def final_from(start, word):
-                state = start
-                for ch in word:
-                    state = d.transitions[idx[ch]][state]
-                return state in d.finals
-
             for p in range(d.state_count):
                 for q in range(d.state_count):
-                    got = distinguishing_word(d, p, q)
                     # a difference, if any, shows up within state_count - 1
                     # steps, so scanning words up to length 5 is exhaustive
-                    want = next(
-                        (
-                            w
-                            for w in all_words(d.alphabet, 5)
-                            if final_from(p, w) != final_from(q, w)
-                        ),
-                        None,
-                    )
-                    assert got == want
+                    assert distinguishing_word(d, p, q) == _first_separating(d, p, d, q, 5)
 
     def test_none_exactly_when_states_merge(self):
         rng = random.Random(29)

@@ -14,9 +14,11 @@ from helpers import (
     REF_LEFT,
     all_words,
     catenation_nfa,
+    machine,
     moore_minimal_size,
     random_complete_dfa,
     ref_determinize,
+    reference,
     run_word,
 )
 from statecomp import automata, harness
@@ -140,6 +142,25 @@ def _cycle(rng, size):
         delta[q] = t
     finals = frozenset(q for q in range(size) if rng.random() < 0.25)
     return Dfa(size, ("a",), (tuple(delta),), rng.randrange(size), finals)
+
+
+def _first_disagreement(a, b):
+    """The shortest word a and b disagree on, the first in alphabet order
+    among those, by breadth-first search over (u, v) tuples, each stored
+    with the word that reached it; None if they agree on every word."""
+    start = (a.initial, b.initial)
+    words = {start: ""}
+    queue = collections.deque([start])
+    while queue:
+        pair = u, v = queue.popleft()
+        if (u in a.finals) != (v in b.finals):
+            return words[pair]
+        for sym, arow, brow in zip(a.alphabet, a.transitions, b.transitions):
+            child = arow[u], brow[v]
+            if child not in words:
+                words[child] = words[pair] + sym
+                queue.append(child)
+    return None
 
 
 def _search_classes(op, m, n, alphabet):
@@ -296,6 +317,31 @@ class TestVerifyWitness:
         assert (r.m, r.formula, r.minimal) == (4, spec.sc(3, 3), spec.sc(4, 3))
         assert not r.passed and r.word is None
         assert str(r).endswith(" FAIL")
+
+    def test_counterexample_at_witness_scale(self, monkeypatch):
+        # starcat's direct machine at (6, 6) with its last-numbered state
+        # flipped in finality: the report's word is the first word a plain
+        # breadth-first search over (u, v) tuples finds, and the reference
+        # tells the broken machine from the language on it
+        route = OPS["starcat"].route
+
+        def broken(a, b):
+            d, bound, k1 = route(a, b)
+            return dataclasses.replace(d, finals=d.finals ^ {d.state_count - 1}), bound, k1
+
+        monkeypatch.setitem(
+            harness.OPS, "starcat", dataclasses.replace(OPS["starcat"], route=broken)
+        )
+        r = verify_witness("starcat", 6, 6)
+        assert not r.passed and r.word is not None
+        a, b = OPS["starcat"].witness(6, 6)
+        direct = broken(a, b)[0]
+        oracle = oracle_pipeline("starcat", a, b)
+        assert direct.state_count == 2465
+        assert r.word == _first_disagreement(direct, oracle)
+        assert reference.member("starcat", machine(a), machine(b), r.word) != run_word(
+            direct, r.word
+        )
 
     def test_starcat_right_operand_one_state(self):
         r = verify_witness("starcat", 4, 1)
