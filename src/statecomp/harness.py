@@ -256,17 +256,18 @@ def _report(
     del subsets
     if minimal is None:
         minimal = len(hopcroft_refine(rows, finals)[0])
-    oracle = Dfa(len(rows[0]), a.alphabet, rows, 0, finals)
     direct, bound, k1 = spec.route(a, b)
     if direct is None:
-        direct, word = oracle, None
+        constructed, word = len(rows[0]), None
     else:
+        oracle = Dfa(len(rows[0]), a.alphabet, rows, 0, finals)
+        constructed = direct.state_count
         word = _pair_walk(direct, direct.initial, oracle, 0)
     exact = formula is not None
-    fits = minimal == formula if exact else direct.state_count <= bound
+    fits = minimal == formula if exact else constructed <= bound
     return BoundReport(
         op, a.state_count, b.state_count, k1, formula if exact else bound,
-        direct.state_count, minimal, fits and word is None, word,
+        constructed, minimal, fits and word is None, word,
     )
 
 

@@ -15,6 +15,7 @@ product machines; `moore_classes`, `all_words` and `random_complete_dfa`.
 
 from __future__ import annotations
 
+import ast
 import importlib.util
 import random
 from itertools import count, product
@@ -27,6 +28,19 @@ _spec = importlib.util.spec_from_file_location(
 )
 reference = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(reference)
+
+
+def imported_modules(path: Path) -> list[str]:
+    """Every module name the Python file at path imports, read with ast;
+    none may be relative."""
+    imported = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            assert node.level == 0, "a relative import"
+            imported.append(node.module)
+    return imported
 
 
 def machine(d: Dfa) -> reference.Machine:

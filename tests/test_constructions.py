@@ -332,19 +332,13 @@ class TestStarcatSpecialDirect:
         pairs = [(starcat_special_witness_A(3), starcat_special_witness_B(3))]
         for _ in range(25):
             a = random_complete_dfa(rng, rng.randint(2, 4), ("a", "b"))
-            a = a.__class__(
-                a.state_count, a.alphabet, a.transitions, a.initial,
-                frozenset((a.initial,)),
-            )
+            a = replace(a, finals=frozenset((a.initial,)))
             b = random_complete_dfa(rng, rng.randint(2, 4), ("a", "b"))
             pairs.append((a, b))
         for _ in range(30):
             alphabet = "abc"[: rng.randint(1, 3)]
             a = random_complete_dfa(rng, rng.randint(1, 5), alphabet)
-            a = a.__class__(
-                a.state_count, a.alphabet, a.transitions, a.initial,
-                frozenset((a.initial,)),
-            )
+            a = replace(a, finals=frozenset((a.initial,)))
             b = random_complete_dfa(rng, rng.randint(2, 5), alphabet)
             pairs.append((a, b))
         for a, b in pairs:
@@ -363,10 +357,7 @@ class TestStarcatSpecialDirect:
         rng = random.Random(52)
         for _ in range(12):
             a = random_complete_dfa(rng, rng.randint(2, 3), ("a", "b"))
-            a = a.__class__(
-                a.state_count, a.alphabet, a.transitions, a.initial,
-                frozenset((a.initial,)),
-            )
+            a = replace(a, finals=frozenset((a.initial,)))
             b = random_complete_dfa(rng, rng.randint(2, 3), ("a", "b"))
             d = starcat_general_direct(a, b)
             for w in all_words(("a", "b"), 5):
@@ -390,10 +381,7 @@ class TestStarcatSpecialDirect:
             m = rng.randint(2, 4)
             n = rng.randint(2, 4)
             a = random_complete_dfa(rng, m, ("a", "b", "c"))
-            a = a.__class__(
-                a.state_count, a.alphabet, a.transitions, a.initial,
-                frozenset((a.initial,)),
-            )
+            a = replace(a, finals=frozenset((a.initial,)))
             b = random_complete_dfa(rng, n, ("a", "b", "c"))
             assert (
                 starcat_general_direct(a, b).state_count
@@ -417,9 +405,7 @@ class TestStarcatGeneralDirect:
         for k in range(30):
             a, b = _random_general_pair(rng, 5, 5, "abc"[: rng.randint(1, 3)])
             finals = a.finals | {a.initial} if k % 2 else a.finals - {a.initial}
-            a = a.__class__(
-                a.state_count, a.alphabet, a.transitions, a.initial, finals
-            )
+            a = replace(a, finals=finals)
             pairs.append((a, b))
         for a, b in pairs:
             assert starcat_general_direct(a, b) == ref_starcat_general(a, b)[0]
@@ -464,9 +450,7 @@ class TestStarcatGeneralDirect:
 
     def test_shape_errors(self):
         a = starcat_witness_A(2)
-        no_finals = a.__class__(
-            a.state_count, a.alphabet, a.transitions, a.initial, frozenset()
-        )
+        no_finals = replace(a, finals=frozenset())
         with pytest.raises(ShapeError):
             starcat_general_direct(no_finals, starcat_witness_B(2))
         with pytest.raises(ShapeError):
@@ -503,9 +487,7 @@ class TestCombined:
 
     def test_starcat_left_operand_without_finals(self):
         a = starcat_witness_A(3)
-        hollow = a.__class__(
-            a.state_count, a.alphabet, a.transitions, a.initial, frozenset()
-        )
+        hollow = replace(a, finals=frozenset())
         b = starcat_witness_B(3)
         assert combined("starcat", hollow, b) is b
 

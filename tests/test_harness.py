@@ -245,6 +245,18 @@ class TestOracle:
         assert equivalent(combined(op, a, b), det)
 
 
+class Reached(Exception):
+    pass
+
+
+def stand_in_witness(monkeypatch, op):
+    # a stand-in witness stops the run once the budget check is passed
+    def witness(m, n):
+        raise Reached
+
+    monkeypatch.setitem(harness.OPS, op, dataclasses.replace(OPS[op], witness=witness))
+
+
 class TestVerifyWitness:
     def test_revcat(self):
         r = verify_witness("revcat", 3, 3)
@@ -377,59 +389,31 @@ class TestVerifyWitness:
     def test_cell_past_the_budget_is_refused_before_its_witness(
         self, monkeypatch, op, m, n
     ):
-        def witness(m, n):
-            raise AssertionError("witness built")
-
-        monkeypatch.setitem(
-            harness.OPS, op, dataclasses.replace(OPS[op], witness=witness)
-        )
+        stand_in_witness(monkeypatch, op)
         with pytest.raises(BudgetError, match=f"budget of {DEFAULT_BUDGET}$"):
             verify_witness(op, m, n)
 
-    @pytest.mark.parametrize("op", ["revcat", "starcat", "starcat-special"])
-    @pytest.mark.parametrize("m,n", [(11, 11), (12, 12), (9, 9)])
+    @pytest.mark.parametrize(
+        "op,m,n",
+        [
+            (op, k, k)
+            for k in (11, 12, 9)
+            for op in ("revcat", "starcat", "starcat-special")
+        ]
+        # n = 1 cells, budgeted as their (m, 2) cells
+        + [("revcat", 22, 1), ("starcat", 23, 1), ("starcat-special", 20_640, 1)]
+        # starcat-special (m, 2) cells within the budget in key words too
+        + [("starcat-special", 15_000, 2), ("starcat-special", 20_640, 2)],
+    )
     def test_cells_within_the_budget_reach_their_witness(self, monkeypatch, op, m, n):
-        # a stand-in witness stops the run once the budget check is passed
-        class Reached(Exception):
-            pass
-
-        def witness(m, n):
-            raise Reached
-
-        monkeypatch.setitem(
-            harness.OPS, op, dataclasses.replace(OPS[op], witness=witness)
-        )
+        stand_in_witness(monkeypatch, op)
         with pytest.raises(Reached):
             verify_witness(op, m, n)
-
-    @pytest.mark.parametrize(
-        "op,m", [("revcat", 22), ("starcat", 23), ("starcat-special", 20_640)]
-    )
-    def test_n1_cells_within_the_budget_reach_their_witness(self, monkeypatch, op, m):
-        class Reached(Exception):
-            pass
-
-        def witness(m, n):
-            raise Reached
-
-        monkeypatch.setitem(
-            harness.OPS, op, dataclasses.replace(OPS[op], witness=witness)
-        )
-        with pytest.raises(Reached):
-            verify_witness(op, m, 1)
 
     @pytest.mark.parametrize("op", ["revcat", "starcat", "starcat-special"])
     @pytest.mark.parametrize("m", [2, 5, 12])
     def test_n1_cell_is_budgeted_as_its_m2_cell(self, monkeypatch, op, m):
-        class Reached(Exception):
-            pass
-
-        def witness(m, n):
-            raise Reached
-
-        monkeypatch.setitem(
-            harness.OPS, op, dataclasses.replace(OPS[op], witness=witness)
-        )
+        stand_in_witness(monkeypatch, op)
         budget = OPS[op].sc(m, 2)
         monkeypatch.setattr(harness, "DEFAULT_BUDGET", budget)
         with pytest.raises(Reached):
@@ -454,33 +438,11 @@ class TestVerifyWitness:
     def test_cell_past_the_budget_in_key_words_is_refused(self, monkeypatch, m):
         # starcat-special (m, 2) has 3m - 1 states, under the budget, but
         # each subset key takes ceil((m + 3) / 64) words
-        def witness(m, n):
-            raise AssertionError("witness built")
-
         op = "starcat-special"
-        monkeypatch.setitem(
-            harness.OPS, op, dataclasses.replace(OPS[op], witness=witness)
-        )
+        stand_in_witness(monkeypatch, op)
         assert OPS[op].sc(m, 2) <= DEFAULT_BUDGET
         words = f"64-bit words of subset keys than the budget of {DEFAULT_BUDGET}$"
         with pytest.raises(BudgetError, match=words):
-            verify_witness(op, m, 2)
-
-    @pytest.mark.parametrize("m", [15_000, 20_640])
-    def test_cells_within_the_budget_in_key_words_reach_their_witness(
-        self, monkeypatch, m
-    ):
-        class Reached(Exception):
-            pass
-
-        def witness(m, n):
-            raise Reached
-
-        op = "starcat-special"
-        monkeypatch.setitem(
-            harness.OPS, op, dataclasses.replace(OPS[op], witness=witness)
-        )
-        with pytest.raises(Reached):
             verify_witness(op, m, 2)
 
     def test_bad_sizes_and_ops(self):

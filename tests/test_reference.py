@@ -1,7 +1,6 @@
 """The one reference, perfbench/reference.py: it stands apart from the
 library, and the library's oracle agrees with it on random small pairs."""
 
-import ast
 from pathlib import Path
 
 from hypothesis import given, settings
@@ -9,19 +8,12 @@ from hypothesis import strategies as st
 
 from statecomp import Dfa, oracle_sc
 
-from helpers import machine, reference
+from helpers import imported_modules, machine, reference
 
 
 def test_reference_imports_nothing_from_the_library():
     # Tier-1, CI and the benchmark all trust it as a route of its own
-    tree = ast.parse(Path(reference.__file__).read_text())
-    imported = []
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            imported += [alias.name for alias in node.names]
-        elif isinstance(node, ast.ImportFrom):
-            assert node.level == 0, "a relative import"
-            imported.append(node.module)
+    imported = imported_modules(Path(reference.__file__))
     assert imported
     assert not [name for name in imported if name.split(".")[0] == "statecomp"]
 
