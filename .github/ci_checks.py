@@ -136,20 +136,23 @@ def benchmark() -> None:
 
 def witnesses() -> None:
     """The witness cells at m + n = 18 and 20, one verify per op and
-    cell.  At (9, 9), the largest cells the minimizer is sized for,
-    verify refines the oracle's machine; at (10, 10) it reads the
-    minimal size off private words of its NFA states instead.  Each
-    verify must exit 0 within its timeout (verify exits 1 on a FAIL row,
-    timeout 124), peak at most its limit, and print minimal= equal to
-    the closed form.  At (9, 9) minimal= must also equal the reference's
-    own frozenset subset construction and Moore refinement: revcat's
-    only check by a second route above the witness-large cells, since it
-    has no direct construction of its own there, and the independent
-    check of the private-word count."""
+    cell.  For revcat and starcat verify reads the minimal size off
+    private words of the oracle's NFA states; for starcat-special
+    (4,344 states at (9, 9), 9,719 at (10, 10)) the private words do not
+    decide it, and verify refines the oracle's machine by Hopcroft's
+    algorithm.  Each verify must exit 0 within its timeout (verify exits
+    1 on a FAIL row, timeout 124), peak at most its limit, and print
+    minimal= equal to the closed form.  At (9, 9) minimal= must also
+    equal the reference's own frozenset subset construction and Moore
+    refinement: revcat's only check by a second route above the
+    witness-large cells, since it has no direct construction of its own
+    there, the independent check of the private-word count, and for
+    starcat-special of the refinement."""
     # (op, m = n, timeout in seconds, peak RSS limit in MiB); starcat's
     # peak at (10, 10) is its direct machine and pair walk beside the oracle
     cells = (("revcat", 9, 300, 100), ("starcat", 9, 300, 100),
-             ("revcat", 10, 120, 200), ("starcat", 10, 120, 260))
+             ("revcat", 10, 120, 200), ("starcat", 10, 120, 260),
+             ("starcat-special", 9, 60, 40), ("starcat-special", 10, 60, 40))
     minimal = {}
     for op, k, seconds, limit in cells:
         r = run("verify", "--op", op, "--m", str(k), "--n", str(k), seconds=seconds)
@@ -218,7 +221,7 @@ def searches() -> None:
 def chunk_bounds() -> None:
     """compose on seeded random one-letter operands whose oracle machine
     has 22, 23, 33, 34, 40, 45, 56 and 66 states (m + n for revcat,
-    m + 1 + n for starcat, whose direct machine has one state fewer):
+    m + 1 + n for starcat, whose direct machine walks the same masks):
     past 21 NFA states, where no other check outside Tier-1 reaches, up
     to the subset construction's whole-table bound (33, three chunks of
     11 bits), one past it and on, where the third chunk takes every bit

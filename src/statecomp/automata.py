@@ -34,7 +34,14 @@ class AlphabetMismatch(ValueError):
     """Raised when a binary operation mixes automata over different alphabets."""
 
 
-def _check_alphabet(alphabet: tuple[str, ...]) -> None:
+def _check_shape(machine, name: str) -> int:
+    """The checks a Dfa and an Nfa (name, "a Dfa" or "an Nfa") share, on
+    the state count, the alphabet and the number of rows; returns the
+    state count."""
+    n = machine.state_count
+    if n < 1:
+        raise ValueError(f"{name} needs at least one state")
+    alphabet = machine.alphabet
     if not alphabet:
         raise ValueError("alphabet must contain at least one symbol")
     if len(set(alphabet)) != len(alphabet):
@@ -42,6 +49,9 @@ def _check_alphabet(alphabet: tuple[str, ...]) -> None:
     for sym in alphabet:
         if not isinstance(sym, str) or len(sym) != 1:
             raise ValueError(f"alphabet symbol {sym!r} must be a single character")
+    if len(machine.transitions) != len(alphabet):
+        raise ValueError("one transition row per alphabet symbol required")
+    return n
 
 
 @dataclass(frozen=True)
@@ -58,12 +68,7 @@ class Dfa:
     finals: frozenset[int]
 
     def __post_init__(self) -> None:
-        n = self.state_count
-        if n < 1:
-            raise ValueError("a Dfa needs at least one state")
-        _check_alphabet(self.alphabet)
-        if len(self.transitions) != len(self.alphabet):
-            raise ValueError("one transition row per alphabet symbol required")
+        n = _check_shape(self, "a Dfa")
         for row in self.transitions:
             if len(row) != n:
                 raise ValueError("every transition row must cover all states")
@@ -92,12 +97,7 @@ class Nfa:
     finals: frozenset[int]
 
     def __post_init__(self) -> None:
-        n = self.state_count
-        if n < 1:
-            raise ValueError("an Nfa needs at least one state")
-        _check_alphabet(self.alphabet)
-        if len(self.transitions) != len(self.alphabet):
-            raise ValueError("one transition row per alphabet symbol required")
+        n = _check_shape(self, "an Nfa")
         for row in self.transitions:
             if len(row) != n:
                 raise ValueError("every transition row must cover all states")
@@ -115,19 +115,14 @@ class Nfa:
 
 
 def nfa_from_dfa(d: Dfa) -> Nfa:
-    """Reinterpret a Dfa as an Nfa with singleton target sets."""
-    rows = tuple(
-        tuple(frozenset((row[q],)) for q in range(d.state_count))
-        for row in d.transitions
-    )
-    return Nfa(
-        state_count=d.state_count,
-        alphabet=d.alphabet,
-        transitions=rows,
-        initials=frozenset((d.initial,)),
-        epsilon_edges=frozenset(),
-        finals=d.finals,
-    )
+    """Reinterpret a Dfa as an Nfa with singleton target sets.
+
+    The sets are built from the targets, not from masks: a mask of one
+    of n states is n bits wide, so masks would cost time and memory
+    quadratic in the state count."""
+    rows = tuple(tuple(frozenset((t,)) for t in row) for row in d.transitions)
+    initials = frozenset((d.initial,))
+    return Nfa(d.state_count, d.alphabet, rows, initials, frozenset(), d.finals)
 
 
 def _mask_bits(mask: int) -> list[int]:
@@ -509,27 +504,24 @@ def hopcroft_refine(rows, finals) -> tuple[list[int], list[int]]:
                     # the whole block is in the preimage
                     mid[b] = f
                     continue
-                # the larger part keeps index b; the smaller one is
+                # b keeps the larger part; the smaller one, [lo, hi), is
                 # appended, relabelled and queued
-                ni = len(first)
                 if m - f <= e - m:
-                    first.append(f)
-                    end.append(m)
-                    mid.append(f)
-                    first[b] = mid[b] = m
                     lo, hi = f, m
-                    if e - m == 1:
-                        # b kept one state, and so did the new block
-                        block_of[elems[m]] = ~b
+                    first[b] = mid[b] = m
                 else:
-                    first.append(m)
-                    end.append(e)
-                    mid.append(m)
+                    lo, hi = m, e
                     end[b] = m
                     mid[b] = f
-                    lo, hi = m, e
+                ni = len(first)
+                first.append(lo)
+                end.append(hi)
+                mid.append(lo)
                 if hi - lo == 1:
                     block_of[elems[lo]] = ~ni
+                    if e - f == 2:
+                        # b kept one state too, [m, e)
+                        block_of[elems[m]] = ~b
                 else:
                     for q in elems[lo:hi]:
                         block_of[q] = ni
@@ -633,24 +625,26 @@ def minimize_brzozowski(d: Dfa) -> Dfa:
     return subset_dfa(d.alphabet, *reverse_masks(mid))
 
 
-def accepts(d: Dfa, word: str) -> bool:
-    idx = {sym: s for s, sym in enumerate(d.alphabet)}
-    state = d.initial
+def _symbols(alphabet: tuple[str, ...], word: str):
+    """The index in alphabet of each symbol of word, in order;
+    ValueError for a symbol not in it."""
+    idx = {sym: s for s, sym in enumerate(alphabet)}
     for ch in word:
-        s = idx.get(ch)
-        if s is None:
+        if ch not in idx:
             raise ValueError(f"symbol {ch!r} is not in the alphabet")
+        yield idx[ch]
+
+
+def accepts(d: Dfa, word: str) -> bool:
+    state = d.initial
+    for s in _symbols(d.alphabet, word):
         state = d.transitions[s][state]
     return state in d.finals
 
 
 def nfa_accepts(nfa: Nfa, word: str) -> bool:
-    idx = {sym: s for s, sym in enumerate(nfa.alphabet)}
     move, cur, final_mask = nfa_masks(nfa)
-    for ch in word:
-        s = idx.get(ch)
-        if s is None:
-            raise ValueError(f"symbol {ch!r} is not in the alphabet")
+    for s in _symbols(nfa.alphabet, word):
         cur = mask_image(cur, move[s])
     return bool(cur & final_mask)
 

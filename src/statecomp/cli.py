@@ -108,7 +108,7 @@ def cmd_sc(args) -> int:
     approx = _option(option, estimate, count, *sizes)
     if limit and (approx >= 10 ** (limit + 1) or count(*sizes) >= 10 ** limit):
         raise ValueError(
-            f"--m/--n: the count has more than {limit} digits, "
+            f"{option}: the count has more than {limit} digits, "
             "past this interpreter's limit for printing an int"
         )
     print(count(*sizes))

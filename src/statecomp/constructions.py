@@ -10,11 +10,11 @@ folds in the free move, also builds the full search's left class tables
 in harness.  Each catenation-based direct construction hands its masks
 to automata.subset_dfa, so every route shares one subset construction,
 numbered breadth-first in alphabet order, and no count exceeds the
-closed-form size bounds.  starcat's direct construction differs from
-the oracle only in the left table, the star's loop without its fresh
-state, and the start set.  revcat_n1_direct widens each set holding
-the left operand's initial state to the full set, one absorbing state.
-harness's op table decides which construction fits which shape.
+closed-form size bounds.  starcat's direct construction walks the
+oracle's own masks and differs from it only in the start set.
+revcat_n1_direct widens each set holding the left operand's initial
+state to the full set, one absorbing state.  harness's op table decides
+which construction fits which shape.
 """
 
 from __future__ import annotations
@@ -52,27 +52,20 @@ def _require_same_alphabet(a, b) -> None:
         )
 
 
-def _loop_masks(a: Dfa) -> Masks:
-    """a's masks, with every move into a final state of a also entering
-    a.initial: the loop of L(a)*, which re-enters a without free moves.
-    Its start is a.initial and its finals are a's."""
+def star_masks(a: Dfa) -> Masks:
+    """The masks of L(a)*: a's masks, with every move into a final state
+    of a also entering a.initial (the loop, which re-enters a without
+    free moves), plus a fresh state (index a.state_count) that is
+    initial and final and copies a.initial's moves; nothing enters it."""
     init = 1 << a.initial
     fins = a.finals
     move = [
         [1 << t | init if t in fins else 1 << t for t in row] for row in a.transitions
     ]
-    return move, init, state_mask(fins)
-
-
-def star_masks(a: Dfa) -> Masks:
-    """The masks of L(a)*: the loop, plus a fresh state (index
-    a.state_count) that is initial and final and copies a.initial's
-    moves; nothing enters it."""
-    move, _, final_mask = _loop_masks(a)
     for row in move:
         row.append(row[a.initial])
     fresh = 1 << a.state_count
-    return move, fresh, final_mask | fresh
+    return move, fresh, state_mask(fins) | fresh
 
 
 def star_nfa(a: Dfa) -> Nfa:
@@ -129,12 +122,14 @@ def revcat_n1_direct(m: Dfa, n_accepting: bool) -> Dfa:
 def starcat_general_direct(a: Dfa, b: Dfa) -> Dfa:
     """Direct DFA for L(a)* L(b) when a has a final state.
 
-    The subset construction of star_masks(a)'s loop (without the fresh
-    state), catenated with b and started in {a.initial, b.initial},
-    since the empty word is in L(a)*.  A subset splits into p, a's
-    states, and t, b's states: whenever p meets a's finals, a's initial
-    state joins p (star re-entry) and b's initial state joins t.  Final
-    when t meets b's finals.  The reachable count never exceeds
+    The subset construction of the oracle's masks, star_masks(a)
+    catenated with b, started in {a.initial, b.initial} instead of
+    {fresh, b.initial}, since the empty word is in L(a)*.  Nothing
+    enters the fresh state, so no subset reached holds it.  A subset
+    splits into p, a's states, and t, b's states: whenever p meets a's
+    finals, a's initial state joins p (star re-entry) and b's initial
+    state joins t.  Final when t meets b's finals.  The reachable count
+    never exceeds
     (3/4 * 2^m - 1)(2^n - 1) - (2^(m-1) - 2^(m-k1-1))(2^(n-1) - 1)
     with k1 the number of non-initial final states of a.  When a's only
     final state is its initial state, L(a)* = L(a) and p is always a
@@ -145,5 +140,6 @@ def starcat_general_direct(a: Dfa, b: Dfa) -> Dfa:
         raise ShapeError("starcat_general_direct needs at least one final state")
     if b.state_count < 2:
         raise ShapeError("starcat_general_direct needs a second operand with >= 2 states")
-    move, start, final_mask = catenation_masks(_loop_masks(a), b)
-    return subset_dfa(a.alphabet, move, start | 1 << b.initial, final_mask)
+    move, _, final_mask = catenation_masks(star_masks(a), b)
+    start = 1 << b.state_count + a.initial | 1 << b.initial
+    return subset_dfa(a.alphabet, move, start, final_mask)

@@ -10,7 +10,8 @@ two of its chunks: a right class's table packs catenation_masks' right
 part and a left class's its left part, built by
 constructions._catenation_left, so the walk's keys are the oracle's
 own.  Each op's route picks the direct construction and its size
-bound by operand shape; revcat with n >= 2 has none of its own (the
+bound by operand shape; starcat's walks the oracle's own masks from
+another start set, and revcat with n >= 2 has none of its own (the
 paper's is the oracle's pipeline), so there verify checks the one
 machine against the closed form only.  Agreement between the routes,
 plus the closed-form bounds, is what the verify and search entry points
@@ -223,12 +224,21 @@ def oracle_pipeline(op: str, a: Dfa, b: Dfa) -> Dfa:
     return subset_dfa(a.alphabet, *_oracle_masks(operation(op).left, a, b))
 
 
+def _oracle_count(move, start: int, final_mask: int):
+    """The rows and finals of the subset construction of these masks, and
+    its minimal size: by private words (automata.minimal_count), else
+    Hopcroft's blocks, since every subset the construction reaches is
+    reachable."""
+    rows, finals, subsets = subset_construction(move, start, final_mask)
+    minimal = minimal_count(move, final_mask, subsets)
+    if minimal is None:
+        minimal = len(hopcroft_refine(rows, finals)[0])
+    return rows, finals, minimal
+
+
 def oracle_sc(op: str, a: Dfa, b: Dfa) -> int:
-    """Minimal DFA size of the operation result, via the generic pipeline:
-    every subset the construction reaches is reachable, so the blocks are
-    the count."""
-    rows, finals, _ = subset_construction(*_oracle_masks(operation(op).left, a, b))
-    return len(hopcroft_refine(rows, finals)[0])
+    """Minimal DFA size of the operation result, via the generic pipeline."""
+    return _oracle_count(*_oracle_masks(operation(op).left, a, b))[2]
 
 
 def combined(op: str, a: Dfa, b: Dfa) -> Dfa:
@@ -248,14 +258,9 @@ def _report(
     when both give the same language and the oracle's minimal size equals
     formula or, formula None, the direct machine fits the route's bound;
     the report keeps the shortest word they disagree on, if any."""
-    move, start, final_mask = _oracle_masks(spec.left, a, b)
-    rows, finals, subsets = subset_construction(move, start, final_mask)
-    # by private words, else Hopcroft's blocks (every subset is reachable),
-    # before the route runs: the subsets and tables go before its machine
-    minimal = minimal_count(move, final_mask, subsets)
-    del subsets
-    if minimal is None:
-        minimal = len(hopcroft_refine(rows, finals)[0])
+    # counted before the route runs: the subsets and tables go before
+    # its machine
+    rows, finals, minimal = _oracle_count(*_oracle_masks(spec.left, a, b))
     direct, bound, k1 = spec.route(a, b)
     if direct is None:
         constructed, word = len(rows[0]), None

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import sys
 
-from .automata import Dfa, Nfa
+from .automata import Dfa, Nfa, nfa_from_dfa
 
 
 class DocumentError(ValueError):
@@ -194,24 +194,21 @@ def emit_document(a: Dfa | Nfa) -> str:
 
 def emit_dot(a: Dfa | Nfa) -> str:
     """DOT digraph: one labeled edge per transition, double circles on
-    final states, a point-shaped entry arrow into each initial state."""
+    final states, a point-shaped entry arrow into each initial state.
+    A Dfa is written as its Nfa, nfa_from_dfa's."""
+    if isinstance(a, Dfa):
+        a = nfa_from_dfa(a)
     lines = ["digraph automaton {", "  rankdir=LR;", "  node [shape=circle];"]
     for q in sorted(a.finals):
         lines.append(f"  {q} [shape=doublecircle];")
-    initials = [a.initial] if isinstance(a, Dfa) else sorted(a.initials)
     lines.append("  __start [shape=point];")
-    for q in initials:
+    for q in sorted(a.initials):
         lines.append(f"  __start -> {q};")
-    if isinstance(a, Dfa):
-        for q in range(a.state_count):
-            for s, sym in enumerate(a.alphabet):
-                lines.append(f"  {q} -> {a.transitions[s][q]} [label=\"{sym}\"];")
-    else:
-        for q in range(a.state_count):
-            for s, sym in enumerate(a.alphabet):
-                for t in sorted(a.transitions[s][q]):
-                    lines.append(f"  {q} -> {t} [label=\"{sym}\"];")
-        for u, v in sorted(a.epsilon_edges):
-            lines.append(f"  {u} -> {v} [label=\"&epsilon;\"];")
+    for q in range(a.state_count):
+        for s, sym in enumerate(a.alphabet):
+            for t in sorted(a.transitions[s][q]):
+                lines.append(f"  {q} -> {t} [label=\"{sym}\"];")
+    for u, v in sorted(a.epsilon_edges):
+        lines.append(f"  {u} -> {v} [label=\"&epsilon;\"];")
     lines.append("}")
     return "\n".join(lines) + "\n"

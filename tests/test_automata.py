@@ -79,6 +79,31 @@ class TestValidation:
             Nfa(2, ("a",), ((frozenset(), frozenset()),), frozenset((0,)),
                 frozenset(((0, 5),)), frozenset())
 
+    @pytest.mark.parametrize("build, message", [
+        (lambda: Dfa(0, ("a",), ((),), 0, frozenset()), "a Dfa needs at least one state"),
+        (lambda: Nfa(0, ("a",), ((),), frozenset(), frozenset(), frozenset()),
+         "an Nfa needs at least one state"),
+        (lambda: Dfa(1, ("a", "b"), ((0,),), 0, frozenset()),
+         "one transition row per alphabet symbol required"),
+        (lambda: Nfa(1, ("a",), (), frozenset((0,)), frozenset(), frozenset()),
+         "one transition row per alphabet symbol required"),
+        (lambda: Nfa(2, ("a",), ((frozenset(),),), frozenset((0,)), frozenset(), frozenset()),
+         "every transition row must cover all states"),
+        (lambda: Nfa(2, ("a",), ((frozenset(), frozenset((2,))),), frozenset((0,)),
+                     frozenset(), frozenset()),
+         "transition target out of range"),
+        (lambda: Nfa(2, ("a",), ((frozenset(), frozenset()),), frozenset((2,)),
+                     frozenset(), frozenset()),
+         "state out of range"),
+        (lambda: Nfa(2, ("a",), ((frozenset(), frozenset()),), frozenset((0,)),
+                     frozenset(), frozenset((-1,))),
+         "state out of range"),
+    ], ids=["dfa-no-states", "nfa-no-states", "dfa-rows", "nfa-rows", "nfa-short-row",
+            "nfa-target", "nfa-initial", "nfa-final"])
+    def test_refusal_messages(self, build, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            build()
+
 
 class TestAccepts:
     def test_traces_into_final(self):
@@ -96,6 +121,10 @@ class TestAccepts:
     def test_unknown_symbol_rejected(self):
         with pytest.raises(ValueError):
             accepts(revcat_witness_M(2), "ax")
+
+    def test_nfa_unknown_symbol_rejected(self):
+        with pytest.raises(ValueError, match="^symbol 'x' is not in the alphabet$"):
+            nfa_accepts(nfa_from_dfa(revcat_witness_M(2)), "abx")
 
 
 class TestDeterminize:
@@ -291,6 +320,28 @@ class TestSubsetTables:
                 for j, image in lazy.items():
                     bits = [p for q, p in enumerate(lazy.packed) if j >> q & 1]
                     assert image == automata._subset_table(bits)[-1], (n, k, j)
+
+    def test_lazy_chunk_under_load(self, monkeypatch):
+        # two letters and 36 states, about 3 % of the entries with a
+        # second target: 10,069 subsets over 211 values of the high chunk
+        seen = _walk_tables(monkeypatch)
+        rng = random.Random(3)
+        rows = tuple(
+            tuple(
+                frozenset(rng.randrange(36) for _ in range(2 if rng.random() < 0.03 else 1))
+                for _ in range(36)
+            )
+            for _ in "ab"
+        )
+        initials = frozenset((rng.randrange(36),))
+        finals = frozenset(q for q in range(36) if rng.random() < 0.3)
+        nfa = Nfa(36, ("a", "b"), rows, initials, frozenset(), finals)
+        det, order = determinize(nfa)
+        assert (det, order) == ref_determinize(nfa)
+        lazy = seen[-1][2]
+        assert type(lazy) is automata._ImageTable
+        assert set(lazy) == {key >> 22 for key in order}
+        assert len(order) >= 5000 and len(lazy) >= 100
 
     @pytest.mark.parametrize("n", range(1, 21))
     def test_same_rows_finals_and_order_as_frozensets(self, n):
@@ -760,6 +811,11 @@ class TestDistinguishingWord:
 
     def test_one_step(self):
         assert distinguishing_word(revcat_witness_M(3), 0, 1) == "a"
+
+    @pytest.mark.parametrize("p, q, bad", [(0, 3, 3), (-1, 0, -1)])
+    def test_state_out_of_range_is_refused(self, p, q, bad):
+        with pytest.raises(ValueError, match=f"^state {bad} out of range for 3 states$"):
+            distinguishing_word(revcat_witness_M(3), p, q)
 
     def test_matches_brute_force_shortest_lex_first(self):
         rng = random.Random(17)

@@ -73,7 +73,8 @@ class TestSc:
         argv = ["sc", "--op", op, "--m", m, "--n", n]
         code, out, err = run(capsys, *argv, *(["--k1", k1] if k1 else []))
         assert (code, out) == (2, "")
-        assert err.startswith("error: --m/--n: the count has more than ")
+        option = "--m/--n/--k1" if k1 else "--m/--n"
+        assert err.startswith(f"error: {option}: the count has more than ")
 
     @pytest.mark.parametrize("op, m, n, want", [
         # the largest counts under the limit of 4,300 digits
@@ -440,6 +441,15 @@ class TestVerify:
         )
         assert code == 2 and "error:" in err
 
+    def test_starcat_special_below_its_family_is_an_input_error(self, capsys):
+        code, out, err = run(
+            capsys, "verify", "--op", "starcat-special", "--m", "1", "--n", "2"
+        )
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: --m/--n: starcat-special witnesses need m >= 2 and n >= 1\n"
+        )
+
 
 class TestSearch:
     def test_full_search_writes_argmax_files(self, capsys, tmp_path, monkeypatch):
@@ -480,6 +490,21 @@ class TestSearch:
             f"error: --out-prefix: cannot write {prefix}_lhs.json: "
             "No such file or directory\n"
         )
+
+    def test_out_prefix_unwritable_after_the_search_is_an_input_error(
+        self, capsys, tmp_path
+    ):
+        # the folder passes the check before the search; the write fails
+        prefix = tmp_path / "best"
+        (tmp_path / "best_lhs.json").mkdir()
+        code, out, err = run(
+            capsys, "search", "--op", "revcat", "--m", "1", "--n", "1",
+            "--sigma", "1", "--out-prefix", str(prefix),
+        )
+        assert code == 2
+        assert out.startswith("op=revcat m=1 n=1 sigma=1 mode=full ")
+        assert "argmax" not in out
+        assert err == f"error: --out-prefix: cannot write {prefix}_lhs.json: Is a directory\n"
 
     def test_sampled_mode(self, capsys, tmp_path):
         prefix = tmp_path / "s"

@@ -163,7 +163,9 @@ class TestParseErrors:
             (_doc(finals=7), "finals"),
             (_doc(initial=None), "initial"),
             (_doc(initial=5), "initial"),
+            (_doc(initial="0"), "initial: expected an integer, got '0'"),
             (_doc(transitions=None), "transitions"),
+            (_doc(transitions=[]), "transitions: expected an object keyed by symbol"),
             (_doc(transitions={"a": [1, 0]}), "transitions.b"),
             (_doc(transitions={"a": [1, 0], "b": [0]}), "transitions.b"),
             (_doc(transitions={"a": [1, 0], "b": [0, 9]}), "transitions.b[1]"),
@@ -235,6 +237,11 @@ class TestParseErrors:
         bad = dict(nfa_doc)
         bad["transitions"] = {"a": [[1]]}
         with pytest.raises(DocumentError, match=r"transitions\.a"):
+            parse_document(json.dumps(bad))
+
+        bad = dict(nfa_doc)
+        bad["alphabet"] = ["a", "b"]
+        with pytest.raises(DocumentError, match=r"^transitions\.b: missing row$"):
             parse_document(json.dumps(bad))
 
     def test_document_error_is_a_value_error(self):
