@@ -36,8 +36,8 @@ class AlphabetMismatch(ValueError):
 
 def _check_shape(machine, name: str) -> int:
     """The checks a Dfa and an Nfa (name, "a Dfa" or "an Nfa") share, on
-    the state count, the alphabet and the number of rows; returns the
-    state count."""
+    the state count, the alphabet and the number and length of the rows;
+    returns the state count."""
     n = machine.state_count
     if n < 1:
         raise ValueError(f"{name} needs at least one state")
@@ -51,6 +51,9 @@ def _check_shape(machine, name: str) -> int:
             raise ValueError(f"alphabet symbol {sym!r} must be a single character")
     if len(machine.transitions) != len(alphabet):
         raise ValueError("one transition row per alphabet symbol required")
+    for row in machine.transitions:
+        if len(row) != n:
+            raise ValueError("every transition row must cover all states")
     return n
 
 
@@ -70,9 +73,7 @@ class Dfa:
     def __post_init__(self) -> None:
         n = _check_shape(self, "a Dfa")
         for row in self.transitions:
-            if len(row) != n:
-                raise ValueError("every transition row must cover all states")
-            if row and (min(row) < 0 or max(row) >= n):
+            if min(row) < 0 or max(row) >= n:
                 raise ValueError("transition target out of range")
         if not 0 <= self.initial < n:
             raise ValueError("initial state out of range")
@@ -99,8 +100,6 @@ class Nfa:
     def __post_init__(self) -> None:
         n = _check_shape(self, "an Nfa")
         for row in self.transitions:
-            if len(row) != n:
-                raise ValueError("every transition row must cover all states")
             for targets in row:
                 for t in targets:
                     if not 0 <= t < n:
@@ -202,24 +201,16 @@ def nfa_masks(nfa: Nfa) -> Masks:
     the closure folded in, the closed successor of a closed set is the
     union of its states' entries, and no separate closure pass is needed.
     """
-    n = nfa.state_count
-    if nfa.epsilon_edges:
-        adj: list[list[int]] = [[] for _ in range(n)]
+    # at the fixpoint closure[u] holds every state u reaches by epsilon
+    # edges, each closure taking in its edges' targets' closures
+    closure = [1 << q for q in range(nfa.state_count)]
+    grown = True
+    while grown:
+        grown = False
         for u, v in nfa.epsilon_edges:
-            adj[u].append(v)
-        closure = []
-        for q in range(n):
-            mask = 1 << q
-            stack = [q]
-            while stack:
-                x = stack.pop()
-                for y in adj[x]:
-                    if not (mask >> y) & 1:
-                        mask |= 1 << y
-                        stack.append(y)
-            closure.append(mask)
-    else:
-        closure = [1 << q for q in range(n)]
+            if closure[v] & ~closure[u]:
+                closure[u] |= closure[v]
+                grown = True
 
     move = []
     for row in nfa.transitions:

@@ -141,17 +141,13 @@ def document_dict(a: Dfa | Nfa) -> dict:
     doc["states"] = a.state_count
     if isinstance(a, Dfa):
         doc["initial"] = a.initial
-        doc["finals"] = sorted(a.finals)
-        doc["transitions"] = {
-            sym: list(a.transitions[s]) for s, sym in enumerate(a.alphabet)
-        }
+        rows = [list(row) for row in a.transitions]
     else:
         doc["initials"] = sorted(a.initials)
-        doc["finals"] = sorted(a.finals)
-        doc["transitions"] = {
-            sym: [sorted(t) for t in a.transitions[s]]
-            for s, sym in enumerate(a.alphabet)
-        }
+        rows = [[sorted(t) for t in row] for row in a.transitions]
+    doc["finals"] = sorted(a.finals)
+    doc["transitions"] = dict(zip(a.alphabet, rows))
+    if isinstance(a, Nfa):
         doc["epsilon"] = sorted([u, v] for u, v in a.epsilon_edges)
     return doc
 

@@ -31,6 +31,11 @@ def _swap_top(m: int) -> tuple[int, ...]:
     return _identity(m - 2) + (m - 1, m - 2)
 
 
+def _cycle_rest(m: int) -> tuple[int, ...]:
+    # 0 fixed, 1..m-1 one step along the cycle, so m-1 goes to 0
+    return (0,) + _cycle(m)[1:]
+
+
 def revcat_witness_M(m: int) -> Dfa:
     """First operand of the reversal-catenation worst case, m >= 2.
 
@@ -129,11 +134,10 @@ def starcat_special_witness_B(n: int) -> Dfa:
     """
     if n < 2:
         raise ValueError("starcat_special_witness_B needs n >= 2")
-    c_row = [0] + [(i + 1) % n for i in range(1, n)]
     return Dfa(
         state_count=n,
         alphabet=_THREE,
-        transitions=(_identity(n), _cycle(n), tuple(c_row)),
+        transitions=(_identity(n), _cycle(n), _cycle_rest(n)),
         initial=0,
         finals=frozenset((n - 1,)),
     )
@@ -148,11 +152,10 @@ def starcat_witness_A(m: int) -> Dfa:
     """
     if m < 2:
         raise ValueError("starcat_witness_A needs m >= 2")
-    b_row = [0] + [(i + 1) % m for i in range(1, m)]
     return Dfa(
         state_count=m,
         alphabet=_FOUR,
-        transitions=(_cycle(m), tuple(b_row), _identity(m), _identity(m)),
+        transitions=(_cycle(m), _cycle_rest(m), _identity(m), _identity(m)),
         initial=0,
         finals=frozenset((m - 1,)),
     )
@@ -175,28 +178,19 @@ def starcat_witness_B(n: int) -> Dfa:
     )
 
 
+def _one_state(alphabet, finals: frozenset[int]) -> Dfa:
+    alphabet = tuple(alphabet)
+    return Dfa(1, alphabet, ((0,),) * len(alphabet), 0, finals)
+
+
 def sigma_star_dfa(alphabet) -> Dfa:
     """One-state DFA accepting every word over the alphabet."""
-    alphabet = tuple(alphabet)
-    return Dfa(
-        state_count=1,
-        alphabet=alphabet,
-        transitions=((0,),) * len(alphabet),
-        initial=0,
-        finals=frozenset((0,)),
-    )
+    return _one_state(alphabet, frozenset((0,)))
 
 
 def empty_dfa(alphabet) -> Dfa:
     """One-state DFA accepting nothing."""
-    alphabet = tuple(alphabet)
-    return Dfa(
-        state_count=1,
-        alphabet=alphabet,
-        transitions=((0,),) * len(alphabet),
-        initial=0,
-        finals=frozenset(),
-    )
+    return _one_state(alphabet, frozenset())
 
 
 # family tag -> (size parameter kind, generator); the cli exposes these.

@@ -98,8 +98,15 @@ class TestValidation:
         (lambda: Nfa(2, ("a",), ((frozenset(), frozenset()),), frozenset((0,)),
                      frozenset(), frozenset((-1,))),
          "state out of range"),
+        # every row's length is checked before any row's targets
+        (lambda: Dfa(2, ("a", "b"), ((0, 5), (0,)), 0, frozenset()),
+         "every transition row must cover all states"),
+        (lambda: Nfa(2, ("a", "b"), ((frozenset(), frozenset((5,))), (frozenset(),)),
+                     frozenset((0,)), frozenset(), frozenset()),
+         "every transition row must cover all states"),
     ], ids=["dfa-no-states", "nfa-no-states", "dfa-rows", "nfa-rows", "nfa-short-row",
-            "nfa-target", "nfa-initial", "nfa-final"])
+            "nfa-target", "nfa-initial", "nfa-final", "dfa-short-row-first",
+            "nfa-short-row-first"])
     def test_refusal_messages(self, build, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
             build()

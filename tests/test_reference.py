@@ -1,12 +1,13 @@
 """The one reference, perfbench/reference.py: it stands apart from the
-library, and the library's oracle agrees with it on random small pairs."""
+library, and the library's oracle agrees with it on random small pairs,
+as each direct route does with the oracle."""
 
 from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from statecomp import Dfa, oracle_sc
+from statecomp import Dfa, oracle_sc, verify_construction
 
 from helpers import imported_modules, machine, reference
 
@@ -40,3 +41,11 @@ def test_oracle_size_is_the_reference_size(op, pair):
     # the reference's star is Thompson's, so only the languages agree
     a, b = pair
     assert oracle_sc(op, a, b) == reference.minimal_size(op, machine(a), machine(b))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(op=st.sampled_from(["revcat", "starcat"]), pair=operands())
+def test_every_route_agrees_with_the_oracle_and_fits_its_bound(op, pair):
+    report = verify_construction(op, *pair)
+    assert report.word is None
+    assert report.passed

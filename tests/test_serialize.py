@@ -4,6 +4,8 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from statecomp.automata import Dfa, Nfa, nfa_from_dfa, reverse_nfa
 from statecomp.constructions import star_nfa
@@ -144,6 +146,32 @@ class TestWriter:
         for escaped in ('"\\""', '"\\\\"', '"\\n"', '"\\u007f"', '"\\u00e9"', '"\\u2603"'):
             assert escaped in text
         assert text.isascii()
+
+
+@st.composite
+def machines(draw):
+    """A Dfa or an Nfa of 1-5 states over one to four of SYMBOLS; an
+    Nfa's target sets, initials and finals may be empty, and its epsilon
+    edges are any pairs of states."""
+    alphabet = tuple(draw(st.lists(st.sampled_from(SYMBOLS), min_size=1, max_size=4,
+                                   unique=True)))
+    n = draw(st.integers(1, 5))
+    state = st.integers(0, n - 1)
+    states = st.frozensets(state)
+
+    def rows(entry):
+        return tuple(tuple(draw(st.lists(entry, min_size=n, max_size=n))) for _ in alphabet)
+
+    if draw(st.booleans()):
+        return Dfa(n, alphabet, rows(state), draw(state), draw(states))
+    epsilon = draw(st.frozensets(st.tuples(state, state)))
+    return Nfa(n, alphabet, rows(states), draw(states), epsilon, draw(states))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(machine=machines())
+def test_parse_inverts_emit(machine):
+    assert parse_document(emit_document(machine)) == machine
 
 
 class TestParseErrors:

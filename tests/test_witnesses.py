@@ -3,6 +3,7 @@ invariants at larger ones, and minimality throughout."""
 
 import pytest
 
+from statecomp import oracle_sc, sc_revcat
 from statecomp.automata import Dfa, accepts, minimize_hopcroft
 from statecomp.witnesses import (
     FAMILIES,
@@ -17,7 +18,7 @@ from statecomp.witnesses import (
     starcat_witness_B,
 )
 
-from helpers import all_words, moore_minimal_size
+from helpers import all_words, machine, moore_minimal_size, reference
 
 
 class TestExactTables:
@@ -237,3 +238,39 @@ class TestRegistry:
         for tag, (kind, gen) in FAMILIES.items():
             machine = gen("ab") if kind == "alphabet" else gen(3)
             assert isinstance(machine, Dfa), tag
+
+
+def _three_letter_revcat(m: int, n: int) -> tuple[Dfa, Dfa]:
+    """A revcat pair over three letters, built here rather than stored.
+    a: cycle, fold the top state m-1 onto m-2, swap the top two; finals
+    {m-1}.  b: cycle, identity, merge state 1 onto 0; finals {n-1}."""
+    def cycle(k):
+        return tuple((q + 1) % k for q in range(k))
+
+    fold_top = tuple(range(m - 1)) + (m - 2,)
+    swap_top = tuple(range(m - 2)) + (m - 1, m - 2)
+    merge = (0, 0) + tuple(range(2, n))
+    a = Dfa(m, ("a", "b", "c"), (cycle(m), fold_top, swap_top), 0, frozenset((m - 1,)))
+    b = Dfa(n, ("a", "b", "c"), (cycle(n), tuple(range(n)), merge), 0, frozenset((n - 1,)))
+    return a, b
+
+
+class TestThreeLetterRevcat:
+    """Three letters reach revcat's closed form from m = 3 on, where the
+    stored witnesses use four."""
+
+    @pytest.mark.parametrize("m", range(3, 7))
+    def test_reaches_the_closed_form(self, m):
+        for n in range(2, 7):
+            assert oracle_sc("revcat", *_three_letter_revcat(m, n)) == sc_revcat(m, n)
+
+    @pytest.mark.parametrize("m, size", [(3, 48), (4, 192)])
+    def test_the_reference_agrees(self, m, size):
+        a, b = _three_letter_revcat(m, m)
+        assert reference.minimal_size("revcat", machine(a), machine(b)) == size
+
+    def test_two_left_states_fall_short(self):
+        # 12/12, 23/24, 45/48, 89/96 and 177/192 for n = 2..6
+        for n in range(2, 7):
+            short = sc_revcat(2, n) - oracle_sc("revcat", *_three_letter_revcat(2, n))
+            assert short == 2 ** (n - 2) - 1
