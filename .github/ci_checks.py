@@ -263,7 +263,55 @@ def chunk_bounds() -> None:
                                  f"reference {size}")
 
 
-CHECKS = (documents, refusals, benchmark, witnesses, searches, chunk_bounds)
+def three_letters() -> None:
+    """The three-letter revcat pair past Tier-1's (6, 6), at m = n = k
+    for k = 8 and 9, over abc: a is (cycle, fold the top state onto
+    its neighbor, swap the top two) with finals {k-1}, b is (cycle,
+    identity, merge state 1 onto 0) with finals {k-1}.  compose --op
+    revcat --method oracle must exit 0 within its timeout, peak at most
+    its limit and print minimal= 3 * 2^(2k-2), revcat's closed form,
+    which no stored witness reaches with three letters.  At k = 8 the
+    reference's minimal size must agree too; it runs last."""
+
+    def pair(k: int) -> tuple[reference.Machine, reference.Machine]:
+        cycle = tuple((q + 1) % k for q in range(k))
+        fold_top = tuple(range(k - 1)) + (k - 2,)
+        swap_top = tuple(range(k - 2)) + (k - 1, k - 2)
+        merge = (0, 0) + tuple(range(2, k))
+        finals = frozenset({k - 1})
+        return (reference.Machine(k, "abc", (cycle, fold_top, swap_top), 0, finals),
+                reference.Machine(k, "abc", (cycle, tuple(range(k)), merge), 0, finals))
+
+    # (k, timeout in seconds, peak RSS limit in MiB)
+    cells = ((8, 60, 45), (9, 120, 100))
+    minimal = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for k, seconds, limit in cells:
+            lhs, rhs = Path(tmp, f"{k}_lhs.json"), Path(tmp, f"{k}_rhs.json")
+            for path, machine in zip((lhs, rhs), pair(k)):
+                path.write_text(document(machine))
+            r = run("compose", "--op", "revcat", "--lhs", str(lhs), "--rhs", str(rhs),
+                    "--method", "oracle", seconds=seconds)
+            found = re.search(r"\bstates=(\d+) minimal=(\d+)\n\Z", r.out)
+            print(f"  states={found[1]} minimal={found[2]}", flush=True)
+            if r.peak_mib > limit:
+                sys.exit(f"revcat ({k}, {k}) over abc: peak RSS over {limit} MiB")
+            minimal[k] = int(found[2])
+    for k, found in minimal.items():
+        cell = f"revcat ({k}, {k}) over abc"
+        formula = reference.sc_revcat(k, k)
+        print(f"{cell}: closed form {formula}, compose minimal={found}", flush=True)
+        if found != formula:
+            sys.exit(f"{cell}: closed form and compose disagree")
+    t0 = time.perf_counter()
+    size = reference.minimal_size("revcat", *pair(8))
+    print(f"revcat (8, 8) over abc: reference {size} in {time.perf_counter() - t0:.1f} s",
+          flush=True)
+    if size != minimal[8]:
+        sys.exit("revcat (8, 8) over abc: reference and compose disagree")
+
+
+CHECKS = (documents, refusals, benchmark, witnesses, searches, chunk_bounds, three_letters)
 
 if __name__ == "__main__":
     names = {check.__name__: check for check in CHECKS}

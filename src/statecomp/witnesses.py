@@ -11,8 +11,10 @@ from __future__ import annotations
 from .automata import Dfa
 
 _FOUR = ("a", "b", "c", "d")
-_THREE = ("a", "b", "c")
-_TWO = ("a", "b")
+
+
+def _family(rows, final: int) -> Dfa:
+    return Dfa(len(rows[0]), _FOUR[:len(rows)], rows, 0, frozenset((final,)))
 
 
 def _identity(m: int) -> tuple[int, ...]:
@@ -31,9 +33,18 @@ def _swap_top(m: int) -> tuple[int, ...]:
     return _identity(m - 2) + (m - 1, m - 2)
 
 
+def _reset(m: int) -> tuple[int, ...]:
+    return (0,) * m
+
+
 def _cycle_rest(m: int) -> tuple[int, ...]:
     # 0 fixed, 1..m-1 one step along the cycle, so m-1 goes to 0
     return (0,) + _cycle(m)[1:]
+
+
+def _rotate_rest(m: int) -> tuple[int, ...]:
+    # 0 fixed, 1..m-1 rotated by one step, so m-1 goes back to 1
+    return (0,) + _identity(m)[2:] + (1,)
 
 
 def revcat_witness_M(m: int) -> Dfa:
@@ -44,13 +55,7 @@ def revcat_witness_M(m: int) -> Dfa:
     """
     if m < 2:
         raise ValueError("revcat_witness_M needs m >= 2")
-    return Dfa(
-        state_count=m,
-        alphabet=_FOUR,
-        transitions=(_cycle(m), _fold_top(m), _swap_top(m), _identity(m)),
-        initial=0,
-        finals=frozenset((m - 1,)),
-    )
+    return _family((_cycle(m), _fold_top(m), _swap_top(m), _identity(m)), m - 1)
 
 
 def revcat_witness_N(n: int) -> Dfa:
@@ -62,13 +67,7 @@ def revcat_witness_N(n: int) -> Dfa:
     """
     if n < 2:
         raise ValueError("revcat_witness_N needs n >= 2")
-    return Dfa(
-        state_count=n,
-        alphabet=_FOUR,
-        transitions=(_identity(n), _identity(n), (0,) * n, _cycle(n)),
-        initial=0,
-        finals=frozenset((n - 1,)),
-    )
+    return _family((_identity(n), _identity(n), _reset(n), _cycle(n)), n - 1)
 
 
 def revcat_n1_witness(m: int) -> Dfa:
@@ -76,37 +75,17 @@ def revcat_n1_witness(m: int) -> Dfa:
     one-state accepting second operand, m >= 2.
 
     The alphabet grows with m: two letters suffice at m=2, three at m=3,
-    and four from m=4 on.
+    and four from m=4 on.  Each size takes the first letters of the
+    four-letter family: a cycles, b folds the top state onto its
+    neighbor, c swaps the top two states, d fixes 0 and rotates the
+    rest.  Final state m-1.
     """
     if m < 2:
         raise ValueError("revcat_n1_witness needs m >= 2")
-    if m == 2:
-        return Dfa(
-            state_count=2,
-            alphabet=_TWO,
-            transitions=((1, 0), (0, 0)),
-            initial=0,
-            finals=frozenset((1,)),
-        )
-    if m == 3:
-        # b must fix state 1: folding 1 onto 0 would keep the reversal
-        # subset walk from ever reaching {1,2} and lose a state.
-        return Dfa(
-            state_count=3,
-            alphabet=_THREE,
-            transitions=((1, 2, 0), (0, 1, 1), (0, 2, 1)),
-            initial=0,
-            finals=frozenset((2,)),
-        )
-    # d fixes 0 and rotates 1..m-1 by one step
-    d_row = [0] + [i + 1 for i in range(1, m - 1)] + [1]
-    return Dfa(
-        state_count=m,
-        alphabet=_FOUR,
-        transitions=(_cycle(m), _fold_top(m), _swap_top(m), tuple(d_row)),
-        initial=0,
-        finals=frozenset((m - 1,)),
-    )
+    # At m=3, b must fix state 1: folding 1 onto 0 would keep the
+    # reversal subset walk from ever reaching {1,2} and lose a state.
+    rows = (_cycle(m), _fold_top(m), _swap_top(m), _rotate_rest(m))
+    return _family(rows[:min(m, 4)], m - 1)
 
 
 def starcat_special_witness_A(m: int) -> Dfa:
@@ -117,13 +96,7 @@ def starcat_special_witness_A(m: int) -> Dfa:
     """
     if m < 2:
         raise ValueError("starcat_special_witness_A needs m >= 2")
-    return Dfa(
-        state_count=m,
-        alphabet=_THREE,
-        transitions=(_cycle(m), _identity(m), _identity(m)),
-        initial=0,
-        finals=frozenset((0,)),
-    )
+    return _family((_cycle(m), _identity(m), _identity(m)), 0)
 
 
 def starcat_special_witness_B(n: int) -> Dfa:
@@ -134,13 +107,7 @@ def starcat_special_witness_B(n: int) -> Dfa:
     """
     if n < 2:
         raise ValueError("starcat_special_witness_B needs n >= 2")
-    return Dfa(
-        state_count=n,
-        alphabet=_THREE,
-        transitions=(_identity(n), _cycle(n), _cycle_rest(n)),
-        initial=0,
-        finals=frozenset((n - 1,)),
-    )
+    return _family((_identity(n), _cycle(n), _cycle_rest(n)), n - 1)
 
 
 def starcat_witness_A(m: int) -> Dfa:
@@ -152,13 +119,7 @@ def starcat_witness_A(m: int) -> Dfa:
     """
     if m < 2:
         raise ValueError("starcat_witness_A needs m >= 2")
-    return Dfa(
-        state_count=m,
-        alphabet=_FOUR,
-        transitions=(_cycle(m), _cycle_rest(m), _identity(m), _identity(m)),
-        initial=0,
-        finals=frozenset((m - 1,)),
-    )
+    return _family((_cycle(m), _cycle_rest(m), _identity(m), _identity(m)), m - 1)
 
 
 def starcat_witness_B(n: int) -> Dfa:
@@ -169,13 +130,7 @@ def starcat_witness_B(n: int) -> Dfa:
     """
     if n < 2:
         raise ValueError("starcat_witness_B needs n >= 2")
-    return Dfa(
-        state_count=n,
-        alphabet=_FOUR,
-        transitions=(_identity(n), _identity(n), _cycle(n), (0,) * n),
-        initial=0,
-        finals=frozenset((n - 1,)),
-    )
+    return _family((_identity(n), _identity(n), _cycle(n), _reset(n)), n - 1)
 
 
 def _one_state(alphabet, finals: frozenset[int]) -> Dfa:

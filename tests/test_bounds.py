@@ -1,6 +1,8 @@
 """Closed-form bound evaluators: pinned values, cross-formula algebra,
 and rejection of out-of-range sizes."""
 
+from fractions import Fraction
+
 import pytest
 
 from statecomp.bounds import (
@@ -115,6 +117,34 @@ class TestAlgebra:
         assert sc_revcat(10, 10) == 3 * 2 ** 18
         assert sc_revcat(1, 20) == 2 ** 19
         assert sc_starcat(10, 10) == 5 * 2 ** 17 - 2 ** 9 - 2 ** 10 + 1
+
+
+class TestComposition:
+    """The abstract's claim: each closed form is close to, and below, the
+    mathematical composition, catenation's worst case m'*2^n - 2^(n-1)
+    (Yu, Zhuang & Salomaa) at the left operand's worst case m' = 2^m
+    for reversal and m' = 3*2^(m-2) for star."""
+
+    @staticmethod
+    def catenation(left: int, n: int) -> int:
+        return left * 2 ** n - 2 ** (n - 1)
+
+    GRID = [(m, n) for m in range(2, 41) for n in range(2, 41)]
+
+    def test_revcat_ratio_is_independent_of_n_and_falls_to_three_quarters(self):
+        for m, n in self.GRID:
+            composed = self.catenation(2 ** m, n)
+            assert sc_revcat(m, n) < composed
+            ratio = Fraction(sc_revcat(m, n), composed)
+            assert ratio == Fraction(3 * 2 ** (m - 1), 2 ** (m + 1) - 1)
+            assert ratio > Fraction(3, 4)
+
+    def test_starcat_ratio_nears_five_sixths(self):
+        for m, n in self.GRID:
+            composed = self.catenation(3 * 2 ** (m - 2), n)
+            assert sc_starcat(m, n) < composed
+            ratio = Fraction(sc_starcat(m, n), composed)
+            assert abs(ratio - Fraction(5, 6)) <= Fraction(1, 2 ** (min(m, n) - 2))
 
 
 class TestEstimate:

@@ -1,12 +1,17 @@
 """Command-line front end, driven in process through main(argv)."""
 
+import contextlib
 import dataclasses
+import io
 import json
 import random
+import re
 import shutil
 import subprocess
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from statecomp import Dfa, accepts, automata, cli, harness, minimize_brzozowski
 from statecomp.bounds import sc_revcat, sc_starcat
@@ -631,3 +636,76 @@ class TestUsage:
         )
         assert proc.returncode == 0
         assert proc.stdout == "593\n"
+
+
+def exit_code(argv):
+    """main(argv)'s exit code, argparse's usage error included.  Any other
+    exception, which the command would print as a traceback, propagates."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return main(argv)
+        except SystemExit as e:
+            return e.code
+
+
+@st.composite
+def documents(draw):
+    """JSON text of a dfa document of at most 4 states, often broken: up
+    to two fields (rows included) missing or set to a mistyped or
+    out-of-range value, and half the time the text cut short."""
+    n = draw(st.integers(1, 4))
+    alphabet = draw(st.sampled_from(["a", "ab", "ba"]))
+    state = st.integers(0, n - 1)
+    doc = {
+        "kind": "dfa",
+        "alphabet": list(alphabet),
+        "states": n,
+        "initial": draw(state),
+        "finals": draw(st.lists(state, max_size=n, unique=True)),
+        "transitions": {s: draw(st.lists(state, min_size=n, max_size=n)) for s in alphabet},
+    }
+    junk = st.one_of(
+        st.none(), st.booleans(), st.integers(-2, 6), st.sampled_from(["dfa", "nfa", "ab", ""]),
+        st.lists(st.integers(-1, 5), max_size=5),
+        st.dictionaries(st.sampled_from("abc"), st.lists(st.integers(-1, 5), max_size=5), max_size=2),
+    )
+    for _ in range(draw(st.integers(0, 2))):
+        key = draw(st.sampled_from([*doc, *alphabet]))
+        parent = doc if key in doc else doc.get("transitions")
+        if not isinstance(parent, dict):
+            continue
+        if draw(st.booleans()):
+            parent.pop(key, None)
+        else:
+            parent[key] = draw(junk)
+    text = json.dumps(doc)
+    if draw(st.booleans()):
+        text = text[: draw(st.integers(0, len(text)))]
+    return text
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(
+    op=st.sampled_from(["revcat", "starcat"]),
+    method=st.sampled_from(["direct", "oracle"]),
+    lhs=documents(),
+    rhs=documents(),
+)
+def test_compose_exits_0_or_2_on_any_document(tmp_path_factory, op, method, lhs, rhs):
+    folder = tmp_path_factory.mktemp("compose")
+    (folder / "lhs.json").write_text(lhs)
+    (folder / "rhs.json").write_text(rhs)
+    argv = ["compose", "--op", op, "--lhs", str(folder / "lhs.json"),
+            "--rhs", str(folder / "rhs.json"), "--method", method]
+    assert exit_code(argv) in (0, 2)
+
+
+# short text over the digits 0-6, "." and "-"; a run of digits keeps its
+# first, so no size passes 6 and every grid runs in milliseconds
+sizes = st.text("0123456.-", max_size=6).map(lambda t: re.sub(r"(\d)\d+", r"\1", t))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(op=st.sampled_from(sorted(OPS)), m=sizes, n=sizes)
+def test_verify_exits_0_1_or_2_on_any_size_text(op, m, n):
+    assert exit_code(["verify", "--op", op, "--m", m, "--n", n]) in (0, 1, 2)

@@ -4,10 +4,18 @@ as each direct route does with the oracle."""
 
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from statecomp import Dfa, oracle_sc, verify_construction
+from statecomp import (
+    Dfa,
+    decode_dfa,
+    dfa_count,
+    exhaustive_search,
+    oracle_sc,
+    verify_construction,
+)
 
 from helpers import imported_modules, machine, reference
 
@@ -49,3 +57,22 @@ def test_every_route_agrees_with_the_oracle_and_fits_its_bound(op, pair):
     report = verify_construction(op, *pair)
     assert report.word is None
     assert report.passed
+
+
+@pytest.mark.parametrize("op", ["revcat", "starcat"])
+@pytest.mark.parametrize("m,n,sigma", [(1, 2, 2), (2, 1, 2), (2, 2, 1), (2, 2, 2)])
+def test_full_search_is_the_reference_max_over_every_pair(op, m, n, sigma):
+    # oracle_sc shares the search's masks, subset walk and count, so the
+    # reference sizes every pair here, and the first to reach the max,
+    # in decode order, is the argmax
+    alphabet = ("a", "b")[:sigma]
+    rights = [decode_dfa(ib, n, alphabet) for ib in range(dfa_count(n, sigma))]
+    best, best_pair = -1, None
+    for ia in range(dfa_count(m, sigma)):
+        a = decode_dfa(ia, m, alphabet)
+        for b in rights:
+            size = reference.minimal_size(op, machine(a), machine(b))
+            if size > best:
+                best, best_pair = size, (a, b)
+    r = exhaustive_search(op, m, n, sigma, "full")
+    assert (r.max_minimal, r.argmax) == (best, best_pair)
