@@ -119,27 +119,33 @@ def revcat_n1_direct(m: Dfa, n_accepting: bool) -> Dfa:
     return subset_dfa(m.alphabet, move, start, init_bit)
 
 
-def starcat_general_direct(a: Dfa, b: Dfa) -> Dfa:
-    """Direct DFA for L(a)* L(b) when a has a final state.
-
-    The subset construction of the oracle's masks, star_masks(a)
-    catenated with b, started in {a.initial, b.initial} instead of
-    {fresh, b.initial}, since the empty word is in L(a)*.  Nothing
-    enters the fresh state, so no subset reached holds it.  A subset
-    splits into p, a's states, and t, b's states: whenever p meets a's
-    finals, a's initial state joins p (star re-entry) and b's initial
-    state joins t.  Final when t meets b's finals.  The reachable count
-    never exceeds
-    (3/4 * 2^m - 1)(2^n - 1) - (2^(m-1) - 2^(m-k1-1))(2^(n-1) - 1)
-    with k1 the number of non-initial final states of a.  When a's only
-    final state is its initial state, L(a)* = L(a) and p is always a
-    single state, so at most m(2^n - 1) - 2^(n-1) + 1 are reachable.
-    """
+def _starcat_masks(a: Dfa, b: Dfa) -> Masks:
+    """starcat_general_direct's masks: the oracle's, star_masks(a)
+    catenated with b, started in {a.initial, b.initial}.  ShapeError
+    unless a has a final state and b at least 2 states."""
     _require_same_alphabet(a, b)
     if not a.finals:
         raise ShapeError("starcat_general_direct needs at least one final state")
     if b.state_count < 2:
         raise ShapeError("starcat_general_direct needs a second operand with >= 2 states")
     move, _, final_mask = catenation_masks(star_masks(a), b)
-    start = 1 << b.state_count + a.initial | 1 << b.initial
-    return subset_dfa(a.alphabet, move, start, final_mask)
+    return move, 1 << b.state_count + a.initial | 1 << b.initial, final_mask
+
+
+def starcat_general_direct(a: Dfa, b: Dfa) -> Dfa:
+    """Direct DFA for L(a)* L(b) when a has a final state.
+
+    The subset construction of the oracle's masks, star_masks(a)
+    catenated with b, started in {a.initial, b.initial} instead of
+    {fresh, b.initial}, since the empty word is in L(a)*; the two start
+    sets have the same images and finality.  Nothing enters the fresh
+    state, so no subset reached holds it.  A subset splits into p, a's
+    states, and t, b's states: whenever p meets a's finals, a's initial
+    state joins p (star re-entry) and b's initial state joins t.  Final
+    when t meets b's finals.  The reachable count never exceeds
+    (3/4 * 2^m - 1)(2^n - 1) - (2^(m-1) - 2^(m-k1-1))(2^(n-1) - 1)
+    with k1 the number of non-initial final states of a.  When a's only
+    final state is its initial state, L(a)* = L(a) and p is always a
+    single state, so at most m(2^n - 1) - 2^(n-1) + 1 are reachable.
+    """
+    return subset_dfa(a.alphabet, *_starcat_masks(a, b))

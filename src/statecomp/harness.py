@@ -10,13 +10,14 @@ two of its chunks: a right class's table packs catenation_masks' right
 part and a left class's its left part, built by
 constructions._catenation_left, so the walk's keys are the oracle's
 own.  Each op's route picks the direct construction and its size
-bound by operand shape; starcat's walks the oracle's own masks from
-another start set, and revcat with n >= 2 has none of its own (the
-paper's is the oracle's pipeline), so there verify checks the one
-machine against the closed form only.  Agreement between the routes,
-plus the closed-form bounds, is what the verify and search entry points
-check.  Everything that differs from one operation to the next is a row
-of OPS.
+bound by operand shape.  starcat's is the oracle's own masks from
+another start set of the same images and finality, so verify reads its
+count and language off the oracle's one subset walk; revcat with n >= 2
+has none of its own (the paper's is the oracle's pipeline), so there
+verify checks the one machine against the closed form only.  Agreement
+between the routes, plus the closed-form bounds, is what the verify and
+search entry points check.  Everything that differs from one operation
+to the next is a row of OPS.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from .automata import (
     _subset_table,
     _table_walk,
     hopcroft_refine,
+    mask_image,
     minimal_count,
     minimal_rows,
     reverse_masks,
@@ -57,10 +59,10 @@ from .bounds import (
 from .constructions import (
     _catenation_left,
     _require_same_alphabet,
+    _starcat_masks,
     catenation_masks,
     revcat_n1_direct,
     star_masks,
-    starcat_general_direct,
 )
 from .witnesses import (
     empty_dfa,
@@ -128,7 +130,7 @@ def _revcat_route(a: Dfa, b: Dfa) -> tuple[Dfa | None, int, int | None]:
     return None, ub_revcat(m, n), None
 
 
-def _starcat_route(a: Dfa, b: Dfa) -> tuple[Dfa | None, int, int | None]:
+def _starcat_route(a: Dfa, b: Dfa) -> tuple[Dfa | Masks, int, int | None]:
     m, n = a.state_count, b.state_count
     if n == 1:
         # L(b) is all words or none, and the star factor always
@@ -138,11 +140,12 @@ def _starcat_route(a: Dfa, b: Dfa) -> tuple[Dfa | None, int, int | None]:
         # L(a)* is just the empty word, so the result is b itself and
         # its own size is the bound
         return b, n, None
-    direct = starcat_general_direct(a, b)
+    # starcat_general_direct's masks, not yet determinized
+    masks = _starcat_masks(a, b)
     if a.finals == frozenset((a.initial,)):
-        return direct, sc_starcat_special(m, n), None
+        return masks, sc_starcat_special(m, n), None
     k1 = len(a.finals - {a.initial})
-    return direct, ub_starcat_general(m, n, k1), k1
+    return masks, ub_starcat_general(m, n, k1), k1
 
 
 def _revcat_pair(m: int, n: int) -> tuple[Dfa, Dfa]:
@@ -180,9 +183,10 @@ class Operation:
     """One row of the op table."""
 
     left: Callable[[Dfa], Masks]  # the oracle's left machine: a's reversal or star
-    # by operand shape: the direct construction (None where the oracle's
-    # pipeline is the only one), its size bound, and k1
-    route: Callable[[Dfa, Dfa], tuple[Dfa | None, int, int | None]]
+    # by operand shape: the direct construction, as a machine or as the
+    # masks of its subset construction (None where the oracle's pipeline
+    # is the only one), its size bound, and k1
+    route: Callable[[Dfa, Dfa], tuple[Dfa | Masks | None, int, int | None]]
     sc: Callable[[int, int], int]  # exact worst-case minimal size
     bound_k1: Callable[[int, int, int], int] | None  # construction bound at a given k1
     witness: Callable[[int, int], tuple[Dfa, Dfa]]  # worst-case pair
@@ -225,20 +229,20 @@ def oracle_pipeline(op: str, a: Dfa, b: Dfa) -> Dfa:
 
 
 def _oracle_count(move, start: int, final_mask: int):
-    """The rows and finals of the subset construction of these masks, and
-    its minimal size: by private words (automata.minimal_count), else
-    Hopcroft's blocks, since every subset the construction reaches is
-    reachable."""
+    """The rows, finals and subsets of the subset construction of these
+    masks, and its minimal size: by private words
+    (automata.minimal_count), else Hopcroft's blocks, since every subset
+    the construction reaches is reachable."""
     rows, finals, subsets = subset_construction(move, start, final_mask)
     minimal = minimal_count(move, final_mask, subsets)
     if minimal is None:
         minimal = len(hopcroft_refine(rows, finals)[0])
-    return rows, finals, minimal
+    return rows, finals, subsets, minimal
 
 
 def oracle_sc(op: str, a: Dfa, b: Dfa) -> int:
     """Minimal DFA size of the operation result, via the generic pipeline."""
-    return _oracle_count(*_oracle_masks(operation(op).left, a, b))[2]
+    return _oracle_count(*_oracle_masks(operation(op).left, a, b))[3]
 
 
 def combined(op: str, a: Dfa, b: Dfa) -> Dfa:
@@ -247,7 +251,22 @@ def combined(op: str, a: Dfa, b: Dfa) -> Dfa:
     L(a)^R L(b) or "starcat" for L(a)* L(b)."""
     _require_same_alphabet(a, b)
     direct = operation(op).route(a, b)[0]
-    return oracle_pipeline(op, a, b) if direct is None else direct
+    if direct is None:
+        return oracle_pipeline(op, a, b)
+    return direct if isinstance(direct, Dfa) else subset_dfa(a.alphabet, *direct)
+
+
+def _restarts(oracle: Masks, route: Masks, rows) -> bool:
+    """Whether route is the oracle's masks started in a set with the
+    oracle start's images and finality, and the oracle's subset
+    construction (rows) never re-enters its start.  Then the route's
+    machine accepts the oracle's language, and its subsets are the
+    oracle's with the route's start in place of the oracle's."""
+    def one_step(move, start, final_mask):
+        # the move table and final mask, the start's finality and images
+        return move, final_mask, bool(start & final_mask), [mask_image(start, r) for r in move]
+
+    return one_step(*route) == one_step(*oracle) and not any(0 in row for row in rows)
 
 
 def _report(
@@ -257,14 +276,22 @@ def _report(
     oracle, or report the oracle's own where the route has none.  Passed
     when both give the same language and the oracle's minimal size equals
     formula or, formula None, the direct machine fits the route's bound;
-    the report keeps the shortest word they disagree on, if any."""
-    # counted before the route runs: the subsets and tables go before
-    # its machine
-    rows, finals, minimal = _oracle_count(*_oracle_masks(spec.left, a, b))
+    the report keeps the shortest word they disagree on, if any.  A
+    route whose masks only restart the oracle's (_restarts) is counted
+    off the oracle's subsets, with no walk or machine of its own."""
+    # counted before the route runs: the oracle's walk is done before
+    # any machine of the route's is built
+    masks = _oracle_masks(spec.left, a, b)
+    rows, finals, subsets, minimal = _oracle_count(*masks)
     direct, bound, k1 = spec.route(a, b)
-    if direct is None:
-        constructed, word = len(rows[0]), None
-    else:
+    constructed, word = len(subsets), None
+    if isinstance(direct, tuple) and _restarts(masks, direct, rows):
+        # the oracle's start, subsets[0], gives way to the route's, one
+        # state fewer when the route's start is reached anyway
+        constructed -= direct[1] != masks[1] and direct[1] in subsets
+    elif direct is not None:
+        if isinstance(direct, tuple):
+            direct = subset_dfa(a.alphabet, *direct)
         oracle = Dfa(len(rows[0]), a.alphabet, rows, 0, finals)
         constructed = direct.state_count
         word = _pair_walk(direct, direct.initial, oracle, 0)

@@ -366,13 +366,15 @@ class TestVerify:
 
     @pytest.mark.parametrize("flipped", [0, 28])
     def test_fail_row_prints_a_separating_word(self, capsys, monkeypatch, flipped):
-        # starcat's route with one state of its 29-state direct machine
-        # flipped in finality; flipping the initial state makes the empty
-        # word the separating one
+        # starcat's route with one state of its 29-state direct machine,
+        # the subset construction of the route's masks, flipped in
+        # finality; flipping the initial state makes the empty word the
+        # separating one
         route = OPS["starcat"].route
 
         def broken(a, b):
-            d, bound, k1 = route(a, b)
+            masks, bound, k1 = route(a, b)
+            d = automata.subset_dfa(a.alphabet, *masks)
             return dataclasses.replace(d, finals=d.finals ^ {flipped}), bound, k1
 
         monkeypatch.setitem(

@@ -30,12 +30,13 @@ from statecomp.automata import (
     equivalent,
     minimal_rows,
     minimize_hopcroft,
+    nfa_from_dfa,
     nfa_masks,
     state_mask,
     subset_dfa,
 )
 from statecomp.bounds import sc_revcat, sc_starcat, sc_starcat_special
-from statecomp.constructions import catenation_masks
+from statecomp.constructions import catenation_masks, starcat_general_direct
 from statecomp.harness import (
     DEFAULT_BUDGET,
     OPS,
@@ -257,6 +258,25 @@ def stand_in_witness(monkeypatch, op):
     monkeypatch.setitem(harness.OPS, op, dataclasses.replace(OPS[op], witness=witness))
 
 
+def count_walks(monkeypatch):
+    """The subset constructions and pair walks run from here on, as a
+    dict the patched functions keep up to date."""
+    calls = {"subset": 0, "walk": 0}
+
+    def counted(key, fn):
+        def wrapper(*args):
+            calls[key] += 1
+            return fn(*args)
+        return wrapper
+
+    # both names: harness calls its own, subset_dfa automata's
+    subset = counted("subset", automata.subset_construction)
+    monkeypatch.setattr(automata, "subset_construction", subset)
+    monkeypatch.setattr(harness, "subset_construction", subset)
+    monkeypatch.setattr(harness, "_pair_walk", counted("walk", harness._pair_walk))
+    return calls
+
+
 class TestVerifyWitness:
     def test_revcat(self):
         r = verify_witness("revcat", 3, 3)
@@ -266,24 +286,53 @@ class TestVerifyWitness:
     def test_revcat_builds_one_subset_dfa(self, monkeypatch, m, n):
         # the route has no machine of its own, so the oracle's is built
         # once and not walked against itself
-        calls = {"subset": 0, "walk": 0}
-
-        def counted(key, fn):
-            def wrapper(*args):
-                calls[key] += 1
-                return fn(*args)
-            return wrapper
-
-        # both names: harness calls its own, subset_dfa automata's
-        subset = counted("subset", automata.subset_construction)
-        monkeypatch.setattr(automata, "subset_construction", subset)
-        monkeypatch.setattr(harness, "subset_construction", subset)
-        monkeypatch.setattr(harness, "_pair_walk", counted("walk", harness._pair_walk))
+        calls = count_walks(monkeypatch)
         f = sc_revcat(m, n)
         assert verify_witness("revcat", m, n) == BoundReport(
             "revcat", m, n, None, f, f, f, True
         )
         assert calls == {"subset": 1, "walk": 0}
+
+    @pytest.mark.parametrize("op", ["starcat", "starcat-special"])
+    @pytest.mark.parametrize("m, n", [(2, 2), (3, 4), (5, 3)])
+    def test_starcat_runs_one_subset_walk(self, monkeypatch, op, m, n):
+        # the route's masks are the oracle's from another start set of the
+        # same images and finality, so the direct machine's count is read
+        # off the oracle's subsets: no walk of its own and no pair walk
+        spec = OPS[op]
+        a, b = spec.witness(m, n)
+        k1 = spec.route(a, b)[2]
+        constructed = starcat_general_direct(a, b).state_count
+        calls = count_walks(monkeypatch)
+        f = spec.sc(m, n)
+        assert verify_witness(op, m, n) == BoundReport(
+            op, m, n, k1, f, constructed, f, True
+        )
+        assert calls == {"subset": 1, "walk": 0}
+
+    def test_route_started_without_bs_initial_state_fails(self, monkeypatch):
+        # starcat's masks started in a's initial state alone: the start's
+        # images are not the oracle start's, so verify builds the route's
+        # machine and walks it against the oracle's, and the report's
+        # word is that walk's
+        route = OPS["starcat"].route
+
+        def broken(a, b):
+            (move, start, final_mask), bound, k1 = route(a, b)
+            return (move, start & ~(1 << b.initial), final_mask), bound, k1
+
+        a, b = OPS["starcat"].witness(3, 3)
+        direct = subset_dfa(a.alphabet, *broken(a, b)[0])
+        word = harness._pair_walk(direct, 0, oracle_pipeline("starcat", a, b), 0)
+        assert word is not None
+        monkeypatch.setitem(
+            harness.OPS, "starcat", dataclasses.replace(OPS["starcat"], route=broken)
+        )
+        calls = count_walks(monkeypatch)
+        r = verify_witness("starcat", 3, 3)
+        assert (r.constructed, r.passed, r.word) == (direct.state_count, False, word)
+        assert str(r).endswith(" FAIL word=" + (word or '""'))
+        assert calls == {"subset": 2, "walk": 1}
 
     def test_revcat_right_operand_one_state(self):
         r = verify_witness("revcat", 5, 1)
@@ -331,14 +380,16 @@ class TestVerifyWitness:
         assert str(r).endswith(" FAIL")
 
     def test_counterexample_at_witness_scale(self, monkeypatch):
-        # starcat's direct machine at (6, 6) with its last-numbered state
-        # flipped in finality: the report's word is the first word a plain
+        # starcat's direct machine at (6, 6), the subset construction of
+        # its route's masks, with its last-numbered state flipped in
+        # finality: the report's word is the first word a plain
         # breadth-first search over (u, v) tuples finds, and the reference
         # tells the broken machine from the language on it
         route = OPS["starcat"].route
 
         def broken(a, b):
-            d, bound, k1 = route(a, b)
+            masks, bound, k1 = route(a, b)
+            d = subset_dfa(a.alphabet, *masks)
             return dataclasses.replace(d, finals=d.finals ^ {d.state_count - 1}), bound, k1
 
         monkeypatch.setitem(
@@ -500,6 +551,86 @@ class TestVerifyConstruction:
         assert r.k1 is None
         assert r.formula == sc_starcat_special(3, 3) == 18
         assert r.passed
+
+    def test_route_whose_start_the_oracle_reenters_falls_back(self, monkeypatch):
+        # a left machine that is a itself, the one-letter cycle 0 <-> 1
+        # with 2 -> 1 beside it: the oracle's walk from {0} goes to {1}
+        # and back to {0}.  The route's start {0, 2} has {0}'s image and
+        # finality but is never re-entered, so its machine has 3 states,
+        # not the oracle's 2 less one: verify builds and walks it
+        a = Dfa(3, ("a",), ((1, 0, 1),), 0, frozenset())
+        b = Dfa(2, ("a",), ((1, 0),), 0, frozenset({1}))
+
+        def left(d):
+            return nfa_masks(nfa_from_dfa(d))
+
+        def restarted(a, b):
+            move, start, final_mask = catenation_masks(left(a), b)
+            return (move, start | 1 << b.state_count + 2, final_mask), 10, None
+
+        rows = automata.subset_construction(*_oracle_masks(left, a, b))[0]
+        assert rows == ((1, 0),)
+        assert subset_dfa(a.alphabet, *restarted(a, b)[0]).state_count == 3
+        monkeypatch.setitem(
+            harness.OPS, "starcat",
+            dataclasses.replace(OPS["starcat"], left=left, route=restarted),
+        )
+        calls = count_walks(monkeypatch)
+        r = verify_construction("starcat", a, b)
+        assert (r.constructed, r.minimal, r.passed, r.word) == (3, 1, True, None)
+        assert calls == {"subset": 2, "walk": 1}
+
+    @pytest.mark.parametrize("edit", [
+        # b's final state 1' added to the start: 1' goes only where the
+        # start goes already, so the start's images stay the oracle
+        # start's but its finality does not
+        lambda move, start, final_mask: (move, start | 1 << 1, final_mask),
+        # a's state 1 made final: the start's images and finality stay
+        lambda move, start, final_mask: (move, start, final_mask | 1 << 3),
+        # 1' sent to 0' on a: the start's images stay, as 1' is not in it
+        lambda move, start, final_mask: (
+            [[1 << 1, 1 << 0, *move[0][2:]], move[1]], start, final_mask
+        ),
+    ])
+    def test_route_that_only_looks_like_a_restart_falls_back(self, monkeypatch, edit):
+        # starcat's masks, a's states above b's 0' and 1', edited so that
+        # one test of _restarts alone tells them from a restart.  L(a) is
+        # the words ending in b, and L(b) those ending in a, so the
+        # result is the words ending in a, and each edit changes it
+        a = Dfa(2, ("a", "b"), ((0, 0), (1, 1)), 0, frozenset({1}))
+        b = Dfa(2, ("a", "b"), ((1, 1), (0, 0)), 0, frozenset({1}))
+        route = OPS["starcat"].route
+
+        def edited(a, b):
+            masks, bound, k1 = route(a, b)
+            return edit(*masks), bound, k1
+
+        direct = subset_dfa(a.alphabet, *edited(a, b)[0])
+        word = harness._pair_walk(direct, 0, oracle_pipeline("starcat", a, b), 0)
+        assert word is not None
+        monkeypatch.setitem(
+            harness.OPS, "starcat", dataclasses.replace(OPS["starcat"], route=edited)
+        )
+        calls = count_walks(monkeypatch)
+        r = verify_construction("starcat", a, b)
+        assert (r.constructed, r.passed, r.word) == (direct.state_count, False, word)
+        assert calls == {"subset": 2, "walk": 1}
+
+    def test_route_of_the_oracles_own_masks_counts_every_subset(self, monkeypatch):
+        # the oracle's start is its own restart: no subset gives way
+        a, b = starcat_witness_A(3), starcat_witness_B(3)
+
+        def same(a, b):
+            return _oracle_masks(OPS["starcat"].left, a, b), 100, None
+
+        monkeypatch.setitem(
+            harness.OPS, "starcat", dataclasses.replace(OPS["starcat"], route=same)
+        )
+        calls = count_walks(monkeypatch)
+        r = verify_construction("starcat", a, b)
+        assert calls == {"subset": 1, "walk": 0}
+        assert r.constructed == oracle_pipeline("starcat", a, b).state_count
+        assert r.passed and r.word is None
 
     def test_starcat_left_operand_without_finals(self):
         a = starcat_witness_A(2)
@@ -1053,12 +1184,12 @@ class TestRandomChecks:
         assert all(r.passed for r in reports)
 
     def test_random_check_reports_a_separating_word(self, monkeypatch):
-        # every route's direct machine with the finality of its last
-        # state reached breadth-first flipped: every report whose route
-        # builds a machine of its own fails on language, with a word that
-        # exactly one of the two machines accepts.  revcat with n >= 2 or
-        # m = 1 has no direct machine to break, so those reports pass
-        # unchanged.
+        # every route's direct machine (for masks, their subset
+        # construction) with the finality of its last state reached
+        # breadth-first flipped: every report whose route builds a machine
+        # of its own fails on language, with a word that exactly one of
+        # the two machines accepts.  revcat with n >= 2 or m = 1 has no
+        # direct machine to break, so those reports pass unchanged.
         def flip(d):
             reached = [d.initial]
             for q in reached:
@@ -1069,6 +1200,8 @@ class TestRandomChecks:
         for op in harness.COMPOSE_OPS:
             def broken(a, b, route=OPS[op].route):
                 d, bound, k1 = route(a, b)
+                if isinstance(d, tuple):
+                    d = subset_dfa(a.alphabet, *d)
                 return (None if d is None else flip(d)), bound, k1
 
             monkeypatch.setitem(

@@ -1,23 +1,27 @@
 """The one reference, perfbench/reference.py: it stands apart from the
 library, and the library's oracle agrees with it on random small pairs,
-as each direct route does with the oracle."""
+as each direct route does with the oracle.  The subset construction
+agrees with helpers' frozenset one on random small NFAs."""
 
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from statecomp import (
     Dfa,
+    Nfa,
     decode_dfa,
     dfa_count,
     exhaustive_search,
     oracle_sc,
+    starcat_general_direct,
     verify_construction,
 )
+from statecomp.automata import nfa_masks, subset_construction
 
-from helpers import imported_modules, machine, reference
+from helpers import imported_modules, machine, ref_determinize, reference
 
 
 def test_reference_imports_nothing_from_the_library():
@@ -57,6 +61,40 @@ def test_every_route_agrees_with_the_oracle_and_fits_its_bound(op, pair):
     report = verify_construction(op, *pair)
     assert report.word is None
     assert report.passed
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(pair=operands())
+def test_starcats_count_is_its_direct_machines(pair):
+    # verify counts starcat's direct machine off the oracle's subsets;
+    # starcat_general_direct builds it, and test_constructions checks
+    # that machine against helpers' ref_starcat_general and
+    # ref_starcat_special
+    a, b = pair
+    assume(a.finals and b.state_count >= 2)
+    report = verify_construction("starcat", a, b)
+    assert report.constructed == starcat_general_direct(a, b).state_count
+
+
+@st.composite
+def nfas(draw):
+    """An Nfa of 1-5 states over one to three letters, with any target,
+    initial and final sets and any epsilon edges."""
+    n = draw(st.integers(1, 5))
+    alphabet = ("a", "b", "c")[: draw(st.integers(1, 3))]
+    state = st.integers(0, n - 1)
+    states = st.frozensets(state)
+    rows = tuple(tuple(draw(states) for _ in range(n)) for _ in alphabet)
+    edges = draw(st.frozensets(st.tuples(state, state)))
+    return Nfa(n, alphabet, rows, draw(states), edges, draw(states))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(nfa=nfas())
+def test_subset_construction_is_the_reference_determinize(nfa):
+    # the same rows and finals, and the same subsets in the same order
+    dfa, order = ref_determinize(nfa)
+    assert subset_construction(*nfa_masks(nfa)) == (dfa.transitions, dfa.finals, order)
 
 
 @pytest.mark.parametrize("op", ["revcat", "starcat"])
