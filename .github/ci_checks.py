@@ -135,24 +135,28 @@ def benchmark() -> None:
 
 
 def witnesses() -> None:
-    """The witness cells at m + n = 18 and 20, one verify per op and
-    cell.  For revcat and starcat verify reads the minimal size off
-    private words of the oracle's NFA states; for starcat-special
-    (4,344 states at (9, 9), 9,719 at (10, 10)) the private words do not
-    decide it, and verify refines the oracle's machine by Hopcroft's
-    algorithm.  Each verify must exit 0 within its timeout (verify exits
-    1 on a FAIL row, timeout 124), peak at most its limit, and print
-    minimal= equal to the closed form.  At (9, 9) minimal= must also
-    equal the reference's own frozenset subset construction and Moore
-    refinement: revcat's only check by a second route above the
-    witness-large cells, since it has no direct construction of its own
-    there, the independent check of the private-word count, and for
-    starcat-special of the refinement."""
-    # (op, m = n, timeout in seconds, peak RSS limit in MiB); at (10, 10)
-    # both ops peak in the oracle's one subset walk and its count, since
-    # starcat's direct machine is counted off the oracle's subsets
+    """The witness cells at m + n = 18, 20 and 22, one verify per op and
+    cell.  For revcat and starcat verify counts the oracle's subsets in
+    one walk grouped by their left parts and reads the minimal size off
+    private words of the oracle's NFA states, with no numbered table;
+    for starcat-special (4,344 states at (9, 9), 9,719 at (10, 10)) the
+    private words do not decide it, and verify numbers the oracle's
+    machine and refines it by Hopcroft's algorithm.  Each verify must
+    exit 0 within its timeout (verify exits 1 on a FAIL row, timeout
+    124), peak at most its limit, and print minimal= equal to the closed
+    form.  At (9, 9) minimal= must also equal the reference's own
+    frozenset subset construction and Moore refinement: revcat's only
+    check by a second route above the witness-large cells, since it has
+    no direct construction of its own there, the independent check of
+    the private-word count, and for starcat-special of the refinement."""
+    # (op, m = n, timeout in seconds, peak RSS limit in MiB); revcat and
+    # starcat peak in the oracle's grouped walk and its count, since
+    # starcat's direct machine is counted off the oracle's subsets: 24-25
+    # MiB at (9, 9), 50 and 43 at (10, 10), 143-145 and 126-134 in
+    # 0.9-2.7 s at (11, 11) on a 2-CPU host
     cells = (("revcat", 9, 300, 100), ("starcat", 9, 300, 100),
-             ("revcat", 10, 120, 200), ("starcat", 10, 120, 200),
+             ("revcat", 10, 120, 80), ("starcat", 10, 120, 80),
+             ("revcat", 11, 60, 220), ("starcat", 11, 60, 220),
              ("starcat-special", 9, 60, 40), ("starcat-special", 10, 60, 40))
     minimal = {}
     for op, k, seconds, limit in cells:

@@ -256,6 +256,13 @@ def _subset_table(packed: list[int]) -> list[int]:
     return table
 
 
+def _over_budget(max_states: int) -> BudgetError:
+    """The error of a subset walk that passes max_states subsets."""
+    return BudgetError(
+        f"the subset construction needs more states than the budget of {max_states}"
+    )
+
+
 def _table_walk(tables, cuts, width, nsym, start, max_states=DEFAULT_BUDGET):
     """_walk's flat successor numbers and keys for subsets from start;
     _numbered turns them into rows and finals; BudgetError past
@@ -288,10 +295,7 @@ def _table_walk(tables, cuts, width, nsym, start, max_states=DEFAULT_BUDGET):
             if k is None:
                 k = index[nxt] = len(order)
                 if k == max_states:
-                    raise BudgetError(
-                        f"the subset construction needs more states than the "
-                        f"budget of {max_states}"
-                    )
+                    raise _over_budget(max_states)
                 order.append(nxt)
             flat.append(k)
     return flat, order
@@ -310,17 +314,88 @@ class _ImageTable(dict):
         return image
 
 
+def _chunked(packed: list[int], chunk: int) -> list:
+    """_table_walk's three tables of these entries, cut at chunk and
+    2 * chunk; the third is an _ImageTable past TABLE_MAX_STATES entries."""
+    tables = [_subset_table(packed[c : c + chunk]) for c in (0, chunk)]
+    high = packed[2 * chunk :]
+    whole = len(packed) <= TABLE_MAX_STATES
+    tables.append(_subset_table(high) if whole else _ImageTable(high))
+    return tables
+
+
+def _chunk(n: int) -> int:
+    """The bits of each of a subset walk's first two chunks over n
+    states: thirds, not fixed 11-bit chunks, since the whole tables of a
+    small machine cost little where few subsets are reached."""
+    return min(-(-n // 3), 11)
+
+
 def _subset_walk(move, start: int, max_states: int):
     """subset_construction's _table_walk from start."""
     n = len(move[0])
-    packed = _packed(move, n)
-    # thirds, not fixed 11-bit chunks: the whole tables of a small
-    # machine cost little where few subsets are reached
-    chunk = min(-(-n // 3), 11)
-    tables = [_subset_table(packed[c : c + chunk]) for c in (0, chunk)]
-    high = packed[2 * chunk :]
-    tables.append(_subset_table(high) if n <= TABLE_MAX_STATES else _ImageTable(high))
+    chunk = _chunk(n)
+    tables = _chunked(_packed(move, n), chunk)
     return _table_walk(tables, (chunk, 2 * chunk), n, len(move), start, max_states)
+
+
+def _grouped_walk(move, start: int, n: int):
+    """The subsets subset_construction reaches from start, in no order,
+    for masks whose states below n move only among themselves, as a
+    catenation's right machine does (constructions.catenation_masks).
+    Returns them grouped by their bits from n up: groups[p] is the set
+    of the low parts t of the subsets p << n | t.  Also returns their
+    count and whether some subset's successor is start; BudgetError past
+    DEFAULT_BUDGET subsets, as subset_construction.
+
+    A subset's high part p moves on its own, and its low part t moves
+    under the low states' entries plus the low bits of p's image (the
+    catenation's free move, folded in as constructions._catenation_left
+    does).  So p's image on each symbol is read once, and the low parts
+    of p's subsets not yet stepped go through one table per symbol
+    together, as one set.  A table is _subset_table's over the low
+    states' entries, with p's low image bits ORed into each entry; past
+    11 low states there are three, cut as _subset_walk cuts subsets.
+    """
+    low = (1 << n) - 1
+    whole = n <= 11
+    chunk = n if whole else _chunk(n)
+    cut, mask = 2 * chunk, (1 << chunk) - 1
+    right = [_chunked(row[:n], chunk) for row in move]
+    left = [row[n:] for row in move]
+    firsts = {}  # (symbol, low image bits) -> the first table with them ORed in
+    steps = {}  # p -> per symbol, p's image's high part and the low tables
+    p0, t0 = start >> n, start & low
+    groups, pending = {p0: {t0}}, {p0: {t0}}
+    count, reenters = 1, False
+    while pending:
+        p, ts = pending.popitem()
+        step = steps.get(p)
+        if step is None:
+            step = steps[p] = []
+            for s, (lrow, (r0, r1, r2)) in enumerate(zip(left, right)):
+                image = mask_image(p, lrow)
+                inject = image & low
+                first = firsts.get((s, inject))
+                if first is None:
+                    first = firsts[s, inject] = [x | inject for x in r0]
+                step.append((image >> n, first, r1, r2))
+        for q, r0, r1, r2 in step:
+            if whole:
+                new = set(map(r0.__getitem__, ts))
+            else:
+                new = {r0[t & mask] | r1[t >> chunk & mask] | r2[t >> cut] for t in ts}
+            reenters = reenters or q == p0 and t0 in new
+            group = groups.setdefault(q, set())
+            new -= group
+            if not new:
+                continue
+            group |= new
+            pending.setdefault(q, set()).update(new)
+            count += len(new)
+            if count > DEFAULT_BUDGET:
+                raise _over_budget(DEFAULT_BUDGET)
+    return groups, count, reenters
 
 
 def subset_construction(move, start: int, final_mask: int):
@@ -344,29 +419,35 @@ def subset_construction(move, start: int, final_mask: int):
     return _numbered(flat, len(move), order, final_mask.__and__)
 
 
-def minimal_count(move, final_mask: int, subsets) -> int | None:
+def minimal_count(move, final_mask: int, groups, n: int) -> int | None:
     """Minimal state count of the subset construction whose masks and
-    (reachable) subsets these are; None unless private words decide it.
+    (reachable) subsets these are, the subsets grouped as _grouped_walk
+    returns them (groups[p] the low parts t of the subsets p << n | t);
+    None unless private words decide it.
 
     States of equal finality and entries form a class.  A subset the
     reversed masks reach from final_mask holds the states accepting one
     word.  If each class some but not all subsets meet has one holding,
     of their union, just its states, subsets are equivalent exactly when
     they meet the same classes (as in Brzozowski's double reversal).
-    The reverse walk stops at len(subsets) subsets.
+    The reverse walk stops at as many subsets as there are forward.
     """
     classes = {}
     for q, entries in enumerate(zip(*move)):
         key = final_mask >> q & 1, entries
         classes[key] = classes.get(key, 0) | 1 << q
-    union, common = reduce(or_, subsets), reduce(and_, subsets)
+    count = sum(map(len, groups.values()))
+    # a subset's bits below n and from n up are ORed and ANDed apart
+    lows = set().union(*groups.values())
+    union = reduce(or_, groups) << n | reduce(or_, lows)
+    common = reduce(and_, groups) << n | reduce(and_, lows)
     rev = [[0] * len(row) for row in move]
     for rrow, row in zip(rev, move):
         for q, t in enumerate(row):
             for p in _mask_bits(t):
                 rrow[p] |= 1 << q
     try:
-        found = {r & union for r in _subset_walk(rev, final_mask, len(subsets))[1]}
+        found = {r & union for r in _subset_walk(rev, final_mask, count)[1]}
     except BudgetError:
         return None
     for c in classes.values():
@@ -376,16 +457,24 @@ def minimal_count(move, final_mask: int, subsets) -> int | None:
     # one of the others change
     merged = [(c, c & -c) for c in classes.values() if c & c - 1]
     if not merged:
-        return len(subsets)
-    others = reduce(or_, (c ^ low for c, low in merged))
-    moved = [s for s in subsets if s & others]
+        return count
+    others = reduce(or_, (c ^ bit for c, bit in merged))
+    bits = (1 << n) - 1
+    high, low = others >> n, others & bits
+    moved = []
+    for p, ts in groups.items():
+        if p & high:
+            moved += [p << n | t for t in ts]
+        elif low:
+            moved += [p << n | t for t in ts if t & low]
     images = set()
     for s in moved:
-        for c, low in merged:
+        for c, bit in merged:
             if s & c:
-                s = s & ~c | low
+                s = s & ~c | bit
         images.add(s)
-    return len(subsets) - len(moved) + len(images) - sum(map(images.__contains__, subsets))
+    kept = sum(s & bits in groups.get(s >> n, ()) for s in images)
+    return count - len(moved) + len(images) - kept
 
 
 def subset_dfa(alphabet: tuple[str, ...], move, start: int, final_mask: int) -> Dfa:

@@ -1,23 +1,28 @@
 """Verification oracles, searches, the op table and its routes.
 
-The oracle takes the masks of the left operand's reversal or star,
+The oracle takes the masks of the left operand's reversal or star and
 catenates them with the right operand through
-constructions.catenation_masks, and counts the subset construction's
-Hopcroft blocks; verify reads the count off private words first
-(automata.minimal_count).  The full search walks the same subsets over cached
-per-class image tables instead, handing them to automata._table_walk as
-two of its chunks: a right class's table packs catenation_masks' right
-part and a left class's its left part, built by
-constructions._catenation_left, so the walk's keys are the oracle's
-own.  Each op's route picks the direct construction and its size
-bound by operand shape.  starcat's is the oracle's own masks from
+constructions.catenation_masks.  verify and oracle_sc count its subsets
+in one walk grouped by their left parts (automata._grouped_walk), since
+a subset's left part moves on its own and its right part under b plus
+a free move that depends only on the left part, and read the minimal
+size off private words (automata.minimal_count).  The subsets are
+numbered (automata.subset_construction) only where a table is read:
+for Hopcroft's blocks when private words do not decide the count, and
+for a pair walk against a route's machine.  The full search walks the
+same subsets over cached per-class image tables instead, handing them
+to automata._table_walk as two of its chunks: a right class's table
+packs catenation_masks' right part and a left class's its left part,
+built by constructions._catenation_left, so the walk's keys are the
+oracle's own.  Each op's route picks the direct construction and its
+size bound by operand shape.  starcat's is the oracle's own masks from
 another start set of the same images and finality, so verify reads its
-count and language off the oracle's one subset walk; revcat with n >= 2
-has none of its own (the paper's is the oracle's pipeline), so there
-verify checks the one machine against the closed form only.  Agreement
-between the routes, plus the closed-form bounds, is what the verify and
-search entry points check.  Everything that differs from one operation
-to the next is a row of OPS.
+count and language off the oracle's one grouped walk; revcat with
+n >= 2 has none of its own (the paper's is the oracle's pipeline), so
+there verify checks the one count against the closed form only.
+Agreement between the routes, plus the closed-form bounds, is what the
+verify and search entry points check.  Everything that differs from
+one operation to the next is a row of OPS.
 """
 
 from __future__ import annotations
@@ -32,6 +37,7 @@ from .automata import (
     BudgetError,
     Dfa,
     Masks,
+    _grouped_walk,
     _numbered,
     _packed,
     _pair_walk,
@@ -228,21 +234,26 @@ def oracle_pipeline(op: str, a: Dfa, b: Dfa) -> Dfa:
     return subset_dfa(a.alphabet, *_oracle_masks(operation(op).left, a, b))
 
 
-def _oracle_count(move, start: int, final_mask: int):
-    """The rows, finals and subsets of the subset construction of these
-    masks, and its minimal size: by private words
-    (automata.minimal_count), else Hopcroft's blocks, since every subset
-    the construction reaches is reachable."""
-    rows, finals, subsets = subset_construction(move, start, final_mask)
-    minimal = minimal_count(move, final_mask, subsets)
+def _oracle_count(move, start: int, final_mask: int, n: int):
+    """The subsets of these catenation masks' subset construction, with
+    a right machine of n states, grouped by left part, their count and
+    whether the construction re-enters its start (automata._grouped_walk);
+    its minimal size, by private words (automata.minimal_count), else
+    Hopcroft's blocks, since every subset the construction reaches is
+    reachable; and the numbered rows and finals where Hopcroft read
+    them, else None."""
+    groups, count, reenters = _grouped_walk(move, start, n)
+    minimal = minimal_count(move, final_mask, groups, n)
+    table = None
     if minimal is None:
-        minimal = len(hopcroft_refine(rows, finals)[0])
-    return rows, finals, subsets, minimal
+        table = subset_construction(move, start, final_mask)[:2]
+        minimal = len(hopcroft_refine(*table)[0])
+    return groups, count, reenters, minimal, table
 
 
 def oracle_sc(op: str, a: Dfa, b: Dfa) -> int:
     """Minimal DFA size of the operation result, via the generic pipeline."""
-    return _oracle_count(*_oracle_masks(operation(op).left, a, b))[3]
+    return _oracle_count(*_oracle_masks(operation(op).left, a, b), b.state_count)[3]
 
 
 def combined(op: str, a: Dfa, b: Dfa) -> Dfa:
@@ -256,17 +267,17 @@ def combined(op: str, a: Dfa, b: Dfa) -> Dfa:
     return direct if isinstance(direct, Dfa) else subset_dfa(a.alphabet, *direct)
 
 
-def _restarts(oracle: Masks, route: Masks, rows) -> bool:
+def _restarts(oracle: Masks, route: Masks, reenters: bool) -> bool:
     """Whether route is the oracle's masks started in a set with the
     oracle start's images and finality, and the oracle's subset
-    construction (rows) never re-enters its start.  Then the route's
-    machine accepts the oracle's language, and its subsets are the
-    oracle's with the route's start in place of the oracle's."""
+    construction never re-enters its start (reenters False).  Then the
+    route's machine accepts the oracle's language, and its subsets are
+    the oracle's with the route's start in place of the oracle's."""
     def one_step(move, start, final_mask):
         # the move table and final mask, the start's finality and images
         return move, final_mask, bool(start & final_mask), [mask_image(start, r) for r in move]
 
-    return one_step(*route) == one_step(*oracle) and not any(0 in row for row in rows)
+    return one_step(*route) == one_step(*oracle) and not reenters
 
 
 def _report(
@@ -278,20 +289,26 @@ def _report(
     formula or, formula None, the direct machine fits the route's bound;
     the report keeps the shortest word they disagree on, if any.  A
     route whose masks only restart the oracle's (_restarts) is counted
-    off the oracle's subsets, with no walk or machine of its own."""
+    off the oracle's subsets, with no walk or machine of its own; only
+    another route's machine is pair-walked against the oracle's
+    numbered machine."""
     # counted before the route runs: the oracle's walk is done before
     # any machine of the route's is built
     masks = _oracle_masks(spec.left, a, b)
-    rows, finals, subsets, minimal = _oracle_count(*masks)
+    n = b.state_count
+    groups, constructed, reenters, minimal, table = _oracle_count(*masks, n)
     direct, bound, k1 = spec.route(a, b)
-    constructed, word = len(subsets), None
-    if isinstance(direct, tuple) and _restarts(masks, direct, rows):
-        # the oracle's start, subsets[0], gives way to the route's, one
-        # state fewer when the route's start is reached anyway
-        constructed -= direct[1] != masks[1] and direct[1] in subsets
+    word = None
+    if isinstance(direct, tuple) and _restarts(masks, direct, reenters):
+        # the oracle's start gives way to the route's, one state fewer
+        # when the route's start is reached anyway
+        start = direct[1]
+        reached = start & (1 << n) - 1 in groups.get(start >> n, ())
+        constructed -= start != masks[1] and reached
     elif direct is not None:
         if isinstance(direct, tuple):
             direct = subset_dfa(a.alphabet, *direct)
+        rows, finals = table or subset_construction(*masks)[:2]
         oracle = Dfa(len(rows[0]), a.alphabet, rows, 0, finals)
         constructed = direct.state_count
         word = _pair_walk(direct, direct.initial, oracle, 0)

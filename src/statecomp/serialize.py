@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import sys
 
-from .automata import Dfa, Nfa, nfa_from_dfa
+from .automata import Dfa, Nfa
 
 
 class DocumentError(ValueError):
@@ -191,20 +191,28 @@ def emit_document(a: Dfa | Nfa) -> str:
 def emit_dot(a: Dfa | Nfa) -> str:
     """DOT digraph: one labeled edge per transition, double circles on
     final states, a point-shaped entry arrow into each initial state.
-    A Dfa is written as its Nfa, nfa_from_dfa's."""
-    if isinstance(a, Dfa):
-        a = nfa_from_dfa(a)
+    A Dfa's lines are its Nfa's, nfa_from_dfa's, written from its single
+    targets."""
     lines = ["digraph automaton {", "  rankdir=LR;", "  node [shape=circle];"]
     for q in sorted(a.finals):
         lines.append(f"  {q} [shape=doublecircle];")
     lines.append("  __start [shape=point];")
-    for q in sorted(a.initials):
-        lines.append(f"  __start -> {q};")
-    for q in range(a.state_count):
-        for s, sym in enumerate(a.alphabet):
-            for t in sorted(a.transitions[s][q]):
-                lines.append(f"  {q} -> {t} [label=\"{sym}\"];")
-    for u, v in sorted(a.epsilon_edges):
-        lines.append(f"  {u} -> {v} [label=\"&epsilon;\"];")
+    labels = [f" [label=\"{sym}\"];" for sym in a.alphabet]
+    if isinstance(a, Dfa):
+        lines.append(f"  __start -> {a.initial};")
+        # a column of lines per symbol, taken state by state
+        columns = [
+            [f"  {q} -> {t}{label}" for q, t in enumerate(row)]
+            for row, label in zip(a.transitions, labels)
+        ]
+        lines += [line for group in zip(*columns) for line in group]
+    else:
+        for q in sorted(a.initials):
+            lines.append(f"  __start -> {q};")
+        for q in range(a.state_count):
+            for row, label in zip(a.transitions, labels):
+                lines += [f"  {q} -> {t}{label}" for t in sorted(row[q])]
+        for u, v in sorted(a.epsilon_edges):
+            lines.append(f"  {u} -> {v} [label=\"&epsilon;\"];")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -279,6 +279,25 @@ class TestSubsetBudget:
         ):
             automata.subset_construction(*self.CYCLE)
 
+    @pytest.mark.parametrize("op", harness.COMPOSE_OPS)
+    def test_grouped_walk_is_budgeted_as_the_numbered_walk(self, monkeypatch, op):
+        # verify's grouped walk stops where subset_construction stops,
+        # with its message
+        a, b = harness.OPS[op].witness(3, 3)
+        move, start, final_mask = harness._oracle_masks(harness.OPS[op].left, a, b)
+        count = len(automata.subset_construction(move, start, final_mask)[2])
+        monkeypatch.setattr(automata, "DEFAULT_BUDGET", count)
+        assert automata._grouped_walk(move, start, 3)[1] == count
+        monkeypatch.setattr(automata, "DEFAULT_BUDGET", count - 1)
+        with pytest.raises(automata.BudgetError) as numbered:
+            automata.subset_construction(move, start, final_mask)
+        with pytest.raises(automata.BudgetError) as grouped:
+            automata._grouped_walk(move, start, 3)
+        with pytest.raises(automata.BudgetError) as verified:
+            harness.verify_witness(op, 3, 3)
+        message = f"the subset construction needs more states than the budget of {count - 1}"
+        assert str(numbered.value) == str(grouped.value) == str(verified.value) == message
+
     def test_every_subset_dfa_is_budgeted(self, monkeypatch):
         # the routes, the oracle and Brzozowski all go through subset_dfa
         monkeypatch.setattr(automata, "DEFAULT_BUDGET", 3)

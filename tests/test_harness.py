@@ -259,9 +259,9 @@ def stand_in_witness(monkeypatch, op):
 
 
 def count_walks(monkeypatch):
-    """The subset constructions and pair walks run from here on, as a
-    dict the patched functions keep up to date."""
-    calls = {"subset": 0, "walk": 0}
+    """The grouped walks, numbered subset constructions and pair walks
+    run from here on, as a dict the patched functions keep up to date."""
+    calls = {"grouped": 0, "subset": 0, "walk": 0}
 
     def counted(key, fn):
         def wrapper(*args):
@@ -273,6 +273,7 @@ def count_walks(monkeypatch):
     subset = counted("subset", automata.subset_construction)
     monkeypatch.setattr(automata, "subset_construction", subset)
     monkeypatch.setattr(harness, "subset_construction", subset)
+    monkeypatch.setattr(harness, "_grouped_walk", counted("grouped", harness._grouped_walk))
     monkeypatch.setattr(harness, "_pair_walk", counted("walk", harness._pair_walk))
     return calls
 
@@ -282,23 +283,31 @@ class TestVerifyWitness:
         r = verify_witness("revcat", 3, 3)
         assert r == BoundReport("revcat", 3, 3, None, 48, 48, 48, True)
 
-    @pytest.mark.parametrize("m, n", [(2, 2), (3, 4), (5, 3)])
-    def test_revcat_builds_one_subset_dfa(self, monkeypatch, m, n):
-        # the route has no machine of its own, so the oracle's is built
-        # once and not walked against itself
+    @pytest.mark.parametrize("m, n, numbered", [(2, 2, 1), (3, 4, 0), (5, 3, 0)])
+    def test_revcat_counts_one_grouped_walk(self, monkeypatch, m, n, numbered):
+        # the route has no machine of its own, so the oracle's subsets
+        # are counted once and not walked against themselves; they are
+        # numbered only for Hopcroft, where private words do not decide
+        # the count, as at (2, 2)
         calls = count_walks(monkeypatch)
         f = sc_revcat(m, n)
         assert verify_witness("revcat", m, n) == BoundReport(
             "revcat", m, n, None, f, f, f, True
         )
-        assert calls == {"subset": 1, "walk": 0}
+        assert calls == {"grouped": 1, "subset": numbered, "walk": 0}
 
-    @pytest.mark.parametrize("op", ["starcat", "starcat-special"])
-    @pytest.mark.parametrize("m, n", [(2, 2), (3, 4), (5, 3)])
-    def test_starcat_runs_one_subset_walk(self, monkeypatch, op, m, n):
+    @pytest.mark.parametrize("op, m, n, numbered", [
+        ("starcat", 2, 2, 1), ("starcat", 3, 4, 0), ("starcat", 5, 3, 1),
+        ("starcat-special", 2, 2, 1), ("starcat-special", 3, 4, 1),
+        ("starcat-special", 5, 3, 1),
+    ])
+    def test_starcat_runs_one_grouped_walk(self, monkeypatch, op, m, n, numbered):
         # the route's masks are the oracle's from another start set of the
         # same images and finality, so the direct machine's count is read
-        # off the oracle's subsets: no walk of its own and no pair walk
+        # off the oracle's subsets: no walk of its own and no pair walk.
+        # They are numbered only for Hopcroft, where private words do not
+        # decide the count: starcat at (2, 2) and (5, 3), and every
+        # starcat-special cell
         spec = OPS[op]
         a, b = spec.witness(m, n)
         k1 = spec.route(a, b)[2]
@@ -308,7 +317,7 @@ class TestVerifyWitness:
         assert verify_witness(op, m, n) == BoundReport(
             op, m, n, k1, f, constructed, f, True
         )
-        assert calls == {"subset": 1, "walk": 0}
+        assert calls == {"grouped": 1, "subset": numbered, "walk": 0}
 
     def test_route_started_without_bs_initial_state_fails(self, monkeypatch):
         # starcat's masks started in a's initial state alone: the start's
@@ -332,7 +341,7 @@ class TestVerifyWitness:
         r = verify_witness("starcat", 3, 3)
         assert (r.constructed, r.passed, r.word) == (direct.state_count, False, word)
         assert str(r).endswith(" FAIL word=" + (word or '""'))
-        assert calls == {"subset": 2, "walk": 1}
+        assert calls == {"grouped": 1, "subset": 2, "walk": 1}
 
     def test_revcat_right_operand_one_state(self):
         r = verify_witness("revcat", 5, 1)
@@ -578,7 +587,7 @@ class TestVerifyConstruction:
         calls = count_walks(monkeypatch)
         r = verify_construction("starcat", a, b)
         assert (r.constructed, r.minimal, r.passed, r.word) == (3, 1, True, None)
-        assert calls == {"subset": 2, "walk": 1}
+        assert calls == {"grouped": 1, "subset": 2, "walk": 1}
 
     @pytest.mark.parametrize("edit", [
         # b's final state 1' added to the start: 1' goes only where the
@@ -614,7 +623,7 @@ class TestVerifyConstruction:
         calls = count_walks(monkeypatch)
         r = verify_construction("starcat", a, b)
         assert (r.constructed, r.passed, r.word) == (direct.state_count, False, word)
-        assert calls == {"subset": 2, "walk": 1}
+        assert calls == {"grouped": 1, "subset": 2, "walk": 1}
 
     def test_route_of_the_oracles_own_masks_counts_every_subset(self, monkeypatch):
         # the oracle's start is its own restart: no subset gives way
@@ -628,7 +637,8 @@ class TestVerifyConstruction:
         )
         calls = count_walks(monkeypatch)
         r = verify_construction("starcat", a, b)
-        assert calls == {"subset": 1, "walk": 0}
+        # numbered once, for Hopcroft: private words do not decide (3, 3)
+        assert calls == {"grouped": 1, "subset": 1, "walk": 0}
         assert r.constructed == oracle_pipeline("starcat", a, b).state_count
         assert r.passed and r.word is None
 
@@ -1247,7 +1257,8 @@ def _count_and_blocks(op, a, b):
     construction for (a, b), and its subset count."""
     move, start, final_mask = _oracle_masks(OPS[op].left, a, b)
     rows, finals, subsets = automata.subset_construction(move, start, final_mask)
-    count = automata.minimal_count(move, final_mask, subsets)
+    groups = automata._grouped_walk(move, start, b.state_count)[0]
+    count = automata.minimal_count(move, final_mask, groups, b.state_count)
     return count, len(automata.hopcroft_refine(rows, finals)[0]), len(subsets)
 
 
@@ -1331,7 +1342,8 @@ class TestMinimalCount:
         move, start, final_mask = _oracle_masks(OPS["revcat"].left, a, b)
         subsets = automata.subset_construction(move, start, final_mask)[2]
         assert len(_reverse_subsets(move, final_mask)) <= len(subsets)
-        assert automata.minimal_count(move, final_mask, subsets) is None
+        groups = automata._grouped_walk(move, start, b.state_count)[0]
+        assert automata.minimal_count(move, final_mask, groups, b.state_count) is None
         r = verify_witness("revcat", 2, 1)
         assert r.minimal == sc_revcat(2, 1) and r.passed
 
@@ -1345,6 +1357,7 @@ class TestMinimalCount:
         assert len(found) > len(subsets) == 12
         union = functools.reduce(int.__or__, subsets)
         assert all(1 << q & union in {r & union for r in found} for q in range(len(move[0])))
-        assert automata.minimal_count(move, final_mask, subsets) is None
+        groups = automata._grouped_walk(move, start, b.state_count)[0]
+        assert automata.minimal_count(move, final_mask, groups, b.state_count) is None
         r = verify_witness("revcat", 2, 2)
         assert r.minimal == sc_revcat(2, 2) == 12 and r.passed

@@ -19,7 +19,10 @@ from statecomp import (
     starcat_general_direct,
     verify_construction,
 )
-from statecomp.automata import nfa_masks, subset_construction
+from statecomp.automata import _grouped_walk, nfa_masks, subset_construction
+from statecomp.constructions import _starcat_masks
+from statecomp.harness import OPS, _oracle_masks
+from statecomp.witnesses import revcat_witness_M, revcat_witness_N
 
 from helpers import imported_modules, machine, ref_determinize, reference
 
@@ -74,6 +77,54 @@ def test_starcats_count_is_its_direct_machines(pair):
     assume(a.finals and b.state_count >= 2)
     report = verify_construction("starcat", a, b)
     assert report.constructed == starcat_general_direct(a, b).state_count
+
+
+def assert_grouped_walk_is_the_subset_construction(move, start, final_mask, n):
+    """_grouped_walk's groups, read as whole subsets, are
+    subset_construction's, with their count and its re-entry flag."""
+    rows, _, subsets = subset_construction(move, start, final_mask)
+    groups, count, reenters = _grouped_walk(move, start, n)
+    keys = {p << n | t for p, ts in groups.items() for t in ts}
+    assert keys == set(subsets) and count == len(subsets)
+    assert reenters == any(0 in row for row in rows)
+
+
+def starts(a, b, start):
+    """The oracle's start and starcat's route's, {a's initial, b's
+    initial}, in a catenation with b."""
+    route = 1 << b.state_count + a.initial | 1 << b.initial
+    if a.finals and b.state_count >= 2:
+        assert _starcat_masks(a, b)[1] == route
+    return start, route
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(op=st.sampled_from(["revcat", "starcat"]), pair=operands())
+def test_grouped_walk_is_the_subset_construction(op, pair):
+    a, b = pair
+    move, start, final_mask = _oracle_masks(OPS[op].left, a, b)
+    for s in starts(a, b, start):
+        assert_grouped_walk_is_the_subset_construction(move, s, final_mask, b.state_count)
+
+
+def cycle_reset(n, alphabet):
+    """The first letter cycles n states, every other one resets to 0:
+    few subsets, whose bits run through every chunk."""
+    cycle = tuple((q + 1) % n for q in range(n))
+    resets = ((0,) * n,) * (len(alphabet) - 1)
+    return Dfa(n, alphabet, (cycle, *resets), 0, frozenset({n - 1}))
+
+
+@pytest.mark.parametrize("op", ["revcat", "starcat"])
+@pytest.mark.parametrize("n", [12, 35])
+def test_grouped_walk_with_chunked_right_tables(op, n):
+    # past 11 right states the right tables are cut into three chunks,
+    # and past 33 the third is filled in as subsets reach it
+    a = revcat_witness_M(3)
+    b = revcat_witness_N(n) if n == 12 else cycle_reset(n, a.alphabet)
+    move, start, final_mask = _oracle_masks(OPS[op].left, a, b)
+    for s in starts(a, b, start):
+        assert_grouped_walk_is_the_subset_construction(move, s, final_mask, n)
 
 
 @st.composite

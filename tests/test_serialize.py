@@ -16,7 +16,9 @@ from statecomp.serialize import (
     emit_dot,
     parse_document,
 )
+from statecomp.harness import OPS, oracle_pipeline
 from statecomp.witnesses import (
+    FAMILIES,
     empty_dfa,
     revcat_n1_witness,
     revcat_witness_M,
@@ -289,6 +291,22 @@ class TestDot:
         assert dot.count("[label=") == 8
         assert '  0 -> 1 [label="a"];' in dot
         assert dot.endswith("}\n")
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_dfa_dot_is_its_nfas(self, family):
+        # a Dfa is written from its single targets, byte for byte as the
+        # Nfa of singleton target sets is written
+        kind, build = FAMILIES[family]
+        args = [("a", "b", "c")] if kind == "alphabet" else [2, 3, 5, 7]
+        for arg in args:
+            d = build(arg)
+            assert emit_dot(d) == emit_dot(nfa_from_dfa(d)), (family, arg)
+
+    @pytest.mark.parametrize("op", ["revcat", "starcat"])
+    def test_oracle_dfa_dot_is_its_nfas(self, op):
+        # the oracle's machine of a witness pair, thousands of states
+        d = oracle_pipeline(op, *OPS[op].witness(5, 5))
+        assert emit_dot(d) == emit_dot(nfa_from_dfa(d))
 
     def test_nfa_dot_includes_epsilon_edges(self):
         nfa = catenation_nfa(
